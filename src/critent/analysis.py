@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
 from . import density, dimer, ising2d, tfim
+from .errors import ConvergenceError
 
 MI_IDENTITY_TOL = 1e-9
 
@@ -158,61 +159,73 @@ def log_poly_fit(xs, ys, degree: int, full: bool = False) -> FitResult:
     )
 
 
-def _entropies(rho_ij, rho_i):
-    s_i = density.von_neumann_entropy(rho_i)
-    s_ij = density.von_neumann_entropy(rho_ij)
-    mi = density.mutual_information(rho_ij)
-    return s_i, s_i, s_ij, mi
+def _records(model, points, entropies, tag=""):
+    s_i, s_ij, mi = entropies
+    return [
+        SweepRecord(model=model, T=p.get("T"), lam=p.get("lam"), N=p.get("N"),
+                    r=p.get("r"), s_i=float(a), s_j=float(a), s_ij=float(b),
+                    mi=float(c), tag=tag)
+        for p, a, b, c in zip(points, s_i, s_ij, mi)
+    ]
 
 
-def _eval_dimer(point):
-    rho = dimer.thermal_state(point["T"])
-    rho_i = density.partial_trace(rho, {0})
-    s_i, s_j, s_ij, mi = _entropies(rho, rho_i)
-    return SweepRecord(model="dimer", T=point["T"], s_i=s_i, s_j=s_j,
-                       s_ij=s_ij, mi=mi)
+def _eval_dimer(points):
+    (point,) = points
+    g = dimer.spin_correlation(point["T"])
+    return _records("dimer", points, density.x_state_entropies(0.0, g, g, g))
 
 
-def _eval_ising2d(point):
-    ensemble = point.get("ensemble", "symmetric")
-    rho_ij = ising2d.two_site_state(point["T"], point["N"], ensemble)
-    rho_i = ising2d.single_site_state(point["T"], ensemble)
-    s_i, s_j, s_ij, mi = _entropies(rho_ij, rho_i)
-    return SweepRecord(model="ising2d", T=point["T"], N=point["N"],
-                       s_i=s_i, s_j=s_j, s_ij=s_ij, mi=mi, tag=ensemble)
+def _eval_ising2d(points):
+    ensemble = points[0].get("ensemble", "symmetric")
+    values = ising2d.entropies(points[0]["T"], [p["N"] for p in points], ensemble)
+    return _records("ising2d", points, values, ensemble)
 
 
-def _eval_tfim(point):
-    params = tfim.TfimParams(
-        coupling=point["lam"],
-        temperature=point["T"],
-        sites=point["N"],
-        separation=point["r"],
-        sector=point.get("sector", "even"),
-    )
-    rho_ij = tfim.two_site_state(params)
-    rho_i = tfim.single_site_state(params)
-    s_i, s_j, s_ij, mi = _entropies(rho_ij, rho_i)
-    return SweepRecord(model="tfim", T=point["T"], lam=point["lam"],
-                       N=point["N"], r=point["r"],
-                       s_i=s_i, s_j=s_j, s_ij=s_ij, mi=mi, tag=params.sector)
+def _eval_tfim(points):
+    p = points[0]
+    sector = p.get("sector", "even")
+    values = tfim.entropies(p["lam"], p["T"], p["N"], [q["r"] for q in points], sector)
+    return _records("tfim", points, values, sector)
 
 
-_EVALUATORS = {"dimer": _eval_dimer, "ising2d": _eval_ising2d, "tfim": _eval_tfim}
+# model -> (evaluator of a batch of points, the axis a batch runs along)
+_MODELS = {
+    "dimer": (_eval_dimer, None),
+    "ising2d": (_eval_ising2d, "N"),
+    "tfim": (_eval_tfim, "r"),
+}
 
 # canonical axis order for sweep grids, matching the CSV column order
 _AXIS_ORDER = ("T", "lam", "N", "r")
+
+
+def _batches(points, along):
+    """Runs of consecutive points that differ only in the `along` field."""
+    if along is None:
+        return [[p] for p in points]
+
+    def others(point):
+        return [(k, v) for k, v in point.items() if k != along]
+
+    return [list(run) for _, run in groupby(points, key=others)]
 
 
 def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
     """Evaluate `model` over the cartesian grid in `axes`.
 
     Rows come out in lexicographic order of the canonical axes
-    (T, lambda, N, r) regardless of worker count.  A failing point becomes
-    an error row (tag = "error: ...") instead of aborting the sweep.
+    (T, lambda, N, r) regardless of worker count.  Each run of points that
+    differ only in separation (r for tfim, N for ising2d) is one batch: one
+    coefficient window sized for its largest separation, one vectorized
+    entropy evaluation.  Workers are threads over batches; they keep the
+    output identical and are not a speed-up.  A point that fails with a
+    domain error (ValueError, ConvergenceError) becomes an error row
+    (tag = "error: ...") instead of aborting the sweep: a batch that raises
+    one is evaluated again point by point.  Any other exception propagates.
     """
-    if model not in _EVALUATORS:
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
+    evaluator, along = _MODELS[model]
     fixed = dict(fixed or {})
     names = [n for n in _AXIS_ORDER if n in axes]
     extra = set(axes) - set(names)
@@ -220,25 +233,30 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
         raise ValueError(f"unknown grid axes {sorted(extra)}")
     grids = [list(axes[n]) for n in names]
     points = [dict(zip(names, combo), **fixed) for combo in product(*grids)]
-    evaluator = _EVALUATORS[model]
 
-    def run_point(point):
+    def run_batch(batch):
         try:
-            return evaluator(point)
-        except Exception as exc:  # error rows must not abort the sweep
-            return SweepRecord(
+            return evaluator(batch)
+        except (ValueError, ConvergenceError) as exc:
+            if len(batch) > 1:
+                return [rec for point in batch for rec in run_batch([point])]
+            (point,) = batch
+            return [SweepRecord(
                 model=model,
                 T=point.get("T"),
                 lam=point.get("lam"),
                 N=point.get("N"),
                 r=point.get("r"),
                 tag=f"error: {exc}",
-            )
+            )]
 
+    batches = _batches(points, along)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_point, points))
-    return [run_point(p) for p in points]
+            done = list(pool.map(run_batch, batches))
+    else:
+        done = [run_batch(b) for b in batches]
+    return [rec for records in done for rec in records]
 
 
 # ---------------------------------------------------------------------------

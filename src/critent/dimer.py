@@ -37,6 +37,18 @@ def boltzmann_weights(temperature: float) -> tuple[float, float]:
     return p_s, x * p_s
 
 
+def spin_correlation(temperature: float) -> float:
+    """<s^a_1 s^a_2> = p_triplet - p_singlet, the same on every axis a.
+
+    Written as p_s expm1(-4/T) so the weak high-temperature correlation
+    keeps its relative precision.
+    """
+    if temperature == 0:
+        return -1.0
+    p_s, _ = boltzmann_weights(temperature)
+    return p_s * math.expm1(-4.0 / temperature)
+
+
 def thermal_state(temperature: float) -> DensityMatrix:
     """Gibbs state of the dimer; dims (2, 2)."""
     p_s, p_t = boltzmann_weights(temperature)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import density
 from .density import DensityMatrix, make_density_matrix
@@ -124,6 +123,8 @@ def observables(sites: int, coupling: float, temperature: float, separation: int
     ham = build_hamiltonian(sites, coupling)
     parity = parity_diagonal(sites)
     if temperature == 0:
+        import scipy.linalg  # only the lowest-levels eigensolver needs it
+
         k = min(4, ham.shape[0])
         vals, vecs = scipy.linalg.eigh(ham, subset_by_index=(0, k - 1))
         energy, psi = _resolve_even(vals, vecs, parity)

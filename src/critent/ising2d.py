@@ -26,19 +26,15 @@ descriptions of the ordered phase are supported:
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
-from .density import DensityMatrix, make_density_matrix, mutual_information
+from .density import DensityMatrix, make_density_matrix, x_state_entropies
 from .errors import ModelConsistencyError, ValidationError
 from .numerics import ToeplitzSequence, fourier_window, toeplitz_determinant
 
 ENSEMBLES = ("symmetric", "broken")
 _CRITICAL_S_TOL = 1e-12
-
-_cache_lock = threading.Lock()
-_coefficient_cache: dict[float, dict[int, complex]] = {}
 
 
 def critical_temperature() -> float:
@@ -86,11 +82,12 @@ def _critical_coefficient(n: int) -> float:
 
 
 def coefficient_window(temperature: float, n_max: int) -> ToeplitzSequence:
-    """Fourier coefficients a_n, |n| <= n_max, cached per temperature.
+    """Fourier coefficients a_n, |n| <= n_max.
 
-    Cache entries are written once per (T, n); a coefficient's value never
-    depends on how wide a window was requested, so concurrent sweeps see
-    identical numbers regardless of evaluation order.
+    A coefficient's value does not depend on how wide a window was
+    requested while the window fits the starting quadrature grid
+    (n_max < 1024; see numerics.fourier_window), so one window sized for
+    the largest separation serves every smaller one.
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
@@ -99,31 +96,29 @@ def coefficient_window(temperature: float, n_max: int) -> ToeplitzSequence:
         vals = np.array([_critical_coefficient(n) for n in range(-n_max, n_max + 1)],
                         dtype=complex)
         return ToeplitzSequence(-n_max, vals)
-    with _cache_lock:
-        cached = _coefficient_cache.setdefault(temperature, {})
-        have_all = all(n in cached for n in range(-n_max, n_max + 1))
-    if not have_all:
-        window = fourier_window(correlation_symbol(temperature), n_max)
-        with _cache_lock:
-            for n in range(-n_max, n_max + 1):
-                cached.setdefault(n, window.coefficient(n))
-    with _cache_lock:
-        vals = np.array([cached[n] for n in range(-n_max, n_max + 1)], dtype=complex)
-    return ToeplitzSequence(-n_max, vals)
+    return fourier_window(correlation_symbol(temperature), n_max)
+
+
+def diagonal_correlations(temperature: float, separations) -> np.ndarray:
+    """<s_{0,0} s_{N,N}> for each N in separations, as N x N Toeplitz
+    determinants of a_{i-j} from one coefficient window."""
+    separations = [int(n) for n in separations]
+    if min(separations) < 1:
+        raise ValueError("separation must be >= 1")
+    seq = coefficient_window(temperature, max(separations) - 1)
+    values = np.array([toeplitz_determinant(seq, n, row_shift=0) for n in separations])
+    bad = np.flatnonzero(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
+    if bad.size:
+        raise ModelConsistencyError(
+            f"correlation {values[bad[0]]:.6g} outside [-1, 1] "
+            f"at T={temperature}, N={separations[bad[0]]}"
+        )
+    return values
 
 
 def diagonal_correlation(temperature: float, separation: int) -> float:
     """<s_{0,0} s_{N,N}> as the N x N Toeplitz determinant of a_{i-j}."""
-    separation = int(separation)
-    if separation < 1:
-        raise ValueError("separation must be >= 1")
-    seq = coefficient_window(temperature, separation - 1)
-    value = toeplitz_determinant(seq, separation, row_shift=0)
-    if not (-1.0 - 1e-8 <= value <= 1.0 + 1e-8):
-        raise ModelConsistencyError(
-            f"correlation {value:.6g} outside [-1, 1] at T={temperature}, N={separation}"
-        )
-    return value
+    return float(diagonal_correlations(temperature, [separation])[0])
 
 
 def _check_ensemble(ensemble: str) -> None:
@@ -131,10 +126,30 @@ def _check_ensemble(ensemble: str) -> None:
         raise ValueError(f"ensemble must be one of {ENSEMBLES}")
 
 
+def _magnetization(temperature: float, ensemble: str) -> float:
+    _check_ensemble(ensemble)
+    return magnetization(temperature) if ensemble == "broken" else 0.0
+
+
+def _state_elements(g, m):
+    """u+, u-, w = (1 + 2m + G)/4, (1 - 2m + G)/4, (1 - G)/4, each checked
+    to lie in [-1e-10, 1]."""
+    g = np.atleast_1d(g)
+    elements = (("u+", (1.0 + 2.0 * m + g) / 4.0), ("u-", (1.0 - 2.0 * m + g) / 4.0),
+                ("w", (1.0 - g) / 4.0))
+    for name, val in elements:
+        bad = np.flatnonzero(~((-1e-10 <= val) & (val <= 1.0)))
+        if bad.size:
+            raise ModelConsistencyError(
+                f"element {name} = {val[bad[0]]:.6g} outside [0, 1] "
+                f"(G = {g[bad[0]]:.6g}, m = {m:.6g})"
+            )
+    return tuple(val for _, val in elements)
+
+
 def single_site_state(temperature: float, ensemble: str = "symmetric") -> DensityMatrix:
     """diag((1+m)/2, (1-m)/2); m = 0 in the symmetric ensemble."""
-    _check_ensemble(ensemble)
-    m = magnetization(temperature) if ensemble == "broken" else 0.0
+    m = _magnetization(temperature, ensemble)
     return make_density_matrix(np.diag([(1 + m) / 2, (1 - m) / 2]), (2,))
 
 
@@ -147,18 +162,9 @@ def two_site_state(
     correlation and m = 0 (symmetric) or the spontaneous magnetization
     (broken).  Its marginals equal single_site_state by construction.
     """
-    _check_ensemble(ensemble)
+    m = _magnetization(temperature, ensemble)
     g = diagonal_correlation(temperature, separation)
-    m = magnetization(temperature) if ensemble == "broken" else 0.0
-    u_plus = (1.0 + 2.0 * m + g) / 4.0
-    u_minus = (1.0 - 2.0 * m + g) / 4.0
-    w = (1.0 - g) / 4.0
-    for name, val in (("u+", u_plus), ("u-", u_minus), ("w", w)):
-        if not (-1e-10 <= val <= 1.0):
-            raise ModelConsistencyError(
-                f"element {name} = {val:.6g} outside [0, 1] "
-                f"(G = {g:.6g}, m = {m:.6g})"
-            )
+    (u_plus,), (u_minus,), (w,) = _state_elements(g, m)
     try:
         return make_density_matrix(np.diag([u_plus, w, w, u_minus]), (2, 2))
     except ValidationError as exc:
@@ -167,11 +173,22 @@ def two_site_state(
         ) from exc
 
 
+def entropies(temperature: float, separations, ensemble: str = "symmetric"):
+    """(S_i, S_ij, MI) in bits as arrays over the separations, from one
+    coefficient window and the closed-form X-state kernel fed the connected
+    correlation G - m^2."""
+    m = _magnetization(temperature, ensemble)
+    g = diagonal_correlations(temperature, separations)
+    _state_elements(g, m)
+    return x_state_entropies(m, 0.0, 0.0, g - m * m)
+
+
 def correlation_mi(
     temperature: float, separation: int, ensemble: str = "symmetric"
 ) -> float:
     """Two-site mutual information, in bits."""
-    return mutual_information(two_site_state(temperature, separation, ensemble))
+    _, _, mi = entropies(temperature, [separation], ensemble)
+    return float(mi[0])
 
 
 def expansion_mi(temperature: float, separation: int) -> float:

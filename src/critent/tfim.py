@@ -33,11 +33,11 @@ The two-site reduced state is block diagonal in the parity of the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, make_density_matrix, mutual_information
+from .density import DensityMatrix, make_density_matrix, x_state_entropies
 from .errors import ModelConsistencyError, ValidationError
 from .numerics import ToeplitzSequence, toeplitz_determinant
 
@@ -77,10 +77,7 @@ class CorrelationSet:
     gzz: float
 
     def __post_init__(self):
-        for name in ("mz", "gxx", "gyy", "gzz"):
-            v = getattr(self, name)
-            if not -1.0 - 1e-8 <= v <= 1.0 + 1e-8:
-                raise ModelConsistencyError(f"{name} = {v:.6g} outside [-1, 1]")
+        _check_range(self.mz, self.gxx, self.gyy, self.gzz)
 
 
 def momenta(sites: int, sector: str = "even") -> np.ndarray:
@@ -120,7 +117,8 @@ def _thermal_factor(coupling, temperature, phi):
 def magnetization_z(
     coupling: float, temperature: float, sites: int, sector: str = "even"
 ) -> float:
-    """<sz> = (1/N) sum_phi (1 - lambda cos phi) tanh(omega/T)/omega.
+    """<sz> = (1/N) sum_phi (1 - lambda cos phi) tanh(omega/T)/omega = -a_0,
+    taken from the same window computation as the correlations.
 
     For sector "gibbs" at T > 0, the parity-projected Gibbs average of the
     four traces (module docstring).
@@ -132,13 +130,14 @@ def magnetization_z(
         sector = "even"
     phi = momenta(sites, sector)
     f = _thermal_factor(coupling, temperature, phi)
-    return float(np.sum((1.0 - coupling * np.cos(phi)) * f) / sites)
+    return -float(_window_values(coupling, phi, f, 0)[0])
 
 
 def toeplitz_coefficient(
     coupling: float, temperature: float, sites: int, n: int, sector: str = "even"
 ) -> float:
-    """Wick coefficient a_n generating the correlation determinants:
+    """Wick coefficient a_n generating the correlation determinants, as the
+    direct momentum sum (the reference for coefficient_window):
 
     a_n = (1/N) sum_phi cos(phi n)(lambda cos phi - 1) tanh(omega/T)/omega
         - (lambda/N) sum_phi sin(phi n) sin(phi) tanh(omega/T)/omega
@@ -159,21 +158,25 @@ def coefficient_window(
     n_max: int,
     sector: str = "even",
 ) -> ToeplitzSequence:
-    """a_n for |n| <= n_max as one vectorized pass over the momentum grid."""
+    """a_n for |n| <= n_max from one length-N FFT over the momentum grid."""
     phi = momenta(sites, sector)
     f = _thermal_factor(coupling, temperature, phi)
-    vals = _window_values(coupling, phi, f, sites, n_max)
+    vals = _window_values(coupling, phi, f, n_max)
     return ToeplitzSequence(-n_max, vals.astype(complex))
 
 
-def _window_values(coupling, phi, f, sites, n_max) -> np.ndarray:
-    """a_n for n = -n_max..n_max from the modes phi with thermal factor f."""
-    cos_part = (coupling * np.cos(phi) - 1.0) * f
-    sin_part = coupling * np.sin(phi) * f
-    ns = np.arange(-n_max, n_max + 1)
-    return (
-        np.cos(np.outer(ns, phi)) @ cos_part - np.sin(np.outer(ns, phi)) @ sin_part
-    ) / sites
+def _window_values(coupling, phi, f, n_max) -> np.ndarray:
+    """a_n for n = -n_max..n_max from the ascending uniform grid phi with
+    thermal factor f (zero for a mode left out):
+
+        a_n = Re (e^{i phi_0 n}/N) sum_k e^{2 pi i k n/N} (lambda e^{i phi_k} - 1) f_k,
+
+    one inverse FFT whose entries do not depend on n_max, so a coefficient
+    is the same float in every window that holds it.
+    """
+    n = np.arange(-n_max, n_max + 1)
+    spectrum = np.fft.ifft((coupling * np.exp(1j * phi) - 1.0) * f)
+    return (np.exp(1j * phi[0] * n) * spectrum[n % len(phi)]).real
 
 
 def _log_2cosh(y):
@@ -193,11 +196,12 @@ def _gibbs_traces(coupling, temperature, sites, n_max):
     Tr e^{-H/T} (thermal factor tanh) and the twisted trace Tr P e^{-H/T}
     (coth); the parity projectors (1 +- P)/2 give the R twisted trace a
     minus sign.  The R grid's phi = 0 mode, whose signed energy 1 - lambda
-    vanishes at lambda = 1, is kept out of the windows b: it adds the same
-    constant c to every a_n, so each Wick determinant det(B + c 1 1^T)
-    times that mode's factor is the bordered determinant
-    det[[B, 1], [-gamma 1^T, alpha]] with alpha the mode's share of the
-    weight and gamma = alpha c, both finite at lambda = 1.
+    vanishes at lambda = 1, is zeroed in the windows b (its factor is
+    masked before coth/omega can diverge): it adds the same constant c to
+    every a_n, so each Wick determinant det(B + c 1 1^T) times that mode's
+    factor is the bordered determinant det[[B, 1], [-gamma 1^T, alpha]]
+    with alpha the mode's share of the weight and gamma = alpha c, both
+    finite at lambda = 1.
 
     Returns (log_w, alpha, gamma, windows): trace i has weight
     exp(log_w[i]) alpha[i], and windows[i] holds b_n for |n| <= n_max.
@@ -207,18 +211,17 @@ def _gibbs_traces(coupling, temperature, sites, n_max):
     big, small = 1.0 + np.exp(-2.0 * abs(x)), -np.expm1(-2.0 * abs(x))
     for sector in ("even", "odd"):
         phi = momenta(sites, sector)
-        if sector == "odd":
-            phi = phi[phi != 0.0]
-        omega = dispersion(coupling, phi)
+        kept = phi != 0.0
+        omega = np.where(kept, dispersion(coupling, phi), 1.0)
         y = omega / temperature
         for twisted in (False, True):
             if twisted:
-                log_z = np.sum(_log_2sinh(y))
-                f = 1.0 / (np.tanh(y) * omega)
+                log_z = np.sum(_log_2sinh(y[kept]))
+                f = np.where(kept, 1.0 / (np.tanh(y) * omega), 0.0)
             else:
-                log_z = np.sum(_log_2cosh(y))
-                f = np.tanh(y) / omega
-            windows.append(_window_values(coupling, phi, f, sites, n_max))
+                log_z = np.sum(_log_2cosh(y[kept]))
+                f = np.where(kept, np.tanh(y) / omega, 0.0)
+            windows.append(_window_values(coupling, phi, f, n_max))
             if sector == "even":
                 log_w.append(log_z)
                 alpha.append(1.0)
@@ -260,32 +263,78 @@ def _gibbs_means(coupling, temperature, sites, n_max, blocks) -> list:
     return means
 
 
-def _gibbs_correlations(coupling, temperature, sites, r) -> CorrelationSet:
-    lags = np.subtract.outer(np.arange(r), np.arange(r)) + r
-    a0, gxx, gyy, gzz = _gibbs_means(
-        coupling, temperature, sites, r,
-        [np.array([[r]]), lags - 1, lags + 1, np.array([[r, 0], [2 * r, r]])],
-    )
-    return CorrelationSet(mz=-a0, gxx=gxx, gyy=gyy, gzz=gzz)
+def _gibbs_arrays(coupling, temperature, sites, separations):
+    n_max = max(separations)
+    blocks = [np.array([[n_max]])]
+    for r in separations:
+        lags = np.subtract.outer(np.arange(r), np.arange(r)) + n_max
+        blocks += [lags - 1, lags + 1, np.array([[n_max, n_max - r], [n_max + r, n_max]])]
+    a0, *rest = _gibbs_means(coupling, temperature, sites, n_max, blocks)
+    gxx, gyy, gzz = np.array(rest).reshape(-1, 3).T
+    mz = -a0
+    # a mixture of traces is not a Wick state: the connected part is a
+    # difference here
+    return mz, gxx, gyy, gzz, gzz - mz * mz
+
+
+def _correlation_arrays(coupling, temperature, sites, separations, sector):
+    """mz, then gxx, gyy, gzz and the connected czz = gzz - mz^2 as arrays
+    over separations, all from one coefficient window sized for the largest.
+
+    Validates the parameters as TfimParams does, with its messages.
+    """
+    for r in (min(separations), max(separations)):
+        TfimParams(coupling, temperature, sites, r, sector)
+    if sector == "gibbs":
+        if temperature > 0:
+            return _gibbs_arrays(coupling, temperature, sites, separations)
+        sector = "even"
+    seq = coefficient_window(coupling, temperature, sites, max(separations), sector)
+    mz = -seq.coefficient(0).real
+    gxx = np.array([toeplitz_determinant(seq, r, row_shift=-1) for r in separations])
+    gyy = np.array([toeplitz_determinant(seq, r, row_shift=+1) for r in separations])
+    # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
+    czz = np.array([
+        -(seq.coefficient(r).real * seq.coefficient(-r).real) for r in separations
+    ])
+    return mz, gxx, gyy, mz * mz + czz, czz
+
+
+def _check_range(mz, gxx, gyy, gzz) -> None:
+    for name, v in (("mz", mz), ("gxx", gxx), ("gyy", gyy), ("gzz", gzz)):
+        v = np.atleast_1d(v)
+        bad = np.flatnonzero(~((-1.0 - 1e-8 <= v) & (v <= 1.0 + 1e-8)))
+        if bad.size:
+            raise ModelConsistencyError(f"{name} = {v[bad[0]]:.6g} outside [-1, 1]")
 
 
 def correlations(params: TfimParams) -> CorrelationSet:
     """All four correlation entries at one parameter point."""
-    r = params.separation
-    if params.sector == "gibbs":
-        if params.temperature > 0:
-            return _gibbs_correlations(
-                params.coupling, params.temperature, params.sites, r
-            )
-        params = replace(params, sector="even")
-    seq = coefficient_window(
-        params.coupling, params.temperature, params.sites, r, params.sector
+    mz, gxx, gyy, gzz, _ = _correlation_arrays(
+        params.coupling, params.temperature, params.sites,
+        [params.separation], params.sector,
     )
-    mz = -seq.coefficient(0).real
-    gxx = toeplitz_determinant(seq, r, row_shift=-1)
-    gyy = toeplitz_determinant(seq, r, row_shift=+1)
-    gzz = mz * mz - seq.coefficient(r).real * seq.coefficient(-r).real
-    return CorrelationSet(mz=mz, gxx=gxx, gyy=gyy, gzz=gzz)
+    return CorrelationSet(mz=mz, gxx=float(gxx[0]), gyy=float(gyy[0]), gzz=float(gzz[0]))
+
+
+def entropies(coupling, temperature, sites, separations, sector="even"):
+    """(S_i, S_ij, MI) in bits as arrays over the separations, from one
+    coefficient window and the closed-form X-state kernel."""
+    separations = list(separations)
+    mz, gxx, gyy, gzz, czz = _correlation_arrays(
+        coupling, temperature, sites, separations, sector
+    )
+    _check_range(mz, gxx, gyy, gzz)
+    try:
+        return x_state_entropies(mz, gxx, gyy, czz)
+    except ValidationError as exc:
+        if len(separations) == 1:
+            where = CorrelationSet(mz, float(gxx[0]), float(gyy[0]), float(gzz[0]))
+        else:
+            where = f"at separations {separations}"
+        raise ModelConsistencyError(
+            f"correlations {where} gave an invalid two-site state: {exc}"
+        ) from exc
 
 
 def single_site_state(params: TfimParams) -> DensityMatrix:
@@ -328,7 +377,11 @@ def two_site_state(params: TfimParams) -> DensityMatrix:
 
 def correlation_mi(params: TfimParams) -> float:
     """Two-site mutual information, in bits."""
-    return mutual_information(two_site_state(params))
+    _, _, mi = entropies(
+        params.coupling, params.temperature, params.sites,
+        [params.separation], params.sector,
+    )
+    return float(mi[0])
 
 
 def ground_energy(coupling: float, sites: int, sector: str = "even") -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from critent import analysis, tfim
+from critent import analysis, ising2d, tfim
 from critent.analysis import (
     FitResult,
     SweepRecord,
@@ -13,6 +13,7 @@ from critent.analysis import (
     records_to_json,
     sweep,
 )
+from critent.errors import ConvergenceError
 
 
 class TestCentralDerivative:
@@ -173,6 +174,57 @@ class TestSweep:
         serial = records_to_csv(sweep("dimer", axes=axes, workers=1))
         threaded = records_to_csv(sweep("dimer", axes=axes, workers=4))
         assert serial == threaded
+
+    @pytest.mark.parametrize("sector, temperature", [
+        ("even", 0.0), ("even", 0.6), ("odd", 0.6), ("gibbs", 0.6), ("gibbs", 1.5),
+    ])
+    def test_tfim_batches_equal_single_points(self, sector, temperature):
+        axes = {"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]}
+        fixed = {"N": 12, "T": temperature, "sector": sector}
+        records = sweep("tfim", axes=axes, fixed=fixed)
+        assert len(records) == 18
+        for rec in records:
+            p = tfim.TfimParams(rec.lam, temperature, 12, rec.r, sector)
+            s_i, s_ij, mi = tfim.entropies(rec.lam, temperature, 12, [rec.r], sector)
+            assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0], s_ij[0], mi[0])
+            assert rec.mi == tfim.correlation_mi(p)
+        threaded = sweep("tfim", axes=axes, fixed=fixed, workers=2)
+        assert records_to_csv(threaded) == records_to_csv(records)
+
+    @pytest.mark.parametrize("ensemble", ["symmetric", "broken"])
+    def test_ising_batches_equal_single_points(self, ensemble):
+        axes = {"T": [1.8, 2.3, 3.0], "N": [1, 2, 5, 9, 20]}
+        records = sweep("ising2d", axes=axes, fixed={"ensemble": ensemble})
+        assert len(records) == 15
+        for rec in records:
+            s_i, s_ij, mi = ising2d.entropies(rec.T, [rec.N], ensemble)
+            assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0], s_ij[0], mi[0])
+            assert rec.mi == ising2d.correlation_mi(rec.T, rec.N, ensemble)
+        threaded = sweep("ising2d", axes=axes, fixed={"ensemble": ensemble}, workers=2)
+        assert records_to_csv(threaded) == records_to_csv(records)
+
+    def test_failing_batch_is_redone_point_by_point(self):
+        records = sweep("tfim", axes={"lam": [0.5], "r": [2, 7]},
+                        fixed={"N": 12, "T": 0.0})
+        assert records[0].mi == tfim.correlation_mi(tfim.TfimParams(0.5, 0.0, 12, 2))
+        assert records[1].tag == "error: separation must be in [1, sites/2]"
+        # just off T_c no window converges; each error row names the
+        # coefficients of its own point's window, not the batch's
+        t = 2.26919
+        records = sweep("ising2d", axes={"T": [t], "N": [1, 2]})
+        for rec in records:
+            with pytest.raises(ConvergenceError) as failure:
+                ising2d.correlation_mi(t, rec.N)
+            assert rec.tag == f"error: {failure.value}"
+        assert records[0].tag != records[1].tag
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(tfim, "entropies", broken)
+        with pytest.raises(TypeError, match="not a domain error"):
+            sweep("tfim", axes={"lam": [0.5], "r": [1, 2]}, fixed={"N": 12, "T": 0.0})
 
 
 class TestSerialization:

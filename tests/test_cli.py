@@ -198,6 +198,15 @@ class TestConfigAndErrors:
         assert "non-convergence" in err
 
 
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, critent.cli; critent.cli.build_parser(); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+
 class TestInstalledEntryPoint:
     def test_help_runs(self):
         proc = subprocess.run(

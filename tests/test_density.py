@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from critent import dimer
+from critent import dimer, ising2d, tfim
 from critent.density import (
     make_density_matrix,
     mutual_information,
@@ -12,6 +13,7 @@ from critent.density import (
     relative_entropy,
     tensor_product,
     von_neumann_entropy,
+    x_state_entropies,
 )
 from critent.errors import ValidationError
 
@@ -223,3 +225,101 @@ class TestRelativeEntropy:
             relative_entropy(
                 random_density_matrix(2, rng), random_density_matrix(3, rng)
             )
+
+
+def x_state_matrix(mz, gxx, gyy, czz):
+    """The X-state of x_state_entropies, built entry by entry."""
+    gzz = mz * mz + czz
+    u_plus, u_minus, w = (1 + 2 * mz + gzz) / 4, (1 - 2 * mz + gzz) / 4, (1 - gzz) / 4
+    z_plus, z_minus = (gxx + gyy) / 4, (gxx - gyy) / 4
+    return np.array([
+        [u_plus, 0, 0, z_minus],
+        [0, w, z_plus, 0],
+        [0, z_plus, w, 0],
+        [z_minus, 0, 0, u_minus],
+    ])
+
+
+def mpmath_mi(mz, gxx, gyy, czz):
+    """S_i + S_j - S_ij of the same float64 inputs, with the working
+    precision raised until the difference keeps 40 significant digits."""
+    with mpmath.workdps(40):
+        mz, gxx, gyy, czz = (mpmath.mpf(float(v)) for v in (mz, gxx, gyy, czz))
+    magnitude = 0
+    while True:
+        with mpmath.workdps(40 + magnitude):
+            up, dn = (1 + mz) / 2, (1 - mz) / 2
+            a, b = up * up + czz / 4, dn * dn + czz / 4
+            w = up * dn - czz / 4
+            radius = mpmath.sqrt(((a - b) / 2) ** 2 + ((gxx - gyy) / 4) ** 2)
+            spectrum = [(a + b) / 2 + radius, (a + b) / 2 - radius,
+                        w + abs(gxx + gyy) / 4, w - abs(gxx + gyy) / 4]
+
+            def entropy(ps):
+                return -sum(p * mpmath.log(p) for p in ps if p > 0)
+
+            mi = (2 * entropy([up, dn]) - entropy(spectrum)) / mpmath.log(2)
+        if mi != 0 and 40 + magnitude + mpmath.log10(abs(mi)) > 45:
+            return mi
+        magnitude += 40
+
+
+class TestXStateKernel:
+    def test_matches_density_matrix_chain(self):
+        rng = np.random.default_rng(13)
+        checked = 0
+        for _ in range(500):
+            mz = rng.uniform(-1, 1)
+            czz = rng.uniform(-1, 1) * (1 - mz * mz) * rng.choice([1, 1e-4])
+            gxx, gyy = rng.uniform(-1, 1, 2) * rng.choice([1, 1e-4])
+            matrix = x_state_matrix(mz, gxx, gyy, czz)
+            if np.linalg.eigvalsh(matrix)[0] < 0:
+                continue
+            rho = make_density_matrix(matrix, (2, 2))
+            s_i, s_ij, mi = x_state_entropies(mz, gxx, gyy, czz)
+            assert s_i[0] == pytest.approx(
+                von_neumann_entropy(partial_trace(rho, {0})), abs=1e-12)
+            assert s_ij[0] == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+            assert mi[0] == pytest.approx(mutual_information(rho), abs=1e-12)
+            assert mi[0] == pytest.approx(2 * s_i[0] - s_ij[0], abs=1e-12)
+            checked += 1
+        assert checked > 100
+
+    def test_rows_are_independent_of_batch(self):
+        rng = np.random.default_rng(14)
+        mz = rng.uniform(-0.5, 0.5, 40)
+        czz = rng.uniform(-0.01, 0.01, 40)
+        gxx, gyy = rng.uniform(-0.01, 0.01, (2, 40))
+        batch = x_state_entropies(mz, gxx, gyy, czz)
+        for i in range(40):
+            single = x_state_entropies(mz[i], gxx[i], gyy[i], czz[i])
+            assert [v[0] for v in single] == [v[i] for v in batch]
+
+    def test_product_state_and_pure_singlet(self):
+        s_i, s_ij, mi = x_state_entropies(0.3, 0.0, 0.0, 0.0)
+        assert mi[0] == 0.0 and s_ij[0] == pytest.approx(2 * s_i[0], abs=1e-15)
+        s_i, s_ij, mi = x_state_entropies(0.0, -1.0, -1.0, -1.0)
+        assert (s_i[0], s_ij[0]) == (1.0, 0.0)
+        assert mi[0] == pytest.approx(2.0, abs=1e-15)
+
+    def test_keeps_negativity_thresholds(self):
+        # w - |z+| = -1e-12 is dust, -1e-9 is a construction error
+        s_i, s_ij, mi = x_state_entropies(0.0, 1.0 + 4e-12, 0.0, 0.0)
+        assert np.isfinite(mi[0]) and mi[0] > 0
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            x_state_entropies([0.0, 0.0], [0.5, 1.0 + 4e-9], 0.0, 0.0)
+
+    @pytest.mark.parametrize("case", ["tfim-0.5-1", "tfim-1-5", "ising2d-3-30"])
+    def test_weak_pairs_keep_relative_precision(self, case):
+        # the entropy difference returned 0.0, 4.4e-16 and 0 at these points
+        if case.startswith("tfim"):
+            lam, temperature = {"tfim-0.5-1": (0.5, 1.0), "tfim-1-5": (1.0, 5.0)}[case]
+            mz, gxx, gyy, _, czz = tfim._correlation_arrays(
+                lam, temperature, 1000, [300], "even")
+            inputs = (mz, gxx[0], gyy[0], czz[0])
+        else:
+            inputs = (0.0, 0.0, 0.0, ising2d.diagonal_correlation(3.0, 30))
+        _, _, mi = x_state_entropies(*inputs)
+        reference = mpmath_mi(*inputs)
+        assert reference > 0
+        assert abs((mi[0] - reference) / reference) <= 1e-12

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -91,11 +92,55 @@ class TestCoefficients:
             assert abs(even - odd) < 1e-2
 
     def test_window_matches_singles(self):
-        seq = tfim.coefficient_window(0.8, 0.3, 14, 5)
-        for n in range(-5, 6):
-            assert seq.coefficient(n).real == pytest.approx(
-                tfim.toeplitz_coefficient(0.8, 0.3, 14, n), abs=1e-14
-            )
+        # the FFT window against the direct momentum sum
+        for lam, temperature, sites, sector, n_max in (
+            (0.8, 0.3, 14, "even", 5),
+            (0.8, 0.3, 14, "odd", 5),
+            (1.3, 0.0, 14, "odd", 7),
+            (1.0, 0.0, 1000, "even", 60),
+            (0.6, 0.0, 1000, "odd", 60),
+            (1.0, 2.0, 1000, "odd", 60),
+        ):
+            seq = tfim.coefficient_window(lam, temperature, sites, n_max, sector)
+            for n in range(-n_max, n_max + 1):
+                assert seq.coefficient(n).real == pytest.approx(
+                    tfim.toeplitz_coefficient(lam, temperature, sites, n, sector),
+                    abs=1e-14,
+                )
+
+    def test_window_entries_do_not_depend_on_width(self):
+        wide = tfim.coefficient_window(0.9, 0.4, 1000, 50)
+        for n_max in (0, 1, 7):
+            narrow = tfim.coefficient_window(0.9, 0.4, 1000, n_max)
+            assert np.array_equal(narrow.values, wide.values[50 - n_max:51 + n_max])
+
+    def test_window_against_40_digit_sum_at_criticality(self):
+        sites = 1000
+        seq = tfim.coefficient_window(1.0, 0.0, sites, 40)
+        with mpmath.workdps(40):
+            for n in (-40, -1, 0, 1, 2, 39):
+                total = mpmath.mpf(0)
+                for k in range(sites):
+                    phi = 2 * mpmath.pi * (k - sites // 2 + mpmath.mpf(1) / 2) / sites
+                    omega = 2 * abs(mpmath.sin(phi / 2))
+                    total += (mpmath.cos(phi * (n + 1)) - mpmath.cos(phi * n)) / omega
+                exact = total / sites
+                assert abs(seq.coefficient(n).real - exact) < 1e-14
+
+    def test_gibbs_window_leaves_out_zero_mode_at_unit_coupling(self):
+        # the R grid's phi = 0 mode has omega = 0 at lambda = 1; its windows
+        # hold the sum over the other modes, with 1/N kept
+        sites, temperature, n_max = 12, 0.5, 6
+        _, _, _, windows = tfim._gibbs_traces(1.0, temperature, sites, n_max)
+        assert np.all(np.isfinite(windows))
+        phi = tfim.momenta(sites, "odd")
+        phi = phi[phi != 0.0]
+        y = tfim.dispersion(1.0, phi) / temperature
+        for window, f in ((windows[2], np.tanh(y) / (y * temperature)),
+                          (windows[3], 1.0 / (np.tanh(y) * y * temperature))):
+            for n in range(-n_max, n_max + 1):
+                direct = np.sum((np.cos(phi * (n + 1)) - np.cos(phi * n)) * f) / sites
+                assert window[n + n_max] == pytest.approx(direct, abs=1e-14)
 
     def test_odd_sector_zero_mode_guard(self):
         with pytest.raises(ValueError):
