@@ -353,10 +353,8 @@ def _cmd_props(args) -> int:
 # ---------------------------------------------------------------------------
 
 PHYSICS_DEFAULTS = (
-    "Physics defaults: ensemble=symmetric, sector=even, quadrature starts "
-    "at 4096 points (tolerance 1e-10, cap 2^20), temperature-derivative "
-    "step min(1e-3, |T-Tc|/10), coupling-derivative step 1e-4 for scaling "
-    "fits."
+    "Physics defaults: ensemble=symmetric, sector=even, temperature-derivative "
+    "step min(1e-3, |T-Tc|/10), coupling-derivative step 1e-4 for scaling fits."
 )
 
 
@@ -377,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="critent",
         description="Two-site mutual information in exactly solvable spin models. "
-        "Defaults: ensemble=symmetric, sector=even, quadrature starts at 4096 "
-        "points (tolerance 1e-10), derivative steps min(1e-3, |T-Tc|/10) in T "
-        "and 1e-4 in lambda for scaling fits.",
+        "Defaults: ensemble=symmetric, sector=even, derivative steps "
+        "min(1e-3, |T-Tc|/10) in T and 1e-4 in lambda for scaling fits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,10 +14,10 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to converge at the resolution cap.
+    """Quadrature failed to converge at the resolution cap, or a closed-form
+    coefficient window failed its health check.
 
-    Carries the last two grid estimates so the caller can inspect how far
-    apart they were.
+    May carry the last two grid estimates so the caller can inspect them.
     """
 
     def __init__(self, message, estimates=None):

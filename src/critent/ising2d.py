@@ -9,11 +9,12 @@ symbol
 This is the continuous branch of [(s - e^{-i theta})/(s - e^{i theta})]^{1/2}
 with phi(0) = +1 below T_c and phi(0) = -1 above; the sign above T_c is fixed
 by requiring <ss> > 0 (the +1 branch would negate every coefficient and make
-the determinant alternate in sign with N).  At criticality the symbol
-degenerates to the pure phase e^{i(pi - theta)/2} with a jump at theta = 0;
-there the coefficients are taken in closed form, a_n = 2/(pi (1 - 2n)),
-because a jump limits the trapezoid rule to O(grid^-2) and the doubling
-protocol cannot reach 1e-10 for |n| > ~35 within the resolution cap.
+the determinant alternate in sign with N).  With the modulus x = 1/s below
+T_c and x = s above, a_n = F_n below and -F_{1-n} above, F_n being the
+coefficient of z^{-n} in (1 - x/z)^{1/2} (1 - x z)^{-1/2}: complete elliptic
+integrals give F_0 and F_1, a three-term recurrence every other F_n, by one
+code path for every T > 0 (at T_c, a_n = 2/(pi (1 - 2n))).  The quadrature
+of correlation_symbol by numerics.fourier_window is the tests' reference.
 
 Separations N are in units of sqrt(2) lattice constants.  Two statistical
 descriptions of the ordered phase are supported:
@@ -30,11 +31,11 @@ import math
 import numpy as np
 
 from .density import DensityMatrix, make_density_matrix, x_state_entropies
-from .errors import ModelConsistencyError, ValidationError
-from .numerics import ToeplitzSequence, fourier_window, toeplitz_determinant
+from .errors import ConvergenceError, ModelConsistencyError, ValidationError
+from .numerics import ToeplitzSequence, toeplitz_determinant
 
 ENSEMBLES = ("symmetric", "broken")
-_CRITICAL_S_TOL = 1e-12
+_TINY = math.ulp(0.0)
 
 
 def critical_temperature() -> float:
@@ -42,18 +43,22 @@ def critical_temperature() -> float:
     return 2.0 / math.asinh(1.0)
 
 
+def _modulus(temperature: float) -> tuple[float, bool]:
+    """(x, T < T_c): x = sinh^-2(2/T) below T_c and sinh^2(2/T) above,
+    written so that neither small nor large T can overflow."""
+    if temperature <= 0:
+        raise ValueError("temperature must be > 0")
+    inverse_sinh = 2.0 * math.exp(-2.0 / temperature) / -math.expm1(-4.0 / temperature)
+    if inverse_sinh <= 1.0:
+        return inverse_sinh * inverse_sinh, True
+    return math.sinh(2.0 / temperature) ** 2, False
+
+
 def magnetization(temperature: float) -> float:
     """Spontaneous magnetization per site: (1 - sinh^-4(2/T))^(1/8) below
     T_c, exactly 0 at and above."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    if temperature >= critical_temperature():
-        return 0.0
-    return (1.0 - math.sinh(2.0 / temperature) ** -4) ** 0.125
-
-
-def _symbol_parameter(temperature: float) -> float:
-    return math.sinh(2.0 / temperature) ** 2
+    x, below = _modulus(temperature)
+    return ((1.0 - x) * (1.0 + x)) ** 0.125 if below else 0.0
 
 
 def correlation_symbol(temperature: float):
@@ -65,7 +70,7 @@ def correlation_symbol(temperature: float):
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    s = _symbol_parameter(temperature)
+    s = math.sinh(2.0 / temperature) ** 2
 
     def symbol(theta):
         z = s - np.exp(-1j * np.asarray(theta, dtype=float))
@@ -76,27 +81,81 @@ def correlation_symbol(temperature: float):
     return symbol
 
 
-def _critical_coefficient(n: int) -> float:
-    # (1/2pi) int e^{i n theta} e^{i(pi-theta)/2} dtheta in closed form
-    return 2.0 / (math.pi * (1.0 - 2.0 * n))
+def _agm(b: float) -> tuple[float, float]:
+    """AGM(1, b) = pi/(2K(k)) and sum_n 2^(n-1) c_n^2 = 1 - E(k)/K(k), for
+    the modulus k with complement b, 0 < b <= 1 (c_0 = k)."""
+    a, weight, total = 1.0, 0.5, 0.5 * (1.0 - b) * (1.0 + b)
+    while a - b > 1e-15 * a:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        weight *= 2.0
+        total += weight * c * c
+    return a, total
+
+
+def _elliptic(x: float) -> tuple[float, float]:
+    """(2/pi) E(x) and (2/pi) (1 - x^2) K(x) for 0 <= x <= 1.  Legendre's
+    relation E = pi/(2K') + K (K' - E') leaves the K of AGM(1, x') only in
+    terms that vanish at x = 1; flooring AGM arguments at the least float
+    keeps K finite (~745) there, so those terms take their limit 0."""
+    xp2 = (1.0 - x) * (1.0 + x)
+    agm_x, sum_x = _agm(max(x, _TINY))  # pi/(2K'), (K' - E')/K'
+    agm_k, _ = _agm(max(math.sqrt(xp2), _TINY))  # pi/(2K)
+    return 2.0 * agm_x / math.pi + sum_x / agm_k, xp2 / agm_k
+
+
+def _side(x: float, sign: int, y0: float, y1, count: int, start) -> np.ndarray:
+    """y_0 .. y_count of x (j + sign/2) y_j = [(1 + x^2)(j - 1) + sign x^2]
+    y_{j-1} - x (j - 2 + sign/2) y_{j-2}, solved by y_j = F_{-sign j}: run up
+    from y0, y1 if start is None, else by Miller's algorithm, ratios run down
+    from y_{start+1} = 0 and scaled to y0 (entries beyond start are 0)."""
+    def step(j):
+        return (x * (j + 0.5 * sign), (1.0 + x * x) * (j - 1) + sign * x * x,
+                x * (j - 2 + 0.5 * sign))
+
+    if start is None:
+        ys = [y0, y1]
+        for j in range(2, count + 1):
+            p, q, r = step(j)
+            ys.append((q * ys[-1] - r * ys[-2]) / p)
+        return np.array(ys)
+    ratios, ratio = [], 0.0
+    for j in range(start + 1, 1, -1):
+        p, q, r = step(j)
+        ratio = r / (q - p * ratio)
+        ratios.append(ratio)
+    ys = y0 * np.cumprod([1.0] + ratios[::-1] + [0.0] * (count - start))
+    return ys[: count + 1]
 
 
 def coefficient_window(temperature: float, n_max: int) -> ToeplitzSequence:
-    """Fourier coefficients a_n, |n| <= n_max.
+    """Fourier coefficients a_n, |n| <= n_max, in closed form.
 
-    A coefficient's value does not depend on how wide a window was
-    requested while the window fits the starting quadrature grid
-    (n_max < 1024; see numerics.fourier_window), so one window sized for
-    the largest separation serves every smaller one.
+    For |ln x| < 1e-3 the recurrence runs outward from the elliptic F_0 and
+    F_1; elsewhere Miller's algorithm runs inward on each side from
+    ceil(38/|ln x|) + 16 (F_n < e^-38 there), scaled to F_0.  Neither choice
+    depends on n_max, so every window width gives each a_n the same float.
+    Breaking Parseval's bound sum a_n^2 <= 1 raises ConvergenceError.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
     n_max = int(n_max)
-    if abs(_symbol_parameter(temperature) - 1.0) < _CRITICAL_S_TOL:
-        vals = np.array([_critical_coefficient(n) for n in range(-n_max, n_max + 1)],
-                        dtype=complex)
-        return ToeplitzSequence(-n_max, vals)
-    return fourier_window(correlation_symbol(temperature), n_max)
+    x, below = _modulus(temperature)
+    f0, k_term = _elliptic(x)
+    log_x = -math.log(max(x, _TINY))
+    if log_x < 1e-3:
+        f1 = -(f0 - k_term) / x
+        seeds, start = (f1, (2.0 * x * f0 + f1) / 3.0), None  # F_1, F_-1
+    else:
+        seeds, start = (None, None), math.ceil(38.0 / log_x) + 16
+    pos = _side(x, -1, f0, seeds[0], n_max + 1, start)  # F_j
+    neg = _side(x, 1, f0, seeds[1], n_max + 1, start)  # F_-j
+    if below:
+        values = np.concatenate((neg[n_max:0:-1], pos[: n_max + 1]))
+    else:
+        values = -np.concatenate((pos[n_max + 1:0:-1], neg[:n_max]))
+    total = float(values @ values)
+    if not total <= 1.0 + 1e-12:
+        raise ConvergenceError(f"coefficient window |n| <= {n_max} at T={temperature!r} "
+                               f"breaks Parseval's bound: sum of a_n^2 = {total!r}")
+    return ToeplitzSequence(-n_max, values)
 
 
 def diagonal_correlations(temperature: float, separations) -> np.ndarray:
@@ -109,10 +168,8 @@ def diagonal_correlations(temperature: float, separations) -> np.ndarray:
     values = np.array([toeplitz_determinant(seq, n, row_shift=0) for n in separations])
     bad = np.flatnonzero(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
     if bad.size:
-        raise ModelConsistencyError(
-            f"correlation {values[bad[0]]:.6g} outside [-1, 1] "
-            f"at T={temperature}, N={separations[bad[0]]}"
-        )
+        raise ModelConsistencyError(f"correlation {values[bad[0]]:.6g} outside [-1, 1] "
+                                    f"at T={temperature}, N={separations[bad[0]]}")
     return values
 
 
@@ -121,13 +178,9 @@ def diagonal_correlation(temperature: float, separation: int) -> float:
     return float(diagonal_correlations(temperature, [separation])[0])
 
 
-def _check_ensemble(ensemble: str) -> None:
+def _magnetization(temperature: float, ensemble: str) -> float:
     if ensemble not in ENSEMBLES:
         raise ValueError(f"ensemble must be one of {ENSEMBLES}")
-
-
-def _magnetization(temperature: float, ensemble: str) -> float:
-    _check_ensemble(ensemble)
     return magnetization(temperature) if ensemble == "broken" else 0.0
 
 

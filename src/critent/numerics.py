@@ -1,9 +1,10 @@
 """Scalar/matrix numerical kernels.
 
-Periodic trapezoidal quadrature for Fourier coefficients of a symbol,
-Toeplitz and dense determinants in sign/log-magnitude form, and Hermitian
-eigenvalues.  Everything here is a pure function of its inputs; identical
-inputs give bit-identical outputs within one build.
+Toeplitz and dense determinants in sign/log-magnitude form, Hermitian
+eigenvalues, and trapezoidal quadrature for the Fourier coefficients of a
+symbol, which no model calls: the tests' reference for closed forms.
+Everything here is a pure function of its inputs; identical inputs give
+bit-identical outputs within one build.
 
 Conventions:
   * a_n = (1/2pi) int_0^{2pi} e^{i n theta} phi(theta) dtheta, estimated by
@@ -22,25 +23,17 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-QUADRATURE_TOL = 1e-10
-QUADRATURE_START = 4096
-QUADRATURE_CAP = 1 << 20
-
 
 @dataclass(frozen=True)
 class ToeplitzSequence:
     """Indexed coefficients a_n for n in [n_min, n_min + len(values) - 1]."""
 
     n_min: int
-    values: np.ndarray  # complex, read-only by convention
+    values: np.ndarray  # real or complex, read-only by convention
 
     @property
     def n_max(self) -> int:
         return self.n_min + len(self.values) - 1
-
-    @property
-    def index_range(self) -> tuple[int, int]:
-        return (self.n_min, self.n_max)
 
     def __contains__(self, n: int) -> bool:
         return self.n_min <= n <= self.n_max
@@ -52,64 +45,16 @@ class ToeplitzSequence:
             )
         return complex(self.values[n - self.n_min])
 
-    @classmethod
-    def from_dict(cls, coeffs: dict) -> "ToeplitzSequence":
-        n_min, n_max = min(coeffs), max(coeffs)
-        if set(coeffs) != set(range(n_min, n_max + 1)):
-            raise ValueError("coefficient indices must form a closed interval")
-        vals = np.array([coeffs[n] for n in range(n_min, n_max + 1)], dtype=complex)
-        return cls(n_min, vals)
-
-
-def _grid_estimate(symbol, n: int, points: int) -> complex:
-    theta = 2.0 * np.pi * np.arange(points) / points
-    vals = np.asarray(symbol(theta), dtype=complex)
-    return complex(np.exp(1j * n * theta) @ vals / points)
-
-
-def _check_grid_points(grid_points: int) -> None:
-    if grid_points < 16 or grid_points & (grid_points - 1):
-        raise ValueError("grid_points must be a power of two >= 16")
-
-
-def fourier_coefficient(
-    symbol,
-    n: int,
-    grid_points: int = QUADRATURE_START,
-    tol: float = QUADRATURE_TOL,
-    max_points: int = QUADRATURE_CAP,
-) -> complex:
-    """Trapezoidal estimate of a_n, refined by grid doubling.
-
-    The grid is doubled until two successive estimates differ by less than
-    `tol`; the finer of the converged pair is returned.  Hitting
-    `max_points` without convergence raises ConvergenceError carrying the
-    last two estimates.
-    """
-    _check_grid_points(grid_points)
-    m = grid_points
-    prev = _grid_estimate(symbol, n, m)
-    while 2 * m <= max_points:
-        cur = _grid_estimate(symbol, n, 2 * m)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-        m *= 2
-    raise ConvergenceError(
-        f"Fourier coefficient n={n} did not converge below {tol} "
-        f"within {max_points} grid points",
-        estimates=(prev, _grid_estimate(symbol, n, max_points)),
-    )
-
 
 def fourier_window(
     symbol,
     n_max: int,
-    grid_points: int = QUADRATURE_START,
-    tol: float = QUADRATURE_TOL,
-    max_points: int = QUADRATURE_CAP,
+    grid_points: int = 4096,
+    tol: float = 1e-10,
+    max_points: int = 1 << 20,
 ) -> ToeplitzSequence:
-    """All coefficients a_n for |n| <= n_max, sharing one grid per stage.
+    """All coefficients a_n for |n| <= n_max by trapezoid sums on grids
+    doubled from `grid_points` until they settle; the tests' reference.
 
     Per stage the full window comes from a single inverse FFT of the symbol
     samples (identical to the per-n trapezoid sums up to rounding).  Each
@@ -117,7 +62,8 @@ def fourier_window(
     moved by less than `tol`, so the value assigned to a given n does not
     depend on how wide a window was requested.
     """
-    _check_grid_points(grid_points)
+    if grid_points < 16 or grid_points & (grid_points - 1):
+        raise ValueError("grid_points must be a power of two >= 16")
     m = grid_points
     while m < 4 * (n_max + 1):
         m *= 2

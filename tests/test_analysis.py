@@ -203,13 +203,16 @@ class TestSweep:
         threaded = sweep("ising2d", axes=axes, fixed={"ensemble": ensemble}, workers=2)
         assert records_to_csv(threaded) == records_to_csv(records)
 
-    def test_failing_batch_is_redone_point_by_point(self):
+    def test_failing_batch_is_redone_point_by_point(self, monkeypatch):
         records = sweep("tfim", axes={"lam": [0.5], "r": [2, 7]},
                         fixed={"N": 12, "T": 0.0})
         assert records[0].mi == tfim.correlation_mi(tfim.TfimParams(0.5, 0.0, 12, 2))
         assert records[1].tag == "error: separation must be in [1, sites/2]"
-        # just off T_c no window converges; each error row names the
-        # coefficients of its own point's window, not the batch's
+        # a corrupted F_0 seed makes every window fail its Parseval check;
+        # each error row names its own point's window, not the batch's
+        elliptic = ising2d._elliptic
+        monkeypatch.setattr(ising2d, "_elliptic",
+                            lambda x: (2.0 * elliptic(x)[0], elliptic(x)[1]))
         t = 2.26919
         records = sweep("ising2d", axes={"T": [t], "N": [1, 2]})
         for rec in records:

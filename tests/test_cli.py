@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from critent import cli
+from critent import cli, ising2d
 
 try:
     from importlib import resources
@@ -188,14 +188,55 @@ class TestConfigAndErrors:
         code, _, err = run_cli(["ising2d", "corr", "--t", "-2.0"], capsys)
         assert code == 1
 
-    def test_nonconvergence_exits_two(self, capsys):
-        # just off criticality the window cannot converge within the cap
+    def test_nonconvergence_exits_two(self, capsys, monkeypatch):
+        # a corrupted F_0 seed breaks the window's Parseval check
+        elliptic = ising2d._elliptic
+        monkeypatch.setattr(ising2d, "_elliptic",
+                            lambda x: (2.0 * elliptic(x)[0], elliptic(x)[1]))
         code, _, err = run_cli(
             ["ising2d", "corr", "--t", "2.26919", "--n-min", "40", "--n-max", "40"],
             capsys,
         )
         assert code == 2
         assert "non-convergence" in err
+
+    def test_near_critical_correlation_exits_zero(self, capsys):
+        # 40-digit mpmath value of the 40 x 40 determinant at T = 2.26919
+        code, out, _ = run_cli(
+            ["ising2d", "corr", "--t", "2.26919", "--n-min", "40", "--n-max", "40"],
+            capsys,
+        )
+        assert code == 0
+        row = out.strip().splitlines()[-1].split(",")
+        assert row[:3] == ["ising2d", "2.26919", "40"]
+        assert float(row[3]) == pytest.approx(0.256209812819, abs=1e-12)
+
+    def test_near_critical_mi_has_no_error_rows(self, capsys):
+        code, out, _ = run_cli(
+            ["ising2d", "mi", "--t", "2.26919", "--n-min", "30", "--n-max", "40"],
+            capsys,
+        )
+        assert code == 0
+        rows = [l for l in out.splitlines() if l.startswith("ising2d,")]
+        assert len(rows) == 11
+        assert all(row.endswith(",symmetric") for row in rows)
+
+    def test_small_temperature_is_fully_ordered(self, capsys):
+        # sinh(2/T) overflows a float here; the modulus x underflows to 0,
+        # the window is a_n = delta_{n0}, so G = 1 and MI = 1 bit
+        code, out, _ = run_cli(
+            ["ising2d", "mi", "--t", "0.002", "--n-min", "1", "--n-max", "3"], capsys)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if l.startswith("ising2d,")]
+        assert [int(r[3]) for r in rows] == [1, 2, 3]
+        for r in rows:
+            assert float(r[8]) == pytest.approx(1.0, abs=1e-12)
+        code, out, _ = run_cli(
+            ["ising2d", "corr", "--t", "0.002", "--n-min", "1", "--n-max", "3"], capsys)
+        assert code == 0
+        for line in out.splitlines():
+            if line.startswith("ising2d,"):
+                assert float(line.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestImportCost:

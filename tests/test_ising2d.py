@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from critent import density, ising2d
 from critent.errors import ModelConsistencyError
+from critent.numerics import fourier_window
 
 TC = ising2d.critical_temperature()
 
@@ -36,6 +38,68 @@ class TestMagnetization:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             ising2d.magnetization(0.0)
+
+
+def mpmath_coefficient(temperature, n):
+    """a_n from the hypergeometric closed form at 40 digits: below T_c,
+    x = sinh^-2(2/T) and a_n = F_n(x); above, x = sinh^2(2/T) and
+    a_n = -F_{1-n}(x), with F_n = x^n (-1/2)_n/n! 2F1(1/2, n-1/2; n+1; x^2)
+    and F_{-k} = x^k (1/2)_k/k! 2F1(-1/2, k+1/2; k+1; x^2)."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(temperature)
+        inv_s = (2 * mpmath.exp(-2 / t) / -mpmath.expm1(-4 / t)) ** 2
+        x, sign = (inv_s, 1) if inv_s <= 1 else (1 / inv_s, -1)
+        m = n if sign == 1 else 1 - n
+        if m >= 0:
+            f = x**m * mpmath.rf(-0.5, m) / mpmath.factorial(m) \
+                * mpmath.hyp2f1(0.5, m - 0.5, m + 1, x * x)
+        else:
+            f = x**-m * mpmath.rf(0.5, -m) / mpmath.factorial(-m) \
+                * mpmath.hyp2f1(-0.5, 0.5 - m, 1 - m, x * x)
+        return float(sign * f)
+
+
+NEAR_TC = [TC + sign * offset for offset in (1e-9, 1e-6, 5e-4, 1e-3, 2e-3)
+           for sign in (1, -1)]
+
+
+class TestCoefficientWindow:
+    @pytest.mark.parametrize("temperature",
+                             [0.3, 1.0, 2.0, 3.0, 10.0, 1000.0, 1e6, TC] + NEAR_TC)
+    def test_against_40_digit_closed_form(self, temperature):
+        for n_max in (49, 800):
+            seq = ising2d.coefficient_window(temperature, n_max)
+            for n in (0, 1, -1, n_max // 2, -(n_max // 2), n_max, -n_max):
+                exact = mpmath_coefficient(temperature, n)
+                assert abs(seq.coefficient(n).real - exact) < 1e-13, (n_max, n)
+
+    @pytest.mark.parametrize("sites", [50, 200])
+    def test_mccoy_wu_critical_product(self, sites):
+        # G(N) = (2/pi)^N prod_{l<N} (1 - 1/(4 l^2))^(l - N) at T_c
+        with mpmath.workdps(40):
+            exact = (2 / mpmath.pi) ** sites * mpmath.fprod(
+                (1 - mpmath.mpf(1) / (4 * l * l)) ** (l - sites) for l in range(1, sites))
+        assert ising2d.diagonal_correlation(TC, sites) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_matches_quadrature_on_benchmark_grid(self):
+        for temperature in np.linspace(1.5, 3.5, 21):
+            closed = ising2d.coefficient_window(temperature, 49).values
+            quad = fourier_window(ising2d.correlation_symbol(temperature), 49).values
+            assert np.max(np.abs(closed - quad)) < 1e-14, temperature
+
+    @pytest.mark.parametrize("temperature",
+                             [0.002, 0.3, 2.0, 2.3, TC, TC + 1e-6, TC - 5e-4, TC + 2e-3, 10.0, 1e6])
+    def test_entries_do_not_depend_on_width(self, temperature):
+        widest = ising2d.coefficient_window(temperature, 1500).values
+        for n_max in (0, 1, 49, 1023):
+            values = ising2d.coefficient_window(temperature, n_max).values
+            assert np.array_equal(values, widest[1500 - n_max:1501 + n_max]), n_max
+
+    def test_small_temperature_is_a_delta(self):
+        # sinh(2/T) overflows a float at T = 0.002; the modulus underflows to 0
+        values = ising2d.coefficient_window(0.002, 3).values
+        assert np.array_equal(values, [0, 0, 0, 1, 0, 0, 0])
+        assert ising2d.magnetization(0.002) == 1.0
 
 
 class TestDiagonalCorrelation:

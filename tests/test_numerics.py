@@ -6,7 +6,6 @@ from critent.errors import ConvergenceError
 from critent.numerics import (
     ToeplitzSequence,
     dense_determinant,
-    fourier_coefficient,
     fourier_window,
     hermitian_eigenvalues,
     toeplitz_determinant,
@@ -35,54 +34,51 @@ def critical_phase_symbol(theta):
 
 
 class TestFourierCoefficient:
+    """The quadrature window, the reference for closed-form coefficients."""
+
     def test_constant_symbol(self):
         one = lambda th: np.ones_like(th, dtype=complex)
-        assert fourier_coefficient(one, 0) == pytest.approx(1.0, abs=1e-12)
-        assert abs(fourier_coefficient(one, 1)) < 1e-12
+        window = fourier_window(one, 1)
+        assert window.coefficient(0) == pytest.approx(1.0, abs=1e-12)
+        assert abs(window.coefficient(1)) < 1e-12
 
     def test_critical_symbol_closed_form(self):
         # analytically a_n = 2/(pi (1-2n)); a_0 = 2/pi ~ 0.636620
-        a0 = fourier_coefficient(critical_phase_symbol, 0)
+        window = fourier_window(critical_phase_symbol, 1)
+        a0 = window.coefficient(0)
         assert a0.real == pytest.approx(2 / np.pi, abs=1e-9)
         assert abs(a0.imag) < 1e-12
-        a1 = fourier_coefficient(critical_phase_symbol, 1)
+        a1 = window.coefficient(1)
         assert a1.real == pytest.approx(-2 / np.pi, abs=1e-9)
 
     def test_high_temperature_symbol(self):
         # at T = 1e6 the symbol degenerates to -e^{-i theta} on the
         # correlation-positive branch: a_1 = -1, a_0 = 0
-        symbol = ising2d.correlation_symbol(1e6)
-        assert fourier_coefficient(symbol, 1).real == pytest.approx(-1.0, abs=1e-6)
-        assert abs(fourier_coefficient(symbol, 0)) < 1e-6
+        window = fourier_window(ising2d.correlation_symbol(1e6), 1)
+        assert window.coefficient(1).real == pytest.approx(-1.0, abs=1e-6)
+        assert abs(window.coefficient(0)) < 1e-6
 
     def test_grid_validation(self):
         one = lambda th: np.ones_like(th, dtype=complex)
         with pytest.raises(ValueError):
-            fourier_coefficient(one, 0, grid_points=1000)  # not a power of two
+            fourier_window(one, 0, grid_points=1000)  # not a power of two
         with pytest.raises(ValueError):
-            fourier_coefficient(one, 0, grid_points=8)
+            fourier_window(one, 0, grid_points=8)
 
     def test_nonconvergence_near_critical(self):
         # just off criticality the symbol varies on a scale the capped grid
         # cannot resolve
         symbol = ising2d.correlation_symbol(ising2d.critical_temperature() + 1e-7)
         with pytest.raises(ConvergenceError) as err:
-            fourier_coefficient(symbol, 40, max_points=1 << 16)
+            fourier_window(symbol, 40, max_points=1 << 16)
         assert err.value.estimates is not None
 
     def test_accepted_value_stable_under_doubling(self):
         # doubling past the accepted resolution moves a_n by < 1e-10
         symbol = ising2d.correlation_symbol(1.7)
-        coarse = fourier_coefficient(symbol, 3, grid_points=4096)
-        fine = fourier_coefficient(symbol, 3, grid_points=16384)
+        coarse = fourier_window(symbol, 3, grid_points=4096).coefficient(3)
+        fine = fourier_window(symbol, 3, grid_points=16384).coefficient(3)
         assert abs(coarse - fine) < 1e-10
-
-    def test_window_matches_single_coefficients(self):
-        symbol = ising2d.correlation_symbol(2.0)
-        window = fourier_window(symbol, 6)
-        for n in range(-6, 7):
-            single = fourier_coefficient(symbol, n)
-            assert abs(window.coefficient(n) - single) < 1e-12
 
 
 class TestIsingSymbol:
@@ -101,8 +97,9 @@ class TestIsingSymbol:
 
     def test_window_matches_closed_form_at_tc(self):
         seq = ising2d.coefficient_window(ising2d.critical_temperature(), 20)
+        window = fourier_window(critical_phase_symbol, 20)
         for n in range(-20, 21):
-            quad = fourier_coefficient(critical_phase_symbol, n)
+            quad = window.coefficient(n)
             exact = 2 / (np.pi * (1 - 2 * n))
             assert seq.coefficient(n).real == pytest.approx(exact, abs=1e-12)
             assert quad.real == pytest.approx(exact, abs=1e-8)
@@ -115,12 +112,12 @@ class TestIsingSymbol:
 
 class TestToeplitzDeterminant:
     def test_dim_one(self):
-        seq = ToeplitzSequence.from_dict({0: 2.5 + 0j})
+        seq = ToeplitzSequence(0, np.array([2.5 + 0j]))
         assert toeplitz_determinant(seq, 1) == pytest.approx(2.5)
 
     def test_diagonal_sequence(self):
         c = 0.37
-        seq = ToeplitzSequence.from_dict({n: (c if n == 0 else 0) for n in range(-5, 6)})
+        seq = ToeplitzSequence(-5, np.where(np.arange(-5, 6) == 0, c, 0.0).astype(complex))
         for dim in (1, 2, 4, 6):
             assert toeplitz_determinant(seq, dim) == pytest.approx(c**dim, rel=1e-12)
 
@@ -160,7 +157,7 @@ class TestToeplitzDeterminant:
             assert toep == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
     def test_domain_errors(self):
-        seq = ToeplitzSequence.from_dict({0: 1.0, 1: 0.5, -1: 0.5})
+        seq = ToeplitzSequence(-1, np.array([0.5, 1.0, 0.5], dtype=complex))
         with pytest.raises(ValueError):
             toeplitz_determinant(seq, 0)
         with pytest.raises(ValueError):
