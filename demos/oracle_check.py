@@ -33,7 +33,6 @@ for lam in (0.5, 1.0, 2.0):
 report = exact.observables(SITES, 1.0, 0.0, 1)
 print(f"\nground energy (exact):        {report.ground_energy:.12f}")
 print(f"ground energy (free fermion): {tfim.ground_energy(1.0, SITES):.12f}")
-print(f"ground-state parity: {report.ground_parity:+d}")
 
 print("\nAt T > 0 the single-sector formulas are only an approximation to")
 print("the full Gibbs state; the gap is tiny deep in the paramagnet and")

@@ -12,7 +12,6 @@ from .density import (
 )
 from .errors import (
     ConvergenceError,
-    DegeneracyError,
     ModelConsistencyError,
     ValidationError,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "tensor_product",
     "von_neumann_entropy",
     "ConvergenceError",
-    "DegeneracyError",
     "ModelConsistencyError",
     "ValidationError",
     "__version__",

@@ -207,12 +207,10 @@ def _cmd_tfim(args) -> int:
 def _cmd_oracle(args) -> int:
     lam = getattr(args, "lambda")
     seps = [args.r] if args.r is not None else list(range(1, args.n // 2 + 1))
+    oracle = exact.reports(args.n, lam, args.t, seps)
     rows = []
     worst = 0.0
-    ground_energy = None
-    for r in seps:
-        report = exact.observables(args.n, lam, args.t, r)
-        ground_energy = report.ground_energy
+    for r, report in zip(seps, oracle):
         params = tfim.TfimParams(
             coupling=lam, temperature=args.t, sites=args.n, separation=r,
         )
@@ -245,7 +243,7 @@ def _cmd_oracle(args) -> int:
         "N": args.n,
         "lambda": lam,
         "T": args.t,
-        "ground_energy": ground_energy,
+        "ground_energy": oracle[-1].ground_energy,
         "rows": rows,
         "max_abs_diff": worst,
         "threshold": args.max_abs_diff,

@@ -27,7 +27,3 @@ class ConvergenceError(RuntimeError):
 
 class ModelConsistencyError(ValueError):
     """Correlation values produced a non-physical density matrix."""
-
-
-class DegeneracyError(RuntimeError):
-    """A degenerate ground-state subspace could not be parity-resolved."""

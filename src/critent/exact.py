@@ -1,10 +1,14 @@
 """Brute-force exact diagonalization of the transverse-field Ising ring.
 
 Independent reference for the free-fermion formulas, valid for
-3 <= N <= 12 (dense matrices up to 4096 x 4096).  Site j maps to bit j of
-the basis index; bit value 0 is spin up in the sz basis.  The Hamiltonian
-is real symmetric and commutes with the parity operator P = prod_j sz_j,
-which is diagonal here with entries (-1)^(number of down spins).
+3 <= N <= 12.  Site j maps to bit j of the basis index; bit value 0 is spin
+up in the sz basis.  The Hamiltonian is real symmetric and commutes with
+the parity operator P = prod_j sz_j, which is diagonal here with entries
+(-1)^(number of down spins), so it splits into an even and an odd block of
+2^(N-1) x 2^(N-1) each (at most 2048 x 2048).  The blocks are diagonalized
+once per (N, coupling, T) and serve every separation.  At T = 0 the state
+is the lowest level of the even block; at T > 0 it is exp(-H/T)/Z over both
+blocks.
 """
 
 from __future__ import annotations
@@ -14,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
-from .density import DensityMatrix, make_density_matrix
-from .errors import DegeneracyError
+from .density import make_density_matrix
 from .tfim import CorrelationSet
-
-DEGENERACY_TOL = 1e-10
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -34,7 +35,6 @@ class OracleReport:
     correlations: CorrelationSet
     mi: float
     ground_energy: float
-    ground_parity: int
 
 
 def build_hamiltonian(sites: int, coupling: float) -> np.ndarray:
@@ -65,92 +65,89 @@ def parity_diagonal(sites: int) -> np.ndarray:
     return np.where(counts % 2, -1.0, 1.0)
 
 
-def _resolve_even(vals: np.ndarray, vecs: np.ndarray, parity: np.ndarray):
-    """Lowest eigenvector, resolving near-degeneracy into even parity.
+def _parity_blocks(sites: int, coupling: float, temperature: float):
+    """The state as (basis indices, amplitudes U) per parity block, its
+    restriction to the block being U U^T, and the even block's lowest
+    energy.
 
-    The tolerance scales with |E0| so that solver noise at large couplings
-    still groups a physically degenerate doublet.
+    At T = 0, U is the even block's lowest eigenvector; at T > 0 the
+    eigenvectors of both blocks scaled by the square roots of their
+    Boltzmann weights.
     """
-    tol = DEGENERACY_TOL * max(1.0, abs(float(vals[0])))
-    group = vecs[:, np.abs(vals - vals[0]) < tol]
-    if group.shape[1] == 1:
-        psi = group[:, 0]
-    else:
-        projected = parity[:, None] * group + group  # 2 P_+ applied columnwise
-        norms = np.linalg.norm(projected, axis=0)
-        if np.max(norms) < 1e-8:
-            raise DegeneracyError(
-                "degenerate ground pair has no even-parity member"
-            )
-        psi = projected[:, int(np.argmax(norms))]
-        psi = psi / np.linalg.norm(psi)
-    return float(vals[0]), psi
+    ham = build_hamiltonian(sites, coupling)
+    parity = parity_diagonal(sites)
+    blocks = [np.flatnonzero(parity > 0)]
+    if temperature > 0:
+        blocks.append(np.flatnonzero(parity < 0))
+    sliced = [ham[np.ix_(idx, idx)] for idx in blocks]
+    del ham
+    spectra = [np.linalg.eigh(block) for block in sliced]
+    energy = float(spectra[0][0][0])
+    if temperature == 0:
+        return energy, [(blocks[0], spectra[0][1][:, :1])]
+    low = min(vals[0] for vals, _ in spectra)
+    weights = [np.exp(-(vals - low) / temperature) for vals, _ in spectra]
+    norm = sum(w.sum() for w in weights)
+    return energy, [
+        (idx, vecs * np.sqrt(w / norm))
+        for idx, (_, vecs), w in zip(blocks, spectra, weights)
+    ]
 
 
-def _reduced_from_vector(psi: np.ndarray, sites: int, site_a: int, site_b: int):
-    """rho_{ab} and rho_a from a pure state, tracing out every other spin."""
-    tensor = psi.reshape((2,) * sites)
-    # axis k of the reshape corresponds to bit (sites-1-k), i.e. site sites-1-k
-    ax_a, ax_b = sites - 1 - site_a, sites - 1 - site_b
-    front = np.moveaxis(tensor, (ax_a, ax_b), (0, 1)).reshape(4, -1)
-    rho_ab = front @ front.conj().T
-    return make_density_matrix(rho_ab, (2, 2))
+def _pair_state(blocks, separation: int):
+    """rho_{0r} of the state sum over blocks of U U^T.
 
-
-def _reduced_from_matrix(rho_full: np.ndarray, sites: int, site_a: int, site_b: int):
-    state = DensityMatrix(rho_full, (2,) * sites)
-    keep = sorted({sites - 1 - site_a, sites - 1 - site_b})
-    reduced = density.partial_trace(state, keep)
-    # partial_trace keeps ascending axis order; axis of site_a is the larger
-    # site index reversed, so reorder to (site_a, site_b) when needed
-    if (sites - 1 - site_a) != keep[0]:
-        swap = reduced.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-        reduced = make_density_matrix(swap, (2, 2))
-    return reduced
-
-
-def observables(sites: int, coupling: float, temperature: float, separation: int) -> OracleReport:
-    """Correlations, reduced states and MI for spins (0, separation).
-
-    T = 0 uses the lowest eigenvector (even-parity member if the ground
-    level is degenerate within 1e-10); T > 0 uses the full Gibbs state
-    exp(-H/T)/Z.
+    Each block is a parity eigenspace and P = sz_0 sz_r (x) the rest, so
+    rho_{0r} commutes with sz_0 sz_r: an X-state.  Its diagonal sums
+    sum_k U_ik^2 over the basis states i with a given (bit 0, bit r), its
+    anti-diagonal sum_k U_ik U_{f(i),k} with f(i) = i ^ (1 | 1 << r), the
+    state with both spins flipped.  f keeps the parity, and state j sits at
+    row j >> 1 of its block (bit 0 is fixed by the parity of the rest).
     """
-    if not 1 <= separation <= sites // 2:
+    mask = 1 | (1 << separation)
+    q = np.arange(4)
+    rho = np.zeros((4, 4))
+    for idx, amps in blocks:
+        pair = 2 * (idx & 1) + ((idx >> separation) & 1)
+        flipped = amps[(idx ^ mask) >> 1]
+        rho[q, q] += np.bincount(pair, np.einsum("ik,ik->i", amps, amps), 4)
+        rho[3 - q, q] += np.bincount(pair, np.einsum("ik,ik->i", amps, flipped), 4)
+    return make_density_matrix(rho, (2, 2))
+
+
+def reports(
+    sites: int, coupling: float, temperature: float, separations
+) -> list[OracleReport]:
+    """Correlations, reduced states and MI for spins (0, r), one report per
+    r in separations, all from one diagonalization of the parity blocks."""
+    separations = [int(r) for r in separations]
+    if not all(1 <= r <= sites // 2 for r in separations):
         raise ValueError("separation must be in [1, sites/2]")
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    ham = build_hamiltonian(sites, coupling)
-    parity = parity_diagonal(sites)
-    if temperature == 0:
-        import scipy.linalg  # only the lowest-levels eigensolver needs it
+    energy, blocks = _parity_blocks(sites, coupling, temperature)
+    out = []
+    for r in separations:
+        rho_ab = _pair_state(blocks, r)
+        rho_a = density.partial_trace(rho_ab, {0})
+        corr = CorrelationSet(
+            mz=float(np.trace(rho_a.matrix @ _SZ).real),
+            gxx=float(np.trace(rho_ab.matrix @ np.kron(_SX, _SX)).real),
+            gyy=float(np.trace(rho_ab.matrix @ np.kron(_SY, _SY)).real),
+            gzz=float(np.trace(rho_ab.matrix @ np.kron(_SZ, _SZ)).real),
+        )
+        out.append(OracleReport(
+            sites=sites,
+            coupling=coupling,
+            temperature=temperature,
+            separation=r,
+            correlations=corr,
+            mi=density.mutual_information(rho_ab),
+            ground_energy=energy,
+        ))
+    return out
 
-        k = min(4, ham.shape[0])
-        vals, vecs = scipy.linalg.eigh(ham, subset_by_index=(0, k - 1))
-        energy, psi = _resolve_even(vals, vecs, parity)
-        rho_ab = _reduced_from_vector(psi, sites, 0, separation)
-    else:
-        vals, vecs = np.linalg.eigh(ham)
-        energy, psi = _resolve_even(vals, vecs, parity)
-        weights = np.exp(-(vals - vals[0]) / temperature)
-        weights /= weights.sum()
-        gibbs = (vecs * weights) @ vecs.T
-        rho_ab = _reduced_from_matrix(gibbs, sites, 0, separation)
-    ground_parity = int(round(psi @ (parity * psi)))
-    rho_a = density.partial_trace(rho_ab, {0})
-    corr = CorrelationSet(
-        mz=float(np.trace(rho_a.matrix @ _SZ).real),
-        gxx=float(np.trace(rho_ab.matrix @ np.kron(_SX, _SX)).real),
-        gyy=float(np.trace(rho_ab.matrix @ np.kron(_SY, _SY)).real),
-        gzz=float(np.trace(rho_ab.matrix @ np.kron(_SZ, _SZ)).real),
-    )
-    return OracleReport(
-        sites=sites,
-        coupling=coupling,
-        temperature=temperature,
-        separation=separation,
-        correlations=corr,
-        mi=density.mutual_information(rho_ab),
-        ground_energy=energy,
-        ground_parity=ground_parity,
-    )
+
+def observables(sites: int, coupling: float, temperature: float, separation: int) -> OracleReport:
+    """reports() for the single separation."""
+    return reports(sites, coupling, temperature, [separation])[0]

@@ -161,8 +161,7 @@ def coefficient_window(
     """a_n for |n| <= n_max from one length-N FFT over the momentum grid."""
     phi = momenta(sites, sector)
     f = _thermal_factor(coupling, temperature, phi)
-    vals = _window_values(coupling, phi, f, n_max)
-    return ToeplitzSequence(-n_max, vals.astype(complex))
+    return ToeplitzSequence(-n_max, _window_values(coupling, phi, f, n_max))
 
 
 def _window_values(coupling, phi, f, n_max) -> np.ndarray:
@@ -289,14 +288,14 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
         if temperature > 0:
             return _gibbs_arrays(coupling, temperature, sites, separations)
         sector = "even"
-    seq = coefficient_window(coupling, temperature, sites, max(separations), sector)
-    mz = -seq.coefficient(0).real
+    n_max = max(separations)
+    seq = coefficient_window(coupling, temperature, sites, n_max, sector)
     gxx = np.array([toeplitz_determinant(seq, r, row_shift=-1) for r in separations])
     gyy = np.array([toeplitz_determinant(seq, r, row_shift=+1) for r in separations])
+    a, lags = seq.values, np.asarray(separations)  # a_n sits at n + n_max
+    mz = -float(a[n_max])
     # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
-    czz = np.array([
-        -(seq.coefficient(r).real * seq.coefficient(-r).real) for r in separations
-    ])
+    czz = -(a[n_max + lags] * a[n_max - lags])
     return mz, gxx, gyy, mz * mz + czz, czz
 
 

@@ -164,12 +164,12 @@ def _oracle_gap(sites, coupling, temperature):
     # state of the even sector
     sector = "gibbs" if temperature > 0 else "even"
     worst = 0.0
-    for sep in range(1, sites // 2 + 1):
+    seps = range(1, sites // 2 + 1)
+    for sep, ed in zip(seps, exact.reports(sites, coupling, temperature, seps)):
         params = tfim.TfimParams(coupling=coupling, temperature=temperature,
                                  sites=sites, separation=sep, sector=sector)
         free = tfim.correlations(params)
         free_mi = tfim.correlation_mi(params)
-        ed = exact.observables(sites, coupling, temperature, sep)
         worst = max(
             worst,
             abs(free.mz - ed.correlations.mz),

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from critent import cli, ising2d
+from critent import cli, exact, ising2d
 
 try:
     from importlib import resources
@@ -74,6 +74,24 @@ class TestOracleCompare:
         )
         assert code == 0
         assert out.splitlines()[0] == "r,quantity,free_fermion,exact,abs_diff"
+
+    def test_builds_the_hamiltonian_once(self, capsys, monkeypatch):
+        calls = []
+        build = exact.build_hamiltonian
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(exact, "build_hamiltonian", counted)
+        code, out, _ = run_cli(
+            ["oracle", "compare", "--n", "10", "--lambda", "1.0", "--t", "0.5",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 3  # the default sector misses the Gibbs state at T > 0
+        assert len(json.loads(out)["rows"]) == 5
+        assert calls == [(10, 1.0)]
 
 
 class TestFitCommand:
@@ -241,11 +259,13 @@ class TestConfigAndErrors:
 
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
-        code = ("import sys, critent.cli; critent.cli.build_parser(); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        for run in ("critent.cli.build_parser()",
+                    "critent.cli.main(['oracle', 'compare', '--n', '6', '--t', '0'])"):
+            code = (f"import sys, critent.cli; {run}; "
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True, text=True, check=True)
+            assert proc.stdout.splitlines()[-1] == "[]", run
 
 
 class TestInstalledEntryPoint:

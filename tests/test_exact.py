@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from critent import density, exact, tfim
-from critent.density import make_density_matrix
+from critent.density import DensityMatrix, make_density_matrix
 
 
 class TestBuildHamiltonian:
@@ -55,16 +57,27 @@ class TestObservables:
         assert first == second  # bit-identical dataclasses
 
     def test_ground_parity_even_across_grid(self):
+        # the T = 0 state is the even block's lowest level: the full
+        # spectrum holds nothing lower, up to solver rounding
         for sites in (4, 6, 8):
+            even = exact.parity_diagonal(sites) > 0
             for coupling in (0.5, 1.0, 2.0, 1e4):
-                report = exact.observables(sites, coupling, 0.0, 1)
-                assert report.ground_parity == 1
+                ham = exact.build_hamiltonian(sites, coupling)
+                lowest = np.linalg.eigvalsh(ham)[0]
+                lowest_even = np.linalg.eigvalsh(ham[np.ix_(even, even)])[0]
+                assert abs(lowest_even - lowest) <= 1e-10 * max(1.0, abs(lowest))
 
     def test_degenerate_pair_resolved_to_even(self):
-        # at very strong coupling the ground doublet splits below 1e-10
+        # at very strong coupling the ground doublet splits below 1e-10;
+        # its even member is the cat state, one bit across the ring
         report = exact.observables(8, 1e4, 0.0, 4)
-        assert report.ground_parity == 1
         assert report.mi == pytest.approx(1.0, abs=1e-3)
+
+    def test_batch_equals_single_separations(self):
+        for temperature in (0.0, 0.7):
+            batch = exact.reports(8, 1.3, temperature, [4, 1, 3, 2])
+            singles = [exact.observables(8, 1.3, temperature, r) for r in (4, 1, 3, 2)]
+            assert batch == singles  # bit-identical dataclasses
 
     def test_mi_nonnegative(self):
         for coupling in (0.25, 1.0, 2.0):
@@ -92,15 +105,51 @@ class TestGibbsState:
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_finite_temperature_report_consistency(self):
-        report = exact.observables(6, 0.5, 0.8, 2)
-        # cross-check mz against a direct operator expectation
-        ham = exact.build_hamiltonian(6, 0.5)
+        # every correlation and MI against the dense full-space reduction
+        for sites, coupling, temperature in itertools.product(
+            (5, 6, 8), (0.5, 1e4), (0.0, 0.8)
+        ):
+            seps = range(1, sites // 2 + 1)
+            for report, sep in zip(exact.reports(sites, coupling, temperature, seps), seps):
+                rho = _dense_pair_state(sites, coupling, temperature, sep)
+                corr = report.correlations
+                where = (sites, coupling, temperature, sep)
+                assert abs(corr.mz - _expectation(rho, _SZ, np.eye(2))) < 1e-12, where
+                assert abs(corr.gxx - _expectation(rho, _SX, _SX)) < 1e-12, where
+                assert abs(corr.gyy - _expectation(rho, _SY, _SY)) < 1e-12, where
+                assert abs(corr.gzz - _expectation(rho, _SZ, _SZ)) < 1e-12, where
+                assert abs(report.mi - density.mutual_information(rho)) < 1e-12, where
+
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SZ = np.diag([1.0, -1.0])
+
+
+def _expectation(rho, op_a, op_b):
+    return float(np.trace(rho.matrix @ np.kron(op_a, op_b)).real)
+
+
+def _dense_pair_state(sites, coupling, temperature, separation):
+    """rho_{0r} on the full 2^N space: the Gibbs matrix of the dense
+    Hamiltonian, reduced by density.partial_trace.
+
+    At T = 0 the state is the ground state of H + (1 - P), which lifts the
+    odd levels by 2 and so picks the even member where the two parity
+    ground levels meet to rounding.
+    """
+    ham = exact.build_hamiltonian(sites, coupling)
+    if temperature == 0:
+        ham = ham + np.diag(1.0 - exact.parity_diagonal(sites))
+        vecs = np.linalg.eigh(ham)[1][:, :1]
+        gibbs = vecs @ vecs.T
+    else:
         vals, vecs = np.linalg.eigh(ham)
-        weights = np.exp(-(vals - vals[0]) / 0.8)
-        weights /= weights.sum()
-        gibbs = (vecs * weights) @ vecs.T
-        sz = np.diag([1.0, -1.0])
-        op = np.kron(np.eye(2 ** 5), sz)  # site 0 is the least significant bit
-        assert report.correlations.mz == pytest.approx(
-            float(np.trace(gibbs @ op).real), abs=1e-12
-        )
+        weights = np.exp(-(vals - vals[0]) / temperature)
+        gibbs = (vecs * (weights / weights.sum())) @ vecs.T
+    state = DensityMatrix(gibbs, (2,) * sites)
+    # axis k of the reshaped state is site N-1-k, and partial_trace keeps
+    # the axes ascending: (site r, site 0), swapped here to (site 0, site r)
+    reduced = density.partial_trace(state, [sites - 1 - separation, sites - 1])
+    swapped = reduced.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    return make_density_matrix(swapped, (2, 2))
