@@ -66,17 +66,6 @@ class FitResult:
         d["x_range"] = list(self.x_range)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        return cls(
-            kind=d["kind"],
-            coefficients=tuple(d["coefficients"]),
-            amplitude=d["amplitude"],
-            residual_norm=d["residual_norm"],
-            n_points=d["n_points"],
-            x_range=tuple(d["x_range"]),
-        )
-
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "power_law":
@@ -84,21 +73,6 @@ class FitResult:
         a, b = self.coefficients
         degree = {"log_linear": 1, "log_cubic": 3}[self.kind]
         return a + b * np.log(x) ** degree
-
-
-def central_derivative(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences on a uniform grid; endpoints dropped."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 3:
-        raise ValueError("need matching 1-d arrays with >= 3 points")
-    steps = np.diff(xs)
-    if np.any(steps <= 0):
-        raise ValueError("x must be strictly increasing")
-    if np.max(np.abs(steps - steps[0])) > 1e-12:
-        raise ValueError("grid spacing must be uniform within 1e-12")
-    deriv = (ys[2:] - ys[:-2]) / (xs[2:] - xs[:-2])
-    return xs[1:-1], deriv
 
 
 def derivative_at(f, x: float, step: float) -> float:
@@ -326,18 +300,20 @@ def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
     }
 
 
-def _tfim_mi_at(coupling: float, sites: int, separation: int) -> float:
-    return tfim.correlation_mi(tfim.TfimParams(
-        coupling=coupling, temperature=0.0, sites=sites, separation=separation,
-    ))
+def _tfim_derivatives(couplings, sites: int, separation: int, step: float) -> np.ndarray:
+    """derivative_at of the T = 0 MI(0, r) at each coupling: the whole
+    stencil lambda +- step is one batch."""
+    couplings = np.asarray(couplings, dtype=float)
+    mi = tfim.mi_over_couplings(
+        np.concatenate([couplings + step, couplings - step]), 0.0, sites, separation
+    )
+    plus, minus = np.split(mi, 2)
+    return (plus - minus) / (2.0 * step)
 
 
 def tfim_nn_scaling(sites_list=NN_SCALING_SITES, step: float = SCALING_STEP) -> dict:
     """dMI(0,1)/dlambda at lambda = 1 against ln N (log-linear fit)."""
-    derivs = [
-        derivative_at(lambda lam: _tfim_mi_at(lam, n, 1), 1.0, step)
-        for n in sites_list
-    ]
+    derivs = [float(_tfim_derivatives([1.0], n, 1, step)[0]) for n in sites_list]
     fit = log_poly_fit(np.array(sites_list, dtype=float), derivs, degree=1)
     rng = max(derivs) - min(derivs)
     return {
@@ -351,16 +327,10 @@ def tfim_nn_scaling(sites_list=NN_SCALING_SITES, step: float = SCALING_STEP) -> 
 def tfim_peak_far_derivative(sites: int, step: float = SCALING_STEP) -> tuple[float, float]:
     """Max over lambda of dMI(0, N/2)/dlambda: coarse 0.005 grid on
     [0.9, 1.15], then one refinement by a factor of 5 around the peak."""
-    r = sites // 2
-
-    def deriv(lam):
-        return derivative_at(lambda x: _tfim_mi_at(x, sites, r), lam, step)
-
     coarse = np.arange(0.9, 1.15 + 1e-12, 0.005)
-    vals = [deriv(lam) for lam in coarse]
-    best = int(np.argmax(vals))
+    best = int(np.argmax(_tfim_derivatives(coarse, sites, sites // 2, step)))
     fine = coarse[best] + np.arange(-4, 5) * 0.001
-    fvals = [deriv(lam) for lam in fine]
+    fvals = _tfim_derivatives(fine, sites, sites // 2, step)
     fbest = int(np.argmax(fvals))
     return float(fine[fbest]), float(fvals[fbest])
 

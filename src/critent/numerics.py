@@ -104,14 +104,7 @@ def toeplitz_determinant(seq: ToeplitzSequence, dim: int, row_shift: int = 0) ->
     The imaginary residue must stay below 1e-8 * max(1, |det|); the real
     part is returned.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    lo, hi = row_shift - (dim - 1), row_shift + (dim - 1)
-    if lo not in seq or hi not in seq:
-        raise ValueError(
-            f"sequence covers [{seq.n_min}, {seq.n_max}] but the "
-            f"{dim}x{dim} matrix needs [{lo}, {hi}]"
-        )
+    _check_window(seq.n_min, seq.n_max, dim, row_shift)
     idx = np.subtract.outer(np.arange(dim), np.arange(dim)) + row_shift - seq.n_min
     matrix = seq.values[idx]
     sign, logabs = np.linalg.slogdet(matrix)
@@ -121,6 +114,33 @@ def toeplitz_determinant(seq: ToeplitzSequence, dim: int, row_shift: int = 0) ->
             f"determinant imaginary residue {det.imag:.3e} exceeds tolerance"
         )
     return float(det.real)
+
+
+def toeplitz_determinants(windows, n_min: int, dim: int, row_shift: int = 0) -> np.ndarray:
+    """toeplitz_determinant for each row of the real 2-D `windows`, whose
+    row k holds a_n for n = n_min, n_min + 1, ...: one stacked slogdet over
+    a zero-copy strided view whose element (k, i, j) is
+    windows[k, i - j + row_shift - n_min], never a (rows, dim, dim) copy.
+    """
+    _check_window(n_min, n_min + windows.shape[1] - 1, dim, row_shift)
+    row, col = windows.strides
+    stack = np.lib.stride_tricks.as_strided(
+        windows[:, row_shift - n_min:], shape=(len(windows), dim, dim),
+        strides=(row, col, -col), writeable=False,
+    )
+    sign, logabs = np.linalg.slogdet(stack)
+    return sign * np.exp(logabs)
+
+
+def _check_window(n_min, n_max, dim, row_shift) -> None:
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    lo, hi = row_shift - (dim - 1), row_shift + (dim - 1)
+    if lo < n_min or hi > n_max:
+        raise ValueError(
+            f"sequence covers [{n_min}, {n_max}] but the "
+            f"{dim}x{dim} matrix needs [{lo}, {hi}]"
+        )
 
 
 def dense_determinant(matrix: np.ndarray) -> complex:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .density import DensityMatrix, make_density_matrix, x_state_entropies
 from .errors import ModelConsistencyError, ValidationError
-from .numerics import ToeplitzSequence, toeplitz_determinant
+from .numerics import ToeplitzSequence, toeplitz_determinant, toeplitz_determinants
 
 SECTORS = ("even", "odd", "gibbs")
 
@@ -323,14 +323,39 @@ def entropies(coupling, temperature, sites, separations, sector="even"):
     mz, gxx, gyy, gzz, czz = _correlation_arrays(
         coupling, temperature, sites, separations, sector
     )
+    return _x_state(mz, gxx, gyy, gzz, czz, f"at separations {separations}")
+
+
+def mi_over_couplings(couplings, temperature, sites, separation, sector="even"):
+    """Two-site MI in bits at one (T, N, r) for each coupling, each the same
+    float as correlation_mi: a window per coupling, one stacked determinant
+    per quantity and one kernel call.  Single sectors ("even", "odd") only.
+
+    Validates the parameters as TfimParams does, with its messages.
+    """
+    couplings = np.asarray(couplings, dtype=float)
+    TfimParams(float(couplings.min()), temperature, sites, separation, sector)
+    r, phi = separation, momenta(sites, sector)
+    a = np.empty((len(couplings), 2 * r + 1))  # row k: a_n at n + r
+    for row, lam in zip(a, couplings):
+        row[:] = _window_values(lam, phi, _thermal_factor(lam, temperature, phi), r)
+    gxx = toeplitz_determinants(a, -r, r, row_shift=-1)
+    gyy = toeplitz_determinants(a, -r, r, row_shift=+1)
+    mz = -a[:, r]
+    czz = -(a[:, 2 * r] * a[:, 0])
+    where = f"at couplings {couplings.tolist()}"
+    return _x_state(mz, gxx, gyy, mz * mz + czz, czz, where)[2]
+
+
+def _x_state(mz, gxx, gyy, gzz, czz, where):
+    """Range check, then the X-state kernel; an invalid state is a model
+    error naming the point, or `where` for a batch of several."""
     _check_range(mz, gxx, gyy, gzz)
     try:
         return x_state_entropies(mz, gxx, gyy, czz)
     except ValidationError as exc:
-        if len(separations) == 1:
-            where = CorrelationSet(mz, float(gxx[0]), float(gyy[0]), float(gzz[0]))
-        else:
-            where = f"at separations {separations}"
+        if len(gxx) == 1:
+            where = CorrelationSet(*(float(np.ravel(v)[0]) for v in (mz, gxx, gyy, gzz)))
         raise ModelConsistencyError(
             f"correlations {where} gave an invalid two-site state: {exc}"
         ) from exc

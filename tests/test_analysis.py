@@ -3,9 +3,7 @@ import pytest
 
 from critent import analysis, ising2d, tfim
 from critent.analysis import (
-    FitResult,
     SweepRecord,
-    central_derivative,
     derivative_at,
     log_poly_fit,
     power_law_fit,
@@ -17,25 +15,6 @@ from critent.errors import ConvergenceError
 
 
 class TestCentralDerivative:
-    def test_exact_for_quadratics(self):
-        xs = np.array([0.9, 1.0, 1.1])
-        interior, deriv = central_derivative(xs, xs**2)
-        assert interior.tolist() == [1.0]
-        assert deriv[0] == pytest.approx(2.0, abs=1e-13)
-
-    def test_constant_gives_zeros(self):
-        xs = np.linspace(0, 1, 9)
-        _, deriv = central_derivative(xs, np.ones_like(xs))
-        assert np.max(np.abs(deriv)) == 0.0
-
-    def test_rejects_nonuniform_grid(self):
-        with pytest.raises(ValueError):
-            central_derivative(np.array([0.0, 0.1, 0.3]), np.zeros(3))
-
-    def test_rejects_short_input(self):
-        with pytest.raises(ValueError):
-            central_derivative(np.array([0.0, 1.0]), np.zeros(2))
-
     def test_step_halving_consistency(self):
         # just off the critical coupling, where the curvature stays bounded
         def mi_of_coupling(lam):
@@ -99,12 +78,6 @@ class TestLogPolyFit:
 
 
 class TestFitResultRoundTrip:
-    def test_dict_round_trip(self):
-        xs = np.linspace(1, 10, 8)
-        fit = power_law_fit(xs, 2.0 * xs**-0.5)
-        again = FitResult.from_dict(fit.to_dict())
-        assert again == fit
-
     def test_synthesize_and_refit(self):
         xs = np.geomspace(1, 100, 10)
         for fit in (
@@ -266,3 +239,61 @@ class TestScalingDrivers:
         lam, val = analysis.tfim_peak_far_derivative(32)
         assert 0.95 < lam < 1.1
         assert val > 0
+
+    def test_far_peak_equals_per_point_reference(self):
+        def reference(sites, step=analysis.SCALING_STEP):
+            def deriv(lam):
+                return derivative_at(
+                    lambda x: tfim.correlation_mi(
+                        tfim.TfimParams(x, 0.0, sites, sites // 2)
+                    ),
+                    lam, step,
+                )
+
+            coarse = np.arange(0.9, 1.15 + 1e-12, 0.005)
+            best = int(np.argmax([deriv(lam) for lam in coarse]))
+            fine = coarse[best] + np.arange(-4, 5) * 0.001
+            fvals = [deriv(lam) for lam in fine]
+            fbest = int(np.argmax(fvals))
+            return float(fine[fbest]), float(fvals[fbest])
+
+        assert analysis.tfim_peak_far_derivative(32) == reference(32)
+
+    def test_nn_derivative_equals_per_point_reference(self):
+        step = analysis.SCALING_STEP
+        result = analysis.tfim_nn_scaling(sites_list=(64, 128, 256, 512))
+        assert result["derivatives"] == [
+            derivative_at(
+                lambda lam: tfim.correlation_mi(tfim.TfimParams(lam, 0.0, n, 1)),
+                1.0, step,
+            )
+            for n in (64, 128, 256, 512)
+        ]
+
+    def test_drivers_keep_validation_messages(self):
+        with pytest.raises(ValueError, match="sites must be even and >= 4"):
+            analysis.tfim_peak_far_derivative(33)
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            analysis.tfim_peak_far_derivative(32, step=1.0)
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            analysis.tfim_nn_scaling(sites_list=(64, 128, 256, 512), step=2.0)
+
+    def test_far_scaling_batches_each_stencil(self, monkeypatch):
+        calls = {"kernel": 0, "slogdet": 0}
+        kernel, slogdet = tfim.x_state_entropies, np.linalg.slogdet
+
+        def counted_kernel(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
+
+        def counted_slogdet(*args):
+            calls["slogdet"] += 1
+            return slogdet(*args)
+
+        monkeypatch.setattr(tfim, "x_state_entropies", counted_kernel)
+        monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+        sites = (8, 12, 16, 24, 32)
+        result = analysis.tfim_far_scaling(sites_list=sites)
+        assert len(result["peaks"]) == len(sites)
+        assert calls["kernel"] <= 2 * len(sites)
+        assert calls["slogdet"] <= 4 * len(sites)

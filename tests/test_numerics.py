@@ -9,6 +9,7 @@ from critent.numerics import (
     fourier_window,
     hermitian_eigenvalues,
     toeplitz_determinant,
+    toeplitz_determinants,
 )
 
 
@@ -164,6 +165,47 @@ class TestToeplitzDeterminant:
             toeplitz_determinant(seq, 3)  # needs indices +-2
         with pytest.raises(ValueError):
             seq.coefficient(4)
+
+
+class TestToeplitzDeterminants:
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_stack_equals_single_determinants_bit_for_bit(self, shift):
+        rng = np.random.default_rng(9)
+        r = 16
+        windows = rng.standard_normal((7, 2 * r + 1))
+        for dim in (1, r // 2, r):
+            stacked = toeplitz_determinants(windows, -r, dim, row_shift=shift)
+            single = [
+                toeplitz_determinant(ToeplitzSequence(-r, row), dim, row_shift=shift)
+                for row in windows
+            ]
+            assert stacked.tolist() == single
+
+    def test_windows_are_not_copied(self, monkeypatch):
+        windows = np.random.default_rng(10).standard_normal((3, 9))
+        seen = []
+        slogdet = np.linalg.slogdet
+
+        def spy(stack):
+            seen.append(stack)
+            return slogdet(stack)
+
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
+        toeplitz_determinants(windows, -4, 4, row_shift=1)
+        (stack,) = seen
+        assert stack.shape == (3, 4, 4)
+        assert np.shares_memory(stack, windows)
+        assert stack[2, 3, 1] == windows[2, 3 - 1 + 1 + 4]
+
+    def test_too_narrow_window(self):
+        windows = np.ones((2, 5))  # a_n for |n| <= 2
+        with pytest.raises(ValueError, match=r"needs \[-3, 3\]"):
+            toeplitz_determinants(windows, -2, 4)
+        with pytest.raises(ValueError, match=r"needs \[-2, 4\]"):
+            toeplitz_determinants(windows, -2, 4, row_shift=1)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            toeplitz_determinants(windows, -2, 0)
+        assert toeplitz_determinants(windows, -2, 2, row_shift=1).shape == (2,)
 
 
 class TestDenseDeterminant:

@@ -263,6 +263,49 @@ class TestCorrelationMi:
         assert e_high < e_low - 1.0
 
 
+class TestMiOverCouplings:
+    STEP = 1e-4
+    # the far-pair driver's stencils: its coarse grid across lambda = 1 and
+    # a fine grid around lambda = 1
+    COARSE = np.arange(0.9, 1.15 + 1e-12, 0.005)
+    FINE = COARSE[20] + np.arange(-4, 5) * 0.001
+
+    @pytest.mark.parametrize("sites", [32, 64])
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    @pytest.mark.parametrize("grid", ["coarse", "fine"])
+    def test_equals_correlation_mi_bit_for_bit(self, sites, temperature, grid):
+        centres = self.COARSE if grid == "coarse" else self.FINE
+        couplings = np.concatenate([centres + self.STEP, centres - self.STEP])
+        assert couplings.min() < 1.0 < couplings.max()
+        batch = tfim.mi_over_couplings(couplings, temperature, sites, sites // 2)
+        single = [
+            tfim.correlation_mi(params(lam, temperature, sites, sites // 2))
+            for lam in couplings
+        ]
+        assert batch.tolist() == single
+
+    def test_other_sectors_and_separations(self):
+        couplings = [0.4, 1.0, 1.6]
+        for sector, temperature in (("odd", 0.5), ("even", 1.5)):
+            batch = tfim.mi_over_couplings(couplings, temperature, 12, 3, sector)
+            assert batch.tolist() == [
+                tfim.correlation_mi(params(lam, temperature, 12, 3, sector))
+                for lam in couplings
+            ]
+
+    def test_validates_as_params_do(self):
+        for args, message in (
+            (([0.5, 1.0], 0.0, 33, 16), "sites must be even and >= 4"),
+            (([1.0, -1e-4], 0.0, 32, 16), "coupling must be >= 0"),
+            (([1.0], -0.1, 32, 16), "temperature must be >= 0"),
+            (([1.0], 0.0, 32, 17), r"separation must be in \[1, sites/2\]"),
+            (([1.0], 0.0, 32, 16, "mixed"), "sector must be one of"),
+            (([1.0], 0.5, 32, 16, "gibbs"), "grids exist for sectors 'even' and 'odd'"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                tfim.mi_over_couplings(*args)
+
+
 class TestGibbsSector:
     def test_zero_temperature_is_even_sector(self):
         for lam in (0.5, 1.0, 2.0):
