@@ -9,7 +9,7 @@ from itertools import groupby, product
 
 import numpy as np
 
-from . import density, dimer, ising2d, tfim
+from . import dimer, ising2d, tfim
 from .errors import ConvergenceError
 
 MI_IDENTITY_TOL = 1e-9
@@ -65,14 +65,6 @@ class FitResult:
         d["coefficients"] = list(self.coefficients)
         d["x_range"] = list(self.x_range)
         return d
-
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power_law":
-            return self.amplitude * x ** self.coefficients[0]
-        a, b = self.coefficients
-        degree = {"log_linear": 1, "log_cubic": 3}[self.kind]
-        return a + b * np.log(x) ** degree
 
 
 def derivative_at(f, x: float, step: float) -> float:
@@ -145,8 +137,7 @@ def _records(model, points, entropies, tag=""):
 
 def _eval_dimer(points):
     (point,) = points
-    g = dimer.spin_correlation(point["T"])
-    return _records("dimer", points, density.x_state_entropies(0.0, g, g, g))
+    return _records("dimer", points, dimer.entropies(point["T"]))
 
 
 def _eval_ising2d(points):

@@ -273,6 +273,8 @@ def _read_xy(path: str, x_col: str | None, y_col: str | None):
 
     with open(path, newline="") as fh:
         rows = [r for r in _csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows:
+        raise ValueError(f"{path} holds no header or data rows")
     header, data = rows[0], rows[1:]
     if x_col is None or y_col is None:
         xi, yi = 0, 1

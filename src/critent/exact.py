@@ -45,7 +45,7 @@ def build_hamiltonian(sites: int, coupling: float) -> np.ndarray:
     """
     if not 3 <= sites <= 12:
         raise ValueError("sites must be in [3, 12]")
-    if coupling < 0:
+    if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
     dim = 1 << sites
     idx = np.arange(dim)
@@ -123,7 +123,7 @@ def reports(
     separations = [int(r) for r in separations]
     if not all(1 <= r <= sites // 2 for r in separations):
         raise ValueError("separation must be in [1, sites/2]")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
     energy, blocks = _parity_blocks(sites, coupling, temperature)
     out = []

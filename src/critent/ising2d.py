@@ -13,8 +13,10 @@ the determinant alternate in sign with N).  With the modulus x = 1/s below
 T_c and x = s above, a_n = F_n below and -F_{1-n} above, F_n being the
 coefficient of z^{-n} in (1 - x/z)^{1/2} (1 - x z)^{-1/2}: complete elliptic
 integrals give F_0 and F_1, a three-term recurrence every other F_n, by one
-code path for every T > 0 (at T_c, a_n = 2/(pi (1 - 2n))).  The quadrature
-of correlation_symbol by numerics.fourier_window is the tests' reference.
+code path for every T > 0 (at T_c, a_n = 2/(pi (1 - 2n))).
+coefficient_window returns them as a plain real array, a_n at index
+n + n_max; the trapezoid quadrature of phi (tests/oracles.py) is the tests'
+reference.
 
 Separations N are in units of sqrt(2) lattice constants.  Two statistical
 descriptions of the ordered phase are supported:
@@ -30,9 +32,9 @@ import math
 
 import numpy as np
 
-from .density import DensityMatrix, make_density_matrix, x_state_entropies
-from .errors import ConvergenceError, ModelConsistencyError, ValidationError
-from .numerics import ToeplitzSequence, toeplitz_determinant
+from .density import x_state_entropies
+from .errors import ConvergenceError, ModelConsistencyError
+from .numerics import toeplitz_determinant
 
 ENSEMBLES = ("symmetric", "broken")
 _TINY = math.ulp(0.0)
@@ -46,8 +48,8 @@ def critical_temperature() -> float:
 def _modulus(temperature: float) -> tuple[float, bool]:
     """(x, T < T_c): x = sinh^-2(2/T) below T_c and sinh^2(2/T) above,
     written so that neither small nor large T can overflow."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+    if not 0 < temperature < math.inf:
+        raise ValueError("temperature must be finite and > 0")
     inverse_sinh = 2.0 * math.exp(-2.0 / temperature) / -math.expm1(-4.0 / temperature)
     if inverse_sinh <= 1.0:
         return inverse_sinh * inverse_sinh, True
@@ -59,26 +61,6 @@ def magnetization(temperature: float) -> float:
     T_c, exactly 0 at and above."""
     x, below = _modulus(temperature)
     return ((1.0 - x) * (1.0 + x)) ** 0.125 if below else 0.0
-
-
-def correlation_symbol(temperature: float):
-    """Vectorized theta-array -> complex array evaluation of phi(theta).
-
-    At criticality the jump point theta = 0 evaluates to 0, the midpoint of
-    the jump (the value a Fourier series converges to there); this keeps
-    the trapezoid coefficients real and second-order accurate.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    s = math.sinh(2.0 / temperature) ** 2
-
-    def symbol(theta):
-        z = s - np.exp(-1j * np.asarray(theta, dtype=float))
-        mag = np.abs(z)
-        safe = np.where(mag == 0.0, 1.0, mag)
-        return np.where(mag == 0.0, 0.0, z / safe)
-
-    return symbol
 
 
 def _agm(b: float) -> tuple[float, float]:
@@ -127,8 +109,9 @@ def _side(x: float, sign: int, y0: float, y1, count: int, start) -> np.ndarray:
     return ys[: count + 1]
 
 
-def coefficient_window(temperature: float, n_max: int) -> ToeplitzSequence:
-    """Fourier coefficients a_n, |n| <= n_max, in closed form.
+def coefficient_window(temperature: float, n_max: int) -> np.ndarray:
+    """Fourier coefficients a_n, |n| <= n_max, in closed form; a_n sits at
+    index n + n_max.
 
     For |ln x| < 1e-3 the recurrence runs outward from the elliptic F_0 and
     F_1; elsewhere Miller's algorithm runs inward on each side from
@@ -155,7 +138,7 @@ def coefficient_window(temperature: float, n_max: int) -> ToeplitzSequence:
     if not total <= 1.0 + 1e-12:
         raise ConvergenceError(f"coefficient window |n| <= {n_max} at T={temperature!r} "
                                f"breaks Parseval's bound: sum of a_n^2 = {total!r}")
-    return ToeplitzSequence(-n_max, values)
+    return values
 
 
 def diagonal_correlations(temperature: float, separations) -> np.ndarray:
@@ -164,8 +147,8 @@ def diagonal_correlations(temperature: float, separations) -> np.ndarray:
     separations = [int(n) for n in separations]
     if min(separations) < 1:
         raise ValueError("separation must be >= 1")
-    seq = coefficient_window(temperature, max(separations) - 1)
-    values = np.array([toeplitz_determinant(seq, n, row_shift=0) for n in separations])
+    window = coefficient_window(temperature, max(separations) - 1)
+    values = np.array([toeplitz_determinant(window, n) for n in separations])
     bad = np.flatnonzero(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
     if bad.size:
         raise ModelConsistencyError(f"correlation {values[bad[0]]:.6g} outside [-1, 1] "
@@ -184,9 +167,9 @@ def _magnetization(temperature: float, ensemble: str) -> float:
     return magnetization(temperature) if ensemble == "broken" else 0.0
 
 
-def _state_elements(g, m):
-    """u+, u-, w = (1 + 2m + G)/4, (1 - 2m + G)/4, (1 - G)/4, each checked
-    to lie in [-1e-10, 1]."""
+def _check_elements(g, m) -> None:
+    """Check that the state's diagonal u+, u-, w = (1 + 2m + G)/4,
+    (1 - 2m + G)/4, (1 - G)/4 lies in [-1e-10, 1]."""
     g = np.atleast_1d(g)
     elements = (("u+", (1.0 + 2.0 * m + g) / 4.0), ("u-", (1.0 - 2.0 * m + g) / 4.0),
                 ("w", (1.0 - g) / 4.0))
@@ -197,33 +180,6 @@ def _state_elements(g, m):
                 f"element {name} = {val[bad[0]]:.6g} outside [0, 1] "
                 f"(G = {g[bad[0]]:.6g}, m = {m:.6g})"
             )
-    return tuple(val for _, val in elements)
-
-
-def single_site_state(temperature: float, ensemble: str = "symmetric") -> DensityMatrix:
-    """diag((1+m)/2, (1-m)/2); m = 0 in the symmetric ensemble."""
-    m = _magnetization(temperature, ensemble)
-    return make_density_matrix(np.diag([(1 + m) / 2, (1 - m) / 2]), (2,))
-
-
-def two_site_state(
-    temperature: float, separation: int, ensemble: str = "symmetric"
-) -> DensityMatrix:
-    """Classical (diagonal) two-site state diag(u+, w, w, u-).
-
-    u+- = (1 +- 2m + G)/4 and w = (1 - G)/4, with G the diagonal
-    correlation and m = 0 (symmetric) or the spontaneous magnetization
-    (broken).  Its marginals equal single_site_state by construction.
-    """
-    m = _magnetization(temperature, ensemble)
-    g = diagonal_correlation(temperature, separation)
-    (u_plus,), (u_minus,), (w,) = _state_elements(g, m)
-    try:
-        return make_density_matrix(np.diag([u_plus, w, w, u_minus]), (2, 2))
-    except ValidationError as exc:
-        raise ModelConsistencyError(
-            f"G = {g:.6g}, m = {m:.6g} gave an invalid state: {exc}"
-        ) from exc
 
 
 def entropies(temperature: float, separations, ensemble: str = "symmetric"):
@@ -232,7 +188,7 @@ def entropies(temperature: float, separations, ensemble: str = "symmetric"):
     correlation G - m^2."""
     m = _magnetization(temperature, ensemble)
     g = diagonal_correlations(temperature, separations)
-    _state_elements(g, m)
+    _check_elements(g, m)
     return x_state_entropies(m, 0.0, 0.0, g - m * m)
 
 
@@ -242,15 +198,3 @@ def correlation_mi(
     """Two-site mutual information, in bits."""
     _, _, mi = entropies(temperature, [separation], ensemble)
     return float(mi[0])
-
-
-def expansion_mi(temperature: float, separation: int) -> float:
-    """Small-correlation expansion (G^2/2 - G m^2)/ln 2, in bits.
-
-    Diagnostic companion to the exact MI: agrees with it to relative
-    O(G^2) when the state is near a product state and both m-terms are
-    evaluated with the spontaneous magnetization.
-    """
-    g = diagonal_correlation(temperature, separation)
-    m = magnetization(temperature)
-    return (0.5 * g * g - g * m * m) / math.log(2.0)

@@ -1,10 +1,10 @@
 """Scalar/matrix numerical kernels.
 
-Toeplitz and dense determinants in sign/log-magnitude form, Hermitian
-eigenvalues, and trapezoidal quadrature for the Fourier coefficients of a
-symbol, which no model calls: the tests' reference for closed forms.
-Everything here is a pure function of its inputs; identical inputs give
-bit-identical outputs within one build.
+Toeplitz determinants in sign/log-magnitude form, Hermitian eigenvalues,
+and trapezoidal quadrature for the Fourier coefficients of a symbol, which
+no model calls: the tests' reference for closed forms.  Everything here is
+a pure function of its inputs; identical inputs give bit-identical outputs
+within one build.
 
 Conventions:
   * a_n = (1/2pi) int_0^{2pi} e^{i n theta} phi(theta) dtheta, estimated by
@@ -12,38 +12,16 @@ Conventions:
     integrand this is the endpoint-free rectangle sum, spectrally accurate
     for smooth symbols.
   * A symbol is a vectorized callable theta-array -> complex array.
+  * A coefficient window is a plain array of a_n for |n| <= n_max, with
+    a_n at index n + n_max; its width 2 n_max + 1 fixes n_max.
   * Toeplitz matrices are M[i, j] = a_{i-j+shift}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError
-
-
-@dataclass(frozen=True)
-class ToeplitzSequence:
-    """Indexed coefficients a_n for n in [n_min, n_min + len(values) - 1]."""
-
-    n_min: int
-    values: np.ndarray  # real or complex, read-only by convention
-
-    @property
-    def n_max(self) -> int:
-        return self.n_min + len(self.values) - 1
-
-    def __contains__(self, n: int) -> bool:
-        return self.n_min <= n <= self.n_max
-
-    def coefficient(self, n: int) -> complex:
-        if n not in self:
-            raise ValueError(
-                f"index {n} outside covered range [{self.n_min}, {self.n_max}]"
-            )
-        return complex(self.values[n - self.n_min])
 
 
 def fourier_window(
@@ -52,9 +30,10 @@ def fourier_window(
     grid_points: int = 4096,
     tol: float = 1e-10,
     max_points: int = 1 << 20,
-) -> ToeplitzSequence:
-    """All coefficients a_n for |n| <= n_max by trapezoid sums on grids
-    doubled from `grid_points` until they settle; the tests' reference.
+) -> np.ndarray:
+    """All coefficients a_n for |n| <= n_max, a complex array with a_n at
+    index n + n_max, by trapezoid sums on grids doubled from `grid_points`
+    until they settle; the tests' reference.
 
     Per stage the full window comes from a single inverse FFT of the symbol
     samples (identical to the per-n trapezoid sums up to rounding).  Each
@@ -85,7 +64,7 @@ def fourier_window(
         frozen[newly] = cur[newly]
         done |= newly
         if done.all():
-            return ToeplitzSequence(-n_max, frozen)
+            return frozen
         prev = cur
         m *= 2
     bad = ns[~done]
@@ -96,61 +75,36 @@ def fourier_window(
     )
 
 
-def toeplitz_determinant(seq: ToeplitzSequence, dim: int, row_shift: int = 0) -> float:
-    """det of M[i, j] = a_{i-j+row_shift} for i, j in [0, dim).
-
-    Computed in sign/log-magnitude form (pivoted LU underneath) so deep
-    sub-unit diagonals do not underflow before the final exponentiation.
-    The imaginary residue must stay below 1e-8 * max(1, |det|); the real
-    part is returned.
-    """
-    _check_window(seq.n_min, seq.n_max, dim, row_shift)
-    idx = np.subtract.outer(np.arange(dim), np.arange(dim)) + row_shift - seq.n_min
-    matrix = seq.values[idx]
-    sign, logabs = np.linalg.slogdet(matrix)
-    det = sign * np.exp(logabs)
-    if abs(det.imag) > 1e-8 * max(1.0, abs(det)):
-        raise ValueError(
-            f"determinant imaginary residue {det.imag:.3e} exceeds tolerance"
-        )
-    return float(det.real)
+def toeplitz_determinant(window, dim: int, row_shift: int = 0) -> float:
+    """det of M[i, j] = a_{i-j+row_shift} for i, j in [0, dim), from the
+    real window of a_n, |n| <= n_max, with a_n at index n + n_max: the
+    one-row case of toeplitz_determinants."""
+    return float(toeplitz_determinants(np.atleast_2d(window), dim, row_shift)[0])
 
 
-def toeplitz_determinants(windows, n_min: int, dim: int, row_shift: int = 0) -> np.ndarray:
+def toeplitz_determinants(windows, dim: int, row_shift: int = 0) -> np.ndarray:
     """toeplitz_determinant for each row of the real 2-D `windows`, whose
-    row k holds a_n for n = n_min, n_min + 1, ...: one stacked slogdet over
-    a zero-copy strided view whose element (k, i, j) is
-    windows[k, i - j + row_shift - n_min], never a (rows, dim, dim) copy.
+    rows hold a_n for |n| <= n_max at index n + n_max (width 2 n_max + 1):
+    one stacked slogdet over a zero-copy strided view whose element
+    (k, i, j) is windows[k, i - j + row_shift + n_max], never a
+    (rows, dim, dim) copy.  Sign/log-magnitude form (pivoted LU underneath)
+    keeps deep sub-unit diagonals from underflowing before the final
+    exponentiation.
     """
-    _check_window(n_min, n_min + windows.shape[1] - 1, dim, row_shift)
+    n_max = (windows.shape[1] - 1) // 2
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    lo, hi = row_shift - (dim - 1), row_shift + (dim - 1)
+    if lo < -n_max or hi > n_max:
+        raise ValueError(f"window covers [{-n_max}, {n_max}] but the "
+                         f"{dim}x{dim} matrix needs [{lo}, {hi}]")
     row, col = windows.strides
     stack = np.lib.stride_tricks.as_strided(
-        windows[:, row_shift - n_min:], shape=(len(windows), dim, dim),
+        windows[:, row_shift + n_max:], shape=(len(windows), dim, dim),
         strides=(row, col, -col), writeable=False,
     )
     sign, logabs = np.linalg.slogdet(stack)
     return sign * np.exp(logabs)
-
-
-def _check_window(n_min, n_max, dim, row_shift) -> None:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    lo, hi = row_shift - (dim - 1), row_shift + (dim - 1)
-    if lo < n_min or hi > n_max:
-        raise ValueError(
-            f"sequence covers [{n_min}, {n_max}] but the "
-            f"{dim}x{dim} matrix needs [{lo}, {hi}]"
-        )
-
-
-def dense_determinant(matrix: np.ndarray) -> complex:
-    """Determinant of a square matrix (dim <= 64) by pivoted factorization."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if matrix.shape[0] > 64:
-        raise ValueError("dense_determinant is capped at dim 64")
-    return complex(np.linalg.det(matrix.astype(complex)))
 
 
 HERMITICITY_TOL = 1e-10

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, make_density_matrix, x_state_entropies
+from .density import x_state_entropies
 from .errors import ModelConsistencyError, ValidationError
-from .numerics import ToeplitzSequence, toeplitz_determinant, toeplitz_determinants
+from .numerics import toeplitz_determinant, toeplitz_determinants
 
 SECTORS = ("even", "odd", "gibbs")
 
@@ -55,9 +55,9 @@ class TfimParams:
     sector: str = "even"
 
     def __post_init__(self):
-        if self.coupling < 0:
+        if not self.coupling >= 0:
             raise ValueError("coupling must be >= 0")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
         if self.sites < 4 or self.sites % 2:
             raise ValueError("sites must be even and >= 4")
@@ -133,35 +133,18 @@ def magnetization_z(
     return -float(_window_values(coupling, phi, f, 0)[0])
 
 
-def toeplitz_coefficient(
-    coupling: float, temperature: float, sites: int, n: int, sector: str = "even"
-) -> float:
-    """Wick coefficient a_n generating the correlation determinants, as the
-    direct momentum sum (the reference for coefficient_window):
-
-    a_n = (1/N) sum_phi cos(phi n)(lambda cos phi - 1) tanh(omega/T)/omega
-        - (lambda/N) sum_phi sin(phi n) sin(phi) tanh(omega/T)/omega
-    """
-    if abs(n) > sites:
-        raise ValueError("|n| must be <= sites")
-    phi = momenta(sites, sector)
-    f = _thermal_factor(coupling, temperature, phi)
-    cos_sum = np.sum(np.cos(phi * n) * (coupling * np.cos(phi) - 1.0) * f)
-    sin_sum = np.sum(np.sin(phi * n) * np.sin(phi) * f)
-    return float((cos_sum - coupling * sin_sum) / sites)
-
-
 def coefficient_window(
     coupling: float,
     temperature: float,
     sites: int,
     n_max: int,
     sector: str = "even",
-) -> ToeplitzSequence:
-    """a_n for |n| <= n_max from one length-N FFT over the momentum grid."""
+) -> np.ndarray:
+    """a_n for |n| <= n_max, at index n + n_max, from one length-N FFT
+    over the momentum grid."""
     phi = momenta(sites, sector)
     f = _thermal_factor(coupling, temperature, phi)
-    return ToeplitzSequence(-n_max, _window_values(coupling, phi, f, n_max))
+    return _window_values(coupling, phi, f, n_max)
 
 
 def _window_values(coupling, phi, f, n_max) -> np.ndarray:
@@ -289,10 +272,10 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
             return _gibbs_arrays(coupling, temperature, sites, separations)
         sector = "even"
     n_max = max(separations)
-    seq = coefficient_window(coupling, temperature, sites, n_max, sector)
-    gxx = np.array([toeplitz_determinant(seq, r, row_shift=-1) for r in separations])
-    gyy = np.array([toeplitz_determinant(seq, r, row_shift=+1) for r in separations])
-    a, lags = seq.values, np.asarray(separations)  # a_n sits at n + n_max
+    a = coefficient_window(coupling, temperature, sites, n_max, sector)
+    gxx = np.array([toeplitz_determinant(a, r, row_shift=-1) for r in separations])
+    gyy = np.array([toeplitz_determinant(a, r, row_shift=+1) for r in separations])
+    lags = np.asarray(separations)  # a_n sits at n + n_max
     mz = -float(a[n_max])
     # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
     czz = -(a[n_max + lags] * a[n_max - lags])
@@ -339,8 +322,8 @@ def mi_over_couplings(couplings, temperature, sites, separation, sector="even"):
     a = np.empty((len(couplings), 2 * r + 1))  # row k: a_n at n + r
     for row, lam in zip(a, couplings):
         row[:] = _window_values(lam, phi, _thermal_factor(lam, temperature, phi), r)
-    gxx = toeplitz_determinants(a, -r, r, row_shift=-1)
-    gyy = toeplitz_determinants(a, -r, r, row_shift=+1)
+    gxx = toeplitz_determinants(a, r, row_shift=-1)
+    gyy = toeplitz_determinants(a, r, row_shift=+1)
     mz = -a[:, r]
     czz = -(a[:, 2 * r] * a[:, 0])
     where = f"at couplings {couplings.tolist()}"
@@ -358,44 +341,6 @@ def _x_state(mz, gxx, gyy, gzz, czz, where):
             where = CorrelationSet(*(float(np.ravel(v)[0]) for v in (mz, gxx, gyy, gzz)))
         raise ModelConsistencyError(
             f"correlations {where} gave an invalid two-site state: {exc}"
-        ) from exc
-
-
-def single_site_state(params: TfimParams) -> DensityMatrix:
-    """diag((1+<sz>)/2, (1-<sz>)/2)."""
-    mz = magnetization_z(
-        params.coupling, params.temperature, params.sites, params.sector
-    )
-    return make_density_matrix(np.diag([(1 + mz) / 2, (1 - mz) / 2]), (2,))
-
-
-def two_site_state(params: TfimParams) -> DensityMatrix:
-    """Block-diagonal two-site reduced state.
-
-    Outer block [[u+, z-], [z-, u-]] on {uu, dd}, inner block
-    [[w, z+], [z+, w]] on {ud, du}, with u+- = (1 +- 2<sz> + gzz)/4,
-    w = (1 - gzz)/4 and z+- = (gxx +- gyy)/4.  Marginals equal
-    single_site_state by construction.
-    """
-    c = correlations(params)
-    u_plus = (1.0 + 2.0 * c.mz + c.gzz) / 4.0
-    u_minus = (1.0 - 2.0 * c.mz + c.gzz) / 4.0
-    w = (1.0 - c.gzz) / 4.0
-    z_plus = (c.gxx + c.gyy) / 4.0
-    z_minus = (c.gxx - c.gyy) / 4.0
-    rho = np.array(
-        [
-            [u_plus, 0.0, 0.0, z_minus],
-            [0.0, w, z_plus, 0.0],
-            [0.0, z_plus, w, 0.0],
-            [z_minus, 0.0, 0.0, u_minus],
-        ]
-    )
-    try:
-        return make_density_matrix(rho, (2, 2))
-    except ValidationError as exc:
-        raise ModelConsistencyError(
-            f"correlations {c} gave an invalid two-site state: {exc}"
         ) from exc
 
 

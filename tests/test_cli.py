@@ -95,6 +95,13 @@ class TestOracleCompare:
 
 
 class TestFitCommand:
+    def test_empty_input_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, _, err = run_cli(["fit", "power", "--input", str(path)], capsys)
+        assert code == 1
+        assert str(path) in err
+
     def test_power_fit_round_trip(self, tmp_path, capsys):
         xs = np.arange(10, 110, 10, dtype=float)
         path = tmp_path / "data.csv"
@@ -205,6 +212,33 @@ class TestConfigAndErrors:
     def test_invalid_value_exits_one(self, capsys):
         code, _, err = run_cli(["ising2d", "corr", "--t", "-2.0"], capsys)
         assert code == 1
+
+    def test_infinite_ising_temperature(self, capsys):
+        code, _, err = run_cli(["ising2d", "corr", "--t", "inf"], capsys)
+        assert code == 1
+        assert "temperature must be finite and > 0" in err
+        code, out, _ = run_cli(["ising2d", "mi", "--t", "inf", "--n-max", "3"], capsys)
+        assert code == 0
+        rows = [l for l in out.splitlines() if l.startswith("ising2d,")]
+        assert len(rows) == 3
+        assert all(r.endswith(",error: temperature must be finite and > 0") for r in rows)
+
+    def test_nan_dimer_temperature_is_an_error_row(self, capsys):
+        code, out, _ = run_cli(["dimer", "--t-min", "nan", "--t-count", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "dimer,nan,,,,,,,,error: temperature must be >= 0"
+
+    def test_nan_tfim_coupling_is_an_error_row(self, capsys):
+        code, out, _ = run_cli(["tfim", "mi", "--lambda", "nan", "--r-max", "2"], capsys)
+        assert code == 0
+        rows = [l for l in out.splitlines() if l.startswith("tfim,")]
+        assert len(rows) == 2
+        assert all(r.endswith(",error: coupling must be >= 0") for r in rows)
+
+    def test_nan_oracle_temperature_exits_one(self, capsys):
+        code, _, err = run_cli(["oracle", "compare", "--n", "6", "--t", "nan"], capsys)
+        assert code == 1
+        assert "temperature must be >= 0" in err
 
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
         # a corrupted F_0 seed breaks the window's Parseval check

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from critent import dimer, ising2d, tfim
+from critent import ising2d, tfim
 from critent.density import (
     make_density_matrix,
     mutual_information,
@@ -16,6 +16,7 @@ from critent.density import (
     x_state_entropies,
 )
 from critent.errors import ValidationError
+from oracles import dimer_thermal_state
 
 
 def singlet():
@@ -56,7 +57,7 @@ class TestConstructor:
         assert abs(np.trace(rho.matrix) - 1) < 1e-14
 
     def test_accepts_dimer_thermal_state(self):
-        rho = dimer.thermal_state(1.0)
+        rho = dimer_thermal_state(1.0)
         assert rho.dims == (2, 2)
 
 

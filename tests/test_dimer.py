@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from critent import density, dimer
+from oracles import dimer_thermal_state
 
 
 def dimer_hamiltonian():
@@ -23,18 +24,20 @@ def gibbs_oracle(temperature):
 
 
 class TestThermalState:
+    """The reference Gibbs state the kernel's inputs are checked against."""
+
     def test_cold_limit_is_singlet(self):
         psi = np.zeros(4)
         psi[1], psi[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        rho = dimer.thermal_state(0.01)
+        rho = dimer_thermal_state(0.01)
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi))) < 1e-6
 
     def test_hot_limit_is_maximally_mixed(self):
-        rho = dimer.thermal_state(1e6)
+        rho = dimer_thermal_state(1e6)
         assert np.max(np.abs(rho.matrix - np.eye(4) / 4)) < 1e-6
 
     def test_boltzmann_eigenvalues_at_t_one(self):
-        rho = dimer.thermal_state(1.0)
+        rho = dimer_thermal_state(1.0)
         eig = np.sort(np.linalg.eigvalsh(rho.matrix))
         e4 = math.exp(4.0)
         expected = np.sort([e4 / (e4 + 3)] + [1 / (e4 + 3)] * 3)
@@ -42,16 +45,26 @@ class TestThermalState:
 
     def test_matches_matrix_exponential_oracle(self):
         for temperature in (0.3, 1.0, 4.0):
-            rho = dimer.thermal_state(temperature)
+            rho = dimer_thermal_state(temperature)
             assert np.max(np.abs(rho.matrix - gibbs_oracle(temperature))) < 1e-12
 
     def test_exact_zero_temperature(self):
-        rho = dimer.thermal_state(0.0)
+        rho = dimer_thermal_state(0.0)
         assert density.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            dimer.thermal_state(-0.1)
+            dimer.mutual_information(-0.1)
+
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            dimer.boltzmann_weights(math.nan)
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            dimer.mutual_information(math.nan)
+
+    def test_infinite_temperature_is_uncorrelated(self):
+        assert dimer.boltzmann_weights(math.inf) == (0.25, 0.25)
+        assert dimer.mutual_information(math.inf) == 0.0
 
 
 class TestMutualInformation:
@@ -63,7 +76,7 @@ class TestMutualInformation:
 
     def test_matches_generic_path(self):
         for temperature in (0.2, 1.0, 3.0):
-            generic = density.mutual_information(dimer.thermal_state(temperature))
+            generic = density.mutual_information(dimer_thermal_state(temperature))
             assert dimer.mutual_information(temperature) == pytest.approx(
                 generic, abs=1e-12
             )
@@ -75,15 +88,17 @@ class TestMutualInformation:
 
     def test_marginals_maximally_mixed(self):
         for temperature in (0.05, 0.7, 5.0, 100.0):
-            rho = dimer.thermal_state(temperature)
+            rho = dimer_thermal_state(temperature)
             for site in (0, 1):
                 marg = density.partial_trace(rho, {site})
                 assert np.max(np.abs(marg.matrix - np.eye(2) / 2)) < 1e-12
+            (s_i,), _, _ = dimer.entropies(temperature)
+            assert s_i == 1.0
 
     def test_closed_form_matches_generic_entropy(self):
         for temperature in (0.05, 0.5, 1.0, 2.0, 5.0, 50.0):
-            closed = dimer.whole_system_entropy(temperature)
-            generic = density.von_neumann_entropy(dimer.thermal_state(temperature))
+            _, (closed,), _ = dimer.entropies(temperature)
+            generic = density.von_neumann_entropy(dimer_thermal_state(temperature))
             assert closed == pytest.approx(generic, abs=1e-12)
 
 

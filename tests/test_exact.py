@@ -26,6 +26,10 @@ class TestBuildHamiltonian:
         commutator = ham * parity[None, :] - parity[:, None] * ham
         assert np.max(np.abs(commutator)) < 1e-12
 
+    def test_nan_coupling_rejected(self):
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            exact.build_hamiltonian(4, float("nan"))
+
     def test_ground_energy_matches_free_fermions(self):
         ham = exact.build_hamiltonian(4, 1.0)
         ground = np.linalg.eigvalsh(ham)[0]
@@ -33,6 +37,15 @@ class TestBuildHamiltonian:
 
 
 class TestObservables:
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            exact.reports(6, 1.0, float("nan"), [1])
+
+    def test_infinite_temperature_is_uncorrelated(self):
+        for report in exact.reports(6, 1.0, float("inf"), [1, 2, 3]):
+            assert report.mi == pytest.approx(0.0, abs=1e-12)
+            assert report.correlations.gxx == pytest.approx(0.0, abs=1e-12)
+
     def test_free_spin_point(self):
         for sep in (1, 2):
             report = exact.observables(4, 0.0, 0.0, sep)

@@ -7,6 +7,7 @@ import pytest
 from critent import density, ising2d
 from critent.errors import ModelConsistencyError
 from critent.numerics import fourier_window
+from oracles import ising_symbol, site_state, x_state
 
 TC = ising2d.critical_temperature()
 
@@ -68,10 +69,10 @@ class TestCoefficientWindow:
                              [0.3, 1.0, 2.0, 3.0, 10.0, 1000.0, 1e6, TC] + NEAR_TC)
     def test_against_40_digit_closed_form(self, temperature):
         for n_max in (49, 800):
-            seq = ising2d.coefficient_window(temperature, n_max)
+            window = ising2d.coefficient_window(temperature, n_max)
             for n in (0, 1, -1, n_max // 2, -(n_max // 2), n_max, -n_max):
                 exact = mpmath_coefficient(temperature, n)
-                assert abs(seq.coefficient(n).real - exact) < 1e-13, (n_max, n)
+                assert abs(window[n + n_max] - exact) < 1e-13, (n_max, n)
 
     @pytest.mark.parametrize("sites", [50, 200])
     def test_mccoy_wu_critical_product(self, sites):
@@ -83,21 +84,21 @@ class TestCoefficientWindow:
 
     def test_matches_quadrature_on_benchmark_grid(self):
         for temperature in np.linspace(1.5, 3.5, 21):
-            closed = ising2d.coefficient_window(temperature, 49).values
-            quad = fourier_window(ising2d.correlation_symbol(temperature), 49).values
+            closed = ising2d.coefficient_window(temperature, 49)
+            quad = fourier_window(ising_symbol(temperature), 49)
             assert np.max(np.abs(closed - quad)) < 1e-14, temperature
 
     @pytest.mark.parametrize("temperature",
                              [0.002, 0.3, 2.0, 2.3, TC, TC + 1e-6, TC - 5e-4, TC + 2e-3, 10.0, 1e6])
     def test_entries_do_not_depend_on_width(self, temperature):
-        widest = ising2d.coefficient_window(temperature, 1500).values
+        widest = ising2d.coefficient_window(temperature, 1500)
         for n_max in (0, 1, 49, 1023):
-            values = ising2d.coefficient_window(temperature, n_max).values
+            values = ising2d.coefficient_window(temperature, n_max)
             assert np.array_equal(values, widest[1500 - n_max:1501 + n_max]), n_max
 
     def test_small_temperature_is_a_delta(self):
         # sinh(2/T) overflows a float at T = 0.002; the modulus underflows to 0
-        values = ising2d.coefficient_window(0.002, 3).values
+        values = ising2d.coefficient_window(0.002, 3)
         assert np.array_equal(values, [0, 0, 0, 1, 0, 0, 0])
         assert ising2d.magnetization(0.002) == 1.0
 
@@ -134,37 +135,52 @@ class TestDiagonalCorrelation:
             ising2d.diagonal_correlation(2.0, 0)
 
 
+def pair_state(temperature, separation, ensemble="symmetric"):
+    """Dense two-site state built from the kernel's inputs G and m."""
+    m = ising2d.magnetization(temperature) if ensemble == "broken" else 0.0
+    return x_state(m, 0.0, 0.0, ising2d.diagonal_correlation(temperature, separation))
+
+
 class TestTwoSiteState:
+    """The classical state diag(u+, w, w, u-) the kernel evaluates."""
+
     def test_symmetric_cold_limit(self):
-        rho = ising2d.two_site_state(0.5, 12, "symmetric")
+        rho = pair_state(0.5, 12, "symmetric")
         assert np.max(np.abs(rho.matrix - np.diag([0.5, 0, 0, 0.5]))) < 1e-6
         assert ising2d.correlation_mi(0.5, 12, "symmetric") == pytest.approx(
             1.0, abs=1e-5
         )
 
     def test_broken_cold_limit_is_polarized_product(self):
-        rho = ising2d.two_site_state(0.5, 12, "broken")
+        rho = pair_state(0.5, 12, "broken")
         proj = np.zeros((4, 4))
         proj[0, 0] = 1.0
         assert np.max(np.abs(rho.matrix - proj)) < 1e-5
         assert ising2d.correlation_mi(0.5, 12, "broken") < 1e-4
 
     def test_hot_side_is_product(self):
-        rho = ising2d.two_site_state(3.0, 30)
+        rho = pair_state(3.0, 30)
         assert np.max(np.abs(rho.matrix - np.eye(4) / 4)) < 1e-6
 
     @pytest.mark.parametrize("ensemble", ising2d.ENSEMBLES)
     def test_marginal_consistency(self, ensemble):
+        # the kernel's entropies against the dense state's, whose marginals
+        # are the single-site state
         for temperature, sep in ((1.8, 3), (2.1, 7), (2.6, 4), (3.2, 2)):
-            rho_ij = ising2d.two_site_state(temperature, sep, ensemble)
-            rho_i = ising2d.single_site_state(temperature, ensemble)
+            rho_ij = pair_state(temperature, sep, ensemble)
+            m = ising2d.magnetization(temperature) if ensemble == "broken" else 0.0
+            rho_i = site_state(m)
             for site in (0, 1):
                 marg = density.partial_trace(rho_ij, {site})
                 assert np.max(np.abs(marg.matrix - rho_i.matrix)) < 1e-12
+            (s_i,), (s_ij,), (mi,) = ising2d.entropies(temperature, [sep], ensemble)
+            assert s_i == pytest.approx(density.von_neumann_entropy(rho_i), abs=1e-12)
+            assert s_ij == pytest.approx(density.von_neumann_entropy(rho_ij), abs=1e-12)
+            assert mi == pytest.approx(density.mutual_information(rho_ij), abs=1e-12)
 
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            ising2d.two_site_state(2.0, 3, "tilted")
+            ising2d.correlation_mi(2.0, 3, "tilted")
 
 
 class TestCorrelationMi:
@@ -192,21 +208,29 @@ class TestCorrelationMi:
         assert slope == pytest.approx(-0.5, abs=0.03)
 
 
+def expansion_mi(temperature, separation):
+    """Small-correlation expansion (G^2/2 - G m^2)/ln 2 of the MI, in bits;
+    agrees with the exact MI to relative O(G^2) near a product state."""
+    g = ising2d.diagonal_correlation(temperature, separation)
+    m = ising2d.magnetization(temperature)
+    return (0.5 * g * g - g * m * m) / math.log(2.0)
+
+
 class TestExpansionDiagnostic:
     def test_zero_correlation_gives_zero(self):
         # G = 0 makes the expansion vanish identically
-        assert ising2d.expansion_mi(50.0, 40) == pytest.approx(0.0, abs=1e-12)
+        assert expansion_mi(50.0, 40) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_exact_in_small_correlation_regime(self):
         for temperature, sep in ((3.0, 20), (2.6, 10)):
             exact = ising2d.correlation_mi(temperature, sep)
-            approx = ising2d.expansion_mi(temperature, sep)
+            approx = expansion_mi(temperature, sep)
             assert exact < 1e-3
             assert approx == pytest.approx(exact, rel=0.1)
 
     def test_critical_ratio_recorded(self):
         exact = ising2d.correlation_mi(TC, 100)
-        approx = ising2d.expansion_mi(TC, 100)
+        approx = expansion_mi(TC, 100)
         print(f"critical expansion/exact MI ratio at separation 100: "
               f"{approx / exact:.6f}")
 
@@ -214,6 +238,7 @@ class TestExpansionDiagnostic:
 class TestElementGuards:
     def test_rejects_inconsistent_elements(self, monkeypatch):
         # drive the guard with an impossible correlation value
-        monkeypatch.setattr(ising2d, "diagonal_correlation", lambda T, N: 1.5)
+        monkeypatch.setattr(ising2d, "diagonal_correlations",
+                            lambda T, separations: np.array([1.5]))
         with pytest.raises(ModelConsistencyError):
-            ising2d.two_site_state(2.0, 1)
+            ising2d.entropies(2.0, [1])

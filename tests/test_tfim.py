@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from critent import density, exact, tfim
+from critent import density, exact, ising2d, tfim
 from critent.tfim import TfimParams
+from oracles import site_state, tfim_coefficient, x_state
 
 
 def params(coupling, temperature, sites, separation, sector="even"):
@@ -66,7 +67,7 @@ class TestMagnetization:
     def test_equals_minus_central_coefficient(self):
         for lam in (0.3, 1.0, 1.7):
             mz = tfim.magnetization_z(lam, 0.4, 12)
-            a0 = tfim.toeplitz_coefficient(lam, 0.4, 12, 0)
+            a0 = tfim_coefficient(lam, 0.4, 12, 0)
             assert mz == pytest.approx(-a0, abs=1e-14)
 
 
@@ -74,21 +75,21 @@ class TestCoefficients:
     def test_free_spin_limit(self):
         for n in range(-2, 3):
             expected = -1.0 if n == 0 else 0.0
-            assert tfim.toeplitz_coefficient(0.0, 0.0, 10, n) == pytest.approx(
+            assert tfim_coefficient(0.0, 0.0, 10, n) == pytest.approx(
                 expected, abs=1e-12
             )
 
     def test_strong_coupling_limit(self):
         for n in range(-3, 4):
             expected = 1.0 if n == -1 else 0.0
-            assert tfim.toeplitz_coefficient(1e4, 0.0, 12, n) == pytest.approx(
+            assert tfim_coefficient(1e4, 0.0, 12, n) == pytest.approx(
                 expected, abs=1e-3
             )
 
     def test_sector_gap_is_small(self):
         for n in (0, 1, -1):
-            even = tfim.toeplitz_coefficient(0.5, 0.0, 1000, n, "even")
-            odd = tfim.toeplitz_coefficient(0.5, 0.0, 1000, n, "odd")
+            even = tfim_coefficient(0.5, 0.0, 1000, n, "even")
+            odd = tfim_coefficient(0.5, 0.0, 1000, n, "odd")
             assert abs(even - odd) < 1e-2
 
     def test_window_matches_singles(self):
@@ -101,10 +102,10 @@ class TestCoefficients:
             (0.6, 0.0, 1000, "odd", 60),
             (1.0, 2.0, 1000, "odd", 60),
         ):
-            seq = tfim.coefficient_window(lam, temperature, sites, n_max, sector)
+            window = tfim.coefficient_window(lam, temperature, sites, n_max, sector)
             for n in range(-n_max, n_max + 1):
-                assert seq.coefficient(n).real == pytest.approx(
-                    tfim.toeplitz_coefficient(lam, temperature, sites, n, sector),
+                assert window[n + n_max] == pytest.approx(
+                    tfim_coefficient(lam, temperature, sites, n, sector),
                     abs=1e-14,
                 )
 
@@ -112,11 +113,11 @@ class TestCoefficients:
         wide = tfim.coefficient_window(0.9, 0.4, 1000, 50)
         for n_max in (0, 1, 7):
             narrow = tfim.coefficient_window(0.9, 0.4, 1000, n_max)
-            assert np.array_equal(narrow.values, wide.values[50 - n_max:51 + n_max])
+            assert np.array_equal(narrow, wide[50 - n_max:51 + n_max])
 
     def test_window_against_40_digit_sum_at_criticality(self):
         sites = 1000
-        seq = tfim.coefficient_window(1.0, 0.0, sites, 40)
+        window = tfim.coefficient_window(1.0, 0.0, sites, 40)
         with mpmath.workdps(40):
             for n in (-40, -1, 0, 1, 2, 39):
                 total = mpmath.mpf(0)
@@ -125,7 +126,7 @@ class TestCoefficients:
                     omega = 2 * abs(mpmath.sin(phi / 2))
                     total += (mpmath.cos(phi * (n + 1)) - mpmath.cos(phi * n)) / omega
                 exact = total / sites
-                assert abs(seq.coefficient(n).real - exact) < 1e-14
+                assert abs(window[n + 40] - exact) < 1e-14
 
     def test_gibbs_window_leaves_out_zero_mode_at_unit_coupling(self):
         # the R grid's phi = 0 mode has omega = 0 at lambda = 1; its windows
@@ -144,7 +145,7 @@ class TestCoefficients:
 
     def test_odd_sector_zero_mode_guard(self):
         with pytest.raises(ValueError):
-            tfim.toeplitz_coefficient(1.0, 0.0, 8, 0, "odd")
+            tfim.coefficient_window(1.0, 0.0, 8, 0, "odd")
 
 
 class TestCorrelations:
@@ -170,9 +171,18 @@ class TestCorrelations:
                     )
 
 
+def pair_state(p):
+    """Dense two-site state built from the kernel's inputs."""
+    c = tfim.correlations(p)
+    return x_state(c.mz, c.gxx, c.gyy, c.gzz)
+
+
 class TestTwoSiteState:
+    """The X-state the kernel evaluates, built densely from the ring's
+    correlations."""
+
     def test_free_spins_polarized_product(self):
-        rho = tfim.two_site_state(params(0.0, 0.0, 8, 2))
+        rho = pair_state(params(0.0, 0.0, 8, 2))
         proj = np.zeros((4, 4))
         proj[0, 0] = 1.0
         assert np.max(np.abs(rho.matrix - proj)) < 1e-12
@@ -197,7 +207,7 @@ class TestTwoSiteState:
         axes = (sites - 1 - 0, sites - 1 - sep)
         front = np.moveaxis(tensor, axes, (0, 1)).reshape(4, -1)
         oracle_rho = front @ front.conj().T
-        rho = tfim.two_site_state(params(1.0, 0.0, sites, sep))
+        rho = pair_state(params(1.0, 0.0, sites, sep))
         assert np.max(np.abs(rho.matrix - oracle_rho)) < 1e-8
         report = exact.observables(sites, 1.0, 0.0, sep)
         assert tfim.correlation_mi(params(1.0, 0.0, sites, sep)) == pytest.approx(
@@ -205,16 +215,22 @@ class TestTwoSiteState:
         )
 
     def test_marginal_consistency(self):
+        # the kernel's entropies against the dense state's, whose marginals
+        # are the single-site state of magnetization_z
         for lam, temperature, sector in (
             (0.4, 0.0, "even"), (1.0, 0.3, "even"), (1.8, 0.7, "even"),
             (1.3, 0.7, "gibbs"),
         ):
             p = params(lam, temperature, 12, 4, sector)
-            rho_ij = tfim.two_site_state(p)
-            rho_i = tfim.single_site_state(p)
+            rho_ij = pair_state(p)
+            rho_i = site_state(tfim.magnetization_z(lam, temperature, 12, sector))
             for site in (0, 1):
                 marg = density.partial_trace(rho_ij, {site})
                 assert np.max(np.abs(marg.matrix - rho_i.matrix)) < 1e-10
+            (s_i,), (s_ij,), (mi,) = tfim.entropies(lam, temperature, 12, [4], sector)
+            assert s_i == pytest.approx(density.von_neumann_entropy(rho_i), abs=1e-10)
+            assert s_ij == pytest.approx(density.von_neumann_entropy(rho_ij), abs=1e-10)
+            assert mi == pytest.approx(density.mutual_information(rho_ij), abs=1e-10)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -227,6 +243,26 @@ class TestTwoSiteState:
             params(1.0, -0.1, 8, 2)
         with pytest.raises(ValueError):
             params(1.0, 0.0, 8, 2, sector="mixed")
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            params(math.nan, 0.0, 8, 2)
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            params(1.0, math.nan, 8, 2)
+
+    def test_infinite_temperature_is_uncorrelated(self):
+        assert tfim.correlation_mi(params(1.0, math.inf, 12, 3)) == 0.0
+
+
+class TestSuzukiEquivalence:
+    @pytest.mark.parametrize("coupling", [0.5, 1.25, 2.0])
+    def test_ground_state_gxx_is_2d_ising_diagonal_correlation(self, coupling):
+        # the ring's T = 0 symbol is the 2D Ising symbol at
+        # sinh^2(2/T) = lambda (Suzuki, Phys. Lett. A 34, 94 (1971)), so
+        # <sx_0 sx_r> equals <s_{0,0} s_{r,r}> at T = 2/asinh(sqrt(lambda))
+        temperature = 2.0 / math.asinh(math.sqrt(coupling))
+        for r in (1, 5, 10):
+            ring = tfim.correlations(params(coupling, 0.0, 4000, r)).gxx
+            plane = ising2d.diagonal_correlation(temperature, r)
+            assert abs(ring - plane) < 1e-13, r
 
 
 class TestCorrelationMi:
