@@ -208,34 +208,22 @@ def _cmd_oracle(args) -> int:
     lam = getattr(args, "lambda")
     seps = [args.r] if args.r is not None else list(range(1, args.n // 2 + 1))
     oracle = exact.reports(args.n, lam, args.t, seps)
+    mz, gxx, gyy, gzz, mi = tfim.correlations_and_mi(lam, args.t, args.n, seps)
     rows = []
     worst = 0.0
-    for r, report in zip(seps, oracle):
-        params = tfim.TfimParams(
-            coupling=lam, temperature=args.t, sites=args.n, separation=r,
-        )
-        free = tfim.correlations(params)
-        free_mi = tfim.correlation_mi(params)
-        diffs = {
-            "mz": abs(free.mz - report.correlations.mz),
-            "gxx": abs(free.gxx - report.correlations.gxx),
-            "gyy": abs(free.gyy - report.correlations.gyy),
-            "gzz": abs(free.gzz - report.correlations.gzz),
-            "MI": abs(free_mi - report.mi),
-        }
+    for i, (r, report) in enumerate(zip(seps, oracle)):
+        free = {"mz": float(mz), "gxx": float(gxx[i]), "gyy": float(gyy[i]),
+                "gzz": float(gzz[i]), "MI": float(mi[i])}
+        ed = {"mz": report.correlations.mz, "gxx": report.correlations.gxx,
+              "gyy": report.correlations.gyy, "gzz": report.correlations.gzz,
+              "MI": report.mi}
+        diffs = {q: abs(free[q] - ed[q]) for q in free}
         max_abs = max(diffs.values())
         worst = max(worst, max_abs)
         rows.append({
             "r": r,
-            "free_fermion": {
-                "mz": free.mz, "gxx": free.gxx, "gyy": free.gyy,
-                "gzz": free.gzz, "MI": free_mi,
-            },
-            "exact": {
-                "mz": report.correlations.mz, "gxx": report.correlations.gxx,
-                "gyy": report.correlations.gyy, "gzz": report.correlations.gzz,
-                "MI": report.mi,
-            },
+            "free_fermion": free,
+            "exact": ed,
             "abs_diff": diffs,
             "max_abs_diff": max_abs,
         })

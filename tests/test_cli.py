@@ -75,23 +75,30 @@ class TestOracleCompare:
         assert code == 0
         assert out.splitlines()[0] == "r,quantity,free_fermion,exact,abs_diff"
 
-    def test_builds_the_hamiltonian_once(self, capsys, monkeypatch):
-        calls = []
-        build = exact.build_hamiltonian
+    def test_one_diagonalization_without_the_dense_hamiltonian(self, capsys, monkeypatch):
+        def dense(*args):
+            raise AssertionError("the oracle built the 2^N x 2^N Hamiltonian")
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        blocks = []
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr(exact, "build_hamiltonian", counted)
+        def counted(a, *args, **kwargs):
+            # the 4 x 4 two-site states go through eigh in density as well;
+            # every larger matrix is one (parity, momentum) block
+            if a.shape[-1] > 4:
+                blocks.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(exact, "build_hamiltonian", dense)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         code, out, _ = run_cli(
             ["oracle", "compare", "--n", "10", "--lambda", "1.0", "--t", "0.5",
              "--format", "json"],
             capsys,
         )
-        assert code == 3  # the default sector misses the Gibbs state at T > 0
+        assert code == 3  # the even-sector formulas miss the Gibbs state at T > 0
         assert len(json.loads(out)["rows"]) == 5
-        assert calls == [(10, 1.0)]
+        assert 0 < len(blocks) <= 2 * 10
 
 
 class TestFitCommand:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,9 +119,10 @@ class TestGibbsState:
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_finite_temperature_report_consistency(self):
-        # every correlation and MI against the dense full-space reduction
+        # every correlation and MI against the dense full-space reduction,
+        # on odd rings and on rings with short-period orbits too (N = 4, 9)
         for sites, coupling, temperature in itertools.product(
-            (5, 6, 8), (0.5, 1e4), (0.0, 0.8)
+            (3, 4, 5, 6, 7, 8, 9), (0.5, 1e4), (0.0, 0.8)
         ):
             seps = range(1, sites // 2 + 1)
             for report, sep in zip(exact.reports(sites, coupling, temperature, seps), seps):
@@ -132,6 +134,17 @@ class TestGibbsState:
                 assert abs(corr.gyy - _expectation(rho, _SY, _SY)) < 1e-12, where
                 assert abs(corr.gzz - _expectation(rho, _SZ, _SZ)) < 1e-12, where
                 assert abs(report.mi - density.mutual_information(rho)) < 1e-12, where
+
+    def test_memory_stays_within_the_blocks(self):
+        # the full 4096^2 Hamiltonian alone takes 128 MB, the blocks about 15
+        exact.reports(4, 1.0, 0.5, [1])  # lazy numpy and LAPACK set-up
+        tracemalloc.start()
+        try:
+            exact.reports(12, 1.0, 0.5, range(1, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -298,6 +298,19 @@ class TestCorrelationMi:
         # exponential decay steepens without bound on a log-log plot
         assert e_high < e_low - 1.0
 
+    @pytest.mark.parametrize("sector", tfim.SECTORS)
+    def test_batch_over_separations_equals_single_points(self, sector):
+        for lam, temperature, sites in ((0.5, 0.0, 10), (1.0, 0.5, 12), (1.7, 1.0, 30)):
+            seps = range(1, sites // 2 + 1)
+            mz, gxx, gyy, gzz, mi = tfim.correlations_and_mi(
+                lam, temperature, sites, seps, sector
+            )
+            for i, r in enumerate(seps):
+                p = params(lam, temperature, sites, r, sector)
+                c = tfim.correlations(p)
+                assert (c.mz, c.gxx, c.gyy, c.gzz) == (mz, gxx[i], gyy[i], gzz[i])
+                assert tfim.correlation_mi(p) == mi[i]
+
 
 class TestMiOverCouplings:
     STEP = 1e-4
