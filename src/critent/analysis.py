@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -125,8 +125,10 @@ def log_poly_fit(xs, ys, degree: int, full: bool = False) -> FitResult:
     )
 
 
-def _records(model, points, entropies, tag=""):
-    s_i, s_ij, mi = entropies
+def _records(model, rows, entropies, tag=""):
+    """One record per point of the rows, from entropies shaped like them."""
+    points = [p for row in rows for p in row]
+    s_i, s_ij, mi = (np.ravel(v) for v in entropies)
     return [
         SweepRecord(model=model, T=p.get("T"), lam=p.get("lam"), N=p.get("N"),
                     r=p.get("r"), s_i=float(a), s_j=float(a), s_ij=float(b),
@@ -135,77 +137,94 @@ def _records(model, points, entropies, tag=""):
     ]
 
 
-def _eval_dimer(points):
-    (point,) = points
-    return _records("dimer", points, dimer.entropies(point["T"]))
+def _eval_dimer(rows):
+    ((point,),) = rows
+    return _records("dimer", rows, dimer.entropies(point["T"]))
 
 
-def _eval_ising2d(points):
-    ensemble = points[0].get("ensemble", "symmetric")
-    values = ising2d.entropies(points[0]["T"], [p["N"] for p in points], ensemble)
-    return _records("ising2d", points, values, ensemble)
+def _eval_ising2d(rows):
+    ensemble = rows[0][0].get("ensemble", "symmetric")
+    values = ising2d.entropies([row[0]["T"] for row in rows],
+                               [p["N"] for p in rows[0]], ensemble)
+    return _records("ising2d", rows, values, ensemble)
 
 
-def _eval_tfim(points):
-    p = points[0]
+def _eval_tfim(rows):
+    p = rows[0][0]
     sector = p.get("sector", "even")
-    values = tfim.entropies(p["lam"], p["T"], p["N"], [q["r"] for q in points], sector)
-    return _records("tfim", points, values, sector)
+    values = tfim.entropies([row[0]["lam"] for row in rows], p["T"], p["N"],
+                            [q["r"] for q in rows[0]], sector)
+    return _records("tfim", rows, values, sector)
 
 
-# model -> (evaluator of a batch of points, the axis a batch runs along)
+# model -> (evaluator of a batch of rows, the axes one batch spans, the
+# axis one row runs along)
 _MODELS = {
-    "dimer": (_eval_dimer, None),
-    "ising2d": (_eval_ising2d, "N"),
-    "tfim": (_eval_tfim, "r"),
+    "dimer": (_eval_dimer, (), None),
+    "ising2d": (_eval_ising2d, ("T", "N"), "N"),
+    "tfim": (_eval_tfim, ("lam", "r"), "r"),
 }
 
 # canonical axis order for sweep grids, matching the CSV column order
 _AXIS_ORDER = ("T", "lam", "N", "r")
 
 
-def _batches(points, along):
-    """Runs of consecutive points that differ only in the `along` field."""
-    if along is None:
-        return [[p] for p in points]
-
-    def others(point):
-        return [(k, v) for k, v in point.items() if k != along]
-
-    return [list(run) for _, run in groupby(points, key=others)]
+def _group(items, key):
+    """items grouped by key(item); groups and members in first-seen order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
 
 
 def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
     """Evaluate `model` over the cartesian grid in `axes`.
 
     Rows come out in lexicographic order of the canonical axes
-    (T, lambda, N, r) regardless of worker count.  Each run of points that
-    differ only in separation (r for tfim, N for ising2d) is one batch: one
-    coefficient window sized for its largest separation, one vectorized
-    entropy evaluation.  Workers are threads over batches; they keep the
-    output identical and are not a speed-up.  A point that fails with a
-    domain error (ValueError, ConvergenceError) becomes an error row
+    (T, lambda, N, r) regardless of worker count.  The grid points that
+    differ only in the model's two grid axes, (lambda, r) for tfim and
+    (T, N) for ising2d, are one batch: one coefficient window per coupling
+    or temperature, one stacked determinant call per separation and one
+    vectorized entropy evaluation (tfim.entropies, ising2d.entropies); a
+    dimer batch is one point.  Workers are threads over batches; they keep
+    the output identical and are not a speed-up.  A point that fails with
+    a domain error (ValueError, ConvergenceError) becomes an error row
     (tag = "error: ...") instead of aborting the sweep: a batch that raises
-    one is evaluated again point by point.  Any other exception propagates.
+    one is evaluated again one row (one coupling or temperature) at a
+    time, and a row that raises one point by point, so each error row
+    carries its own point's message.  Any other exception propagates.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-    evaluator, along = _MODELS[model]
+    evaluator, spans, along = _MODELS[model]
     fixed = dict(fixed or {})
     names = [n for n in _AXIS_ORDER if n in axes]
     extra = set(axes) - set(names)
     if extra:
         raise ValueError(f"unknown grid axes {sorted(extra)}")
     grids = [list(axes[n]) for n in names]
-    points = [dict(zip(names, combo), **fixed) for combo in product(*grids)]
+    cells = list(product(*(range(len(g)) for g in grids)))
+    points = [dict(zip(names, (g[i] for g, i in zip(grids, cell))), **fixed)
+              for cell in cells]
 
-    def run_batch(batch):
+    def key(skip):
+        kept = [k for k, n in enumerate(names) if n not in skip]
+        return lambda i: tuple(cells[i][k] for k in kept)
+
+    # batches of rows of point indices
+    batches = [_group(batch, key({along}))
+               for batch in _group(range(len(points)), key(spans))]
+
+    def run_batch(rows):
         try:
-            return evaluator(batch)
+            return evaluator([[points[i] for i in row] for row in rows])
         except (ValueError, ConvergenceError) as exc:
-            if len(batch) > 1:
-                return [rec for point in batch for rec in run_batch([point])]
-            (point,) = batch
+            if len(rows) > 1:
+                return [rec for row in rows for rec in run_batch([row])]
+            (row,) = rows
+            if len(row) > 1:
+                return [rec for i in row for rec in run_batch([[i]])]
+            point = points[row[0]]
             return [SweepRecord(
                 model=model,
                 T=point.get("T"),
@@ -215,13 +234,16 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
                 tag=f"error: {exc}",
             )]
 
-    batches = _batches(points, along)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_batch, batches))
     else:
         done = [run_batch(b) for b in batches]
-    return [rec for records in done for rec in records]
+    records = [None] * len(points)
+    for rows, recs in zip(batches, done):
+        for i, rec in zip((i for row in rows for i in row), recs):
+            records[i] = rec
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def _grid(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
 
 
+def _finite_temperatures(*temperatures) -> None:
+    """The dimer, tfim and oracle commands take T = inf as a usage error:
+    JSON has no infinity to print it with, and CSV follows suit."""
+    if any(math.isinf(t) for t in temperatures):
+        raise ValueError("temperature must be finite")
+
+
 def _fit_payload(fit: FitResult, **extra) -> dict:
     payload = fit.to_dict()
     if fit.kind == "power_law":
@@ -74,6 +81,7 @@ def _fit_payload(fit: FitResult, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_dimer(args) -> int:
+    _finite_temperatures(args.t_min, args.t_max)
     records = analysis.sweep(
         "dimer",
         axes={"T": _grid(args.t_min, args.t_max, args.t_count)},
@@ -139,6 +147,7 @@ def _cmd_ising2d(args) -> int:
 
 
 def _cmd_tfim(args) -> int:
+    _finite_temperatures(args.t)
     if args.action == "mi":
         records = analysis.sweep(
             "tfim",
@@ -205,6 +214,7 @@ def _cmd_tfim(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _finite_temperatures(args.t)
     lam = getattr(args, "lambda")
     seps = [args.r] if args.r is not None else list(range(1, args.n // 2 + 1))
     oracle = exact.reports(args.n, lam, args.t, seps)

@@ -18,6 +18,10 @@ coefficient_window returns them as a plain real array, a_n at index
 n + n_max; the trapezoid quadrature of phi (tests/oracles.py) is the tests'
 reference.
 
+diagonal_correlations and entropies take one temperature or a sequence of
+them; a sequence gives a (temperatures, separations) grid from one window
+per temperature and one stacked determinant call per N.
+
 Separations N are in units of sqrt(2) lattice constants.  Two statistical
 descriptions of the ordered phase are supported:
 
@@ -34,7 +38,7 @@ import numpy as np
 
 from .density import x_state_entropies
 from .errors import ConvergenceError, ModelConsistencyError
-from .numerics import toeplitz_determinant
+from .numerics import toeplitz_determinants
 
 ENSEMBLES = ("symmetric", "broken")
 _TINY = math.ulp(0.0)
@@ -141,19 +145,25 @@ def coefficient_window(temperature: float, n_max: int) -> np.ndarray:
     return values
 
 
-def diagonal_correlations(temperature: float, separations) -> np.ndarray:
-    """<s_{0,0} s_{N,N}> for each N in separations, as N x N Toeplitz
-    determinants of a_{i-j} from one coefficient window."""
+def diagonal_correlations(temperature, separations) -> np.ndarray:
+    """<s_{0,0} s_{N,N}> for each N in separations at one temperature, or
+    over (temperatures, separations) when `temperature` is a sequence, as
+    N x N Toeplitz determinants of a_{i-j}: one coefficient window per
+    temperature sized for the largest N, stacked, then one stacked
+    determinant call per N over every temperature."""
+    temperatures = list(temperature) if np.ndim(temperature) else [temperature]
     separations = [int(n) for n in separations]
     if min(separations) < 1:
         raise ValueError("separation must be >= 1")
-    window = coefficient_window(temperature, max(separations) - 1)
-    values = np.array([toeplitz_determinant(window, n) for n in separations])
-    bad = np.flatnonzero(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
+    n_max = max(separations) - 1
+    windows = np.array([coefficient_window(t, n_max) for t in temperatures])
+    values = np.transpose([toeplitz_determinants(windows, n) for n in separations])
+    bad = np.argwhere(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
     if bad.size:
-        raise ModelConsistencyError(f"correlation {values[bad[0]]:.6g} outside [-1, 1] "
-                                    f"at T={temperature}, N={separations[bad[0]]}")
-    return values
+        i, j = bad[0]
+        raise ModelConsistencyError(f"correlation {values[i, j]:.6g} outside [-1, 1] "
+                                    f"at T={temperatures[i]}, N={separations[j]}")
+    return values if np.ndim(temperature) else values[0]
 
 
 def diagonal_correlation(temperature: float, separation: int) -> float:
@@ -169,8 +179,9 @@ def _magnetization(temperature: float, ensemble: str) -> float:
 
 def _check_elements(g, m) -> None:
     """Check that the state's diagonal u+, u-, w = (1 + 2m + G)/4,
-    (1 - 2m + G)/4, (1 - G)/4 lies in [-1e-10, 1]."""
-    g = np.atleast_1d(g)
+    (1 - 2m + G)/4, (1 - G)/4 lies in [-1e-10, 1], for arrays g and m of
+    one shape."""
+    g, m = np.ravel(g), np.ravel(m)
     elements = (("u+", (1.0 + 2.0 * m + g) / 4.0), ("u-", (1.0 - 2.0 * m + g) / 4.0),
                 ("w", (1.0 - g) / 4.0))
     for name, val in elements:
@@ -178,18 +189,23 @@ def _check_elements(g, m) -> None:
         if bad.size:
             raise ModelConsistencyError(
                 f"element {name} = {val[bad[0]]:.6g} outside [0, 1] "
-                f"(G = {g[bad[0]]:.6g}, m = {m:.6g})"
+                f"(G = {g[bad[0]]:.6g}, m = {m[bad[0]]:.6g})"
             )
 
 
-def entropies(temperature: float, separations, ensemble: str = "symmetric"):
-    """(S_i, S_ij, MI) in bits as arrays over the separations, from one
-    coefficient window and the closed-form X-state kernel fed the connected
-    correlation G - m^2."""
-    m = _magnetization(temperature, ensemble)
-    g = diagonal_correlations(temperature, separations)
+def entropies(temperature, separations, ensemble: str = "symmetric"):
+    """(S_i, S_ij, MI) in bits as arrays over the separations at one
+    temperature, or over (temperatures, separations) when `temperature` is
+    a sequence: the stacked determinants of diagonal_correlations, one
+    element check and one call of the closed-form X-state kernel, fed the
+    connected correlation G - m^2, for the whole grid."""
+    m = np.array([[_magnetization(t, ensemble)] for t in np.atleast_1d(temperature)])
+    g = np.atleast_2d(diagonal_correlations(temperature, separations))
+    g, m = np.broadcast_arrays(g, m)
     _check_elements(g, m)
-    return x_state_entropies(m, 0.0, 0.0, g - m * m)
+    values = x_state_entropies(np.ravel(m), 0.0, 0.0, np.ravel(g - m * m))
+    values = tuple(v.reshape(g.shape) for v in values)
+    return values if np.ndim(temperature) else tuple(v[0] for v in values)
 
 
 def correlation_mi(

@@ -82,28 +82,31 @@ def toeplitz_determinant(window, dim: int, row_shift: int = 0) -> float:
     return float(toeplitz_determinants(np.atleast_2d(window), dim, row_shift)[0])
 
 
-def toeplitz_determinants(windows, dim: int, row_shift: int = 0) -> np.ndarray:
+def toeplitz_determinants(windows, dim: int, row_shift: int | range = 0) -> np.ndarray:
     """toeplitz_determinant for each row of the real 2-D `windows`, whose
     rows hold a_n for |n| <= n_max at index n + n_max (width 2 n_max + 1):
     one stacked slogdet over a zero-copy strided view whose element
     (k, i, j) is windows[k, i - j + row_shift + n_max], never a
-    (rows, dim, dim) copy.  Sign/log-magnitude form (pivoted LU underneath)
-    keeps deep sub-unit diagonals from underflowing before the final
+    (rows, dim, dim) copy.  A range of shifts is one call too, over a view
+    with a leading axis s for the shift row_shift[s]; the result is then
+    (shifts, rows).  Sign/log-magnitude form (pivoted LU underneath) keeps
+    deep sub-unit diagonals from underflowing before the final
     exponentiation.
     """
+    shifts = row_shift if isinstance(row_shift, range) else range(row_shift, row_shift + 1)
     n_max = (windows.shape[1] - 1) // 2
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    lo, hi = row_shift - (dim - 1), row_shift + (dim - 1)
+    lo, hi = min(shifts) - (dim - 1), max(shifts) + (dim - 1)
     if lo < -n_max or hi > n_max:
         raise ValueError(f"window covers [{-n_max}, {n_max}] but the "
                          f"{dim}x{dim} matrix needs [{lo}, {hi}]")
     row, col = windows.strides
     stack = np.lib.stride_tricks.as_strided(
-        windows[:, row_shift + n_max:], shape=(len(windows), dim, dim),
-        strides=(row, col, -col), writeable=False,
+        windows[:, shifts.start + n_max:], shape=(len(shifts), len(windows), dim, dim),
+        strides=(shifts.step * col, row, col, -col), writeable=False,
     )
-    sign, logabs = np.linalg.slogdet(stack)
+    sign, logabs = np.linalg.slogdet(stack if isinstance(row_shift, range) else stack[0])
     return sign * np.exp(logabs)
 
 

@@ -29,6 +29,13 @@ Correlations at separation r (lattice constants, r <= N/2):
 
 where a_n are the Wick-contraction coefficients below and <sz> = -a_0.
 The two-site reduced state is block diagonal in the parity of the pair.
+
+entropies evaluates a whole (couplings, separations) grid at fixed
+(T, N, sector): one window per coupling, one stacked determinant call per
+separation, one range check and one X-state kernel call;
+correlations_and_mi and mi_over_couplings are its one-coupling and
+one-separation cases.  correlations and correlation_mi take one point
+through coefficient_window and toeplitz_determinant, the same floats.
 """
 
 from __future__ import annotations
@@ -260,31 +267,64 @@ def _gibbs_arrays(coupling, temperature, sites, separations):
 
 
 def _correlation_arrays(coupling, temperature, sites, separations, sector):
-    """mz, then gxx, gyy, gzz and the connected czz = gzz - mz^2 as arrays
-    over separations, all from one coefficient window sized for the largest.
+    """mz over the couplings, then gxx, gyy, gzz and the connected
+    czz = gzz - mz^2 over (couplings, separations); for one coupling (a
+    scalar) mz is a scalar and the rest are arrays over the separations.
 
-    Validates the parameters as TfimParams does, with its messages.
+    One coefficient window per coupling, sized for the largest separation,
+    stacked into one array; per separation, one stacked determinant call
+    over every window and both shifts; mz and czz by indexing.  The Gibbs
+    route at T > 0 goes coupling by coupling.  Validates the parameters as
+    TfimParams does, with its messages.
     """
+    couplings = np.atleast_1d(np.asarray(coupling, dtype=float))
     for r in (min(separations), max(separations)):
-        TfimParams(coupling, temperature, sites, r, sector)
-    if sector == "gibbs":
-        if temperature > 0:
-            return _gibbs_arrays(coupling, temperature, sites, separations)
-        sector = "even"
-    n_max = max(separations)
-    a = coefficient_window(coupling, temperature, sites, n_max, sector)
-    gxx = np.array([toeplitz_determinant(a, r, row_shift=-1) for r in separations])
-    gyy = np.array([toeplitz_determinant(a, r, row_shift=+1) for r in separations])
-    lags = np.asarray(separations)  # a_n sits at n + n_max
-    mz = -float(a[n_max])
-    # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
-    czz = -(a[n_max + lags] * a[n_max - lags])
-    return mz, gxx, gyy, mz * mz + czz, czz
+        TfimParams(float(couplings.min()), temperature, sites, r, sector)
+    if sector == "gibbs" and temperature > 0:
+        rows = [_gibbs_arrays(lam, temperature, sites, separations) for lam in couplings]
+        grid = tuple(np.array(v) for v in zip(*rows))
+    else:
+        n_max = max(separations)
+        # the Gibbs state at T = 0 is the even sector's ground state
+        phi = momenta(sites, "even" if sector == "gibbs" else sector)
+        a = np.array([  # row k: a_n at n + n_max for couplings[k]
+            _window_values(lam, phi, _thermal_factor(lam, temperature, phi), n_max)
+            for lam in couplings
+        ])
+        # (separations, shifts -1 and +1, couplings) -> two (couplings, separations)
+        gxx, gyy = np.transpose(
+            [toeplitz_determinants(a, r, row_shift=range(-1, 2, 2)) for r in separations],
+            (1, 2, 0),
+        )
+        lags = np.asarray(separations)
+        mz = -a[:, n_max]
+        # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
+        czz = -(a[:, n_max + lags] * a[:, n_max - lags])
+        grid = mz, gxx, gyy, (mz * mz)[:, None] + czz, czz
+    return grid if np.ndim(coupling) else tuple(v[0] for v in grid)
+
+
+def _point(params: TfimParams):
+    """(mz, gxx, gyy, gzz, czz) at one point through the per-point layers:
+    one coefficient_window and two toeplitz_determinant calls.  They
+    factorize the matrices the grid path stacks, so the floats are the
+    same; the sweep tests hold the two routes to each other bit for bit."""
+    lam, temperature, sites, r, sector = (
+        params.coupling, params.temperature, params.sites, params.separation, params.sector
+    )
+    if sector == "gibbs" and temperature > 0:
+        mz, *rest = _gibbs_arrays(lam, temperature, sites, [r])
+        return (mz, *(v[0] for v in rest))
+    a = coefficient_window(lam, temperature, sites, r, "even" if sector == "gibbs" else sector)
+    mz = -float(a[r])
+    czz = -(a[2 * r] * a[0])
+    return (mz, toeplitz_determinant(a, r, row_shift=-1),
+            toeplitz_determinant(a, r, row_shift=+1), mz * mz + czz, czz)
 
 
 def _check_range(mz, gxx, gyy, gzz) -> None:
     for name, v in (("mz", mz), ("gxx", gxx), ("gyy", gyy), ("gzz", gzz)):
-        v = np.atleast_1d(v)
+        v = np.ravel(v)
         bad = np.flatnonzero(~((-1.0 - 1e-8 <= v) & (v <= 1.0 + 1e-8)))
         if bad.size:
             raise ModelConsistencyError(f"{name} = {v[bad[0]]:.6g} outside [-1, 1]")
@@ -292,77 +332,74 @@ def _check_range(mz, gxx, gyy, gzz) -> None:
 
 def correlations(params: TfimParams) -> CorrelationSet:
     """All four correlation entries at one parameter point."""
-    mz, gxx, gyy, gzz, _ = _correlation_arrays(
-        params.coupling, params.temperature, params.sites,
-        [params.separation], params.sector,
-    )
-    return CorrelationSet(mz=mz, gxx=float(gxx[0]), gyy=float(gyy[0]), gzz=float(gzz[0]))
+    return CorrelationSet(*(float(v) for v in _point(params)[:4]))
 
 
 def entropies(coupling, temperature, sites, separations, sector="even"):
-    """(S_i, S_ij, MI) in bits as arrays over the separations, from one
-    coefficient window and the closed-form X-state kernel."""
-    separations = list(separations)
-    mz, gxx, gyy, gzz, czz = _correlation_arrays(
-        coupling, temperature, sites, separations, sector
-    )
-    return _x_state(mz, gxx, gyy, gzz, czz, f"at separations {separations}")
+    """(S_i, S_ij, MI) in bits as arrays over the separations at one
+    coupling, or over (couplings, separations) when `coupling` is a
+    sequence: the grid path of _correlation_arrays, then one range check
+    and one X-state kernel call for the whole grid."""
+    couplings = np.atleast_1d(coupling)
+    values = _entropy_grid(couplings, temperature, sites, separations, sector)[-1]
+    return values if np.ndim(coupling) else tuple(v[0] for v in values)
 
 
 def correlations_and_mi(coupling, temperature, sites, separations, sector="even"):
     """(mz, gxx, gyy, gzz, MI) with gxx, gyy, gzz and MI as arrays over the
-    separations, from one coefficient window: the floats correlations and
-    correlation_mi give one separation at a time."""
-    separations = list(separations)
-    mz, gxx, gyy, gzz, czz = _correlation_arrays(
-        coupling, temperature, sites, separations, sector
+    separations: the one-coupling case of the grid path, the floats
+    correlations and correlation_mi give one separation at a time."""
+    mz, gxx, gyy, gzz, (_, _, mi) = _entropy_grid(
+        [coupling], temperature, sites, separations, sector
     )
-    _, _, mi = _x_state(mz, gxx, gyy, gzz, czz, f"at separations {separations}")
-    return mz, gxx, gyy, gzz, mi
+    return float(mz[0]), gxx[0], gyy[0], gzz[0], mi[0]
 
 
 def mi_over_couplings(couplings, temperature, sites, separation, sector="even"):
     """Two-site MI in bits at one (T, N, r) for each coupling, each the same
-    float as correlation_mi: a window per coupling, one stacked determinant
-    per quantity and one kernel call.  Single sectors ("even", "odd") only.
+    float as correlation_mi: the one-separation case of the grid path.
+    Single sectors ("even", "odd") only.
 
     Validates the parameters as TfimParams does, with its messages.
     """
-    couplings = np.asarray(couplings, dtype=float)
-    TfimParams(float(couplings.min()), temperature, sites, separation, sector)
-    r, phi = separation, momenta(sites, sector)
-    a = np.empty((len(couplings), 2 * r + 1))  # row k: a_n at n + r
-    for row, lam in zip(a, couplings):
-        row[:] = _window_values(lam, phi, _thermal_factor(lam, temperature, phi), r)
-    gxx = toeplitz_determinants(a, r, row_shift=-1)
-    gyy = toeplitz_determinants(a, r, row_shift=+1)
-    mz = -a[:, r]
-    czz = -(a[:, 2 * r] * a[:, 0])
-    where = f"at couplings {couplings.tolist()}"
-    return _x_state(mz, gxx, gyy, mz * mz + czz, czz, where)[2]
+    if sector == "gibbs":
+        raise ValueError("momentum grids exist for sectors 'even' and 'odd'")
+    return _entropy_grid(couplings, temperature, sites, [separation], sector)[-1][2][:, 0]
+
+
+def _entropy_grid(couplings, temperature, sites, separations, sector):
+    """mz over the couplings; gxx, gyy, gzz and (S_i, S_ij, MI) over
+    (couplings, separations)."""
+    couplings, separations = np.asarray(couplings, dtype=float), list(separations)
+    mz, gxx, gyy, gzz, czz = _correlation_arrays(
+        couplings, temperature, sites, separations, sector
+    )
+    where = f"at couplings {couplings.tolist()}, separations {separations}"
+    return mz, gxx, gyy, gzz, _x_state(mz, gxx, gyy, gzz, czz, where)
 
 
 def _x_state(mz, gxx, gyy, gzz, czz, where):
-    """Range check, then the X-state kernel; an invalid state is a model
-    error naming the point, or `where` for a batch of several."""
+    """Range check, then one X-state kernel call over the (couplings,
+    separations) grid, with mz over the couplings.  An invalid state is a
+    model error naming the point, or `where` for a grid of several."""
+    mz = np.broadcast_to(mz[:, None], gxx.shape)
     _check_range(mz, gxx, gyy, gzz)
     try:
-        return x_state_entropies(mz, gxx, gyy, czz)
+        values = x_state_entropies(*(np.ravel(v) for v in (mz, gxx, gyy, czz)))
     except ValidationError as exc:
-        if len(gxx) == 1:
-            where = CorrelationSet(*(float(np.ravel(v)[0]) for v in (mz, gxx, gyy, gzz)))
+        if gxx.size == 1:
+            where = CorrelationSet(*(float(v[0, 0]) for v in (mz, gxx, gyy, gzz)))
         raise ModelConsistencyError(
             f"correlations {where} gave an invalid two-site state: {exc}"
         ) from exc
+    return tuple(v.reshape(gxx.shape) for v in values)
 
 
 def correlation_mi(params: TfimParams) -> float:
-    """Two-site mutual information, in bits."""
-    _, _, mi = entropies(
-        params.coupling, params.temperature, params.sites,
-        [params.separation], params.sector,
-    )
-    return float(mi[0])
+    """Two-site mutual information, in bits, from the one-point route."""
+    mz, *rest = _point(params)
+    _, _, mi = _x_state(np.array([mz]), *(np.array([[v]]) for v in rest), None)
+    return float(mi[0, 0])
 
 
 def ground_energy(coupling: float, sites: int, sector: str = "even") -> float:

@@ -14,6 +14,19 @@ from critent.analysis import (
 from critent.errors import ConvergenceError
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the
+    list of records."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestCentralDerivative:
     def test_step_halving_consistency(self):
         # just off the critical coupling, where the curvature stays bounded
@@ -201,6 +214,59 @@ class TestSweep:
                 ising2d.correlation_mi(t, rec.N)
             assert rec.tag == f"error: {failure.value}"
         assert records[0].tag != records[1].tag
+
+    def test_tfim_grid_is_one_batch(self, monkeypatch):
+        kernel = count_calls(monkeypatch, tfim, "x_state_entropies")
+        slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
+        records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]},
+                        fixed={"N": 12, "T": 0.0})
+        assert len(records) == 18 and all(rec.mi is not None for rec in records)
+        assert len(slogdet) <= 6  # one per separation, both shifts in one call
+        assert len(kernel) == 1
+
+    def test_ising_grid_is_one_batch(self, monkeypatch):
+        kernel = count_calls(monkeypatch, ising2d, "x_state_entropies")
+        slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
+        records = sweep("ising2d", axes={"T": [1.8, 2.3, 3.0], "N": [1, 2, 5, 9, 20]})
+        assert len(records) == 15 and all(rec.mi is not None for rec in records)
+        assert len(slogdet) <= 5  # one per separation
+        assert len(kernel) == 1
+
+    def test_failing_grid_is_redone_row_by_row(self, monkeypatch):
+        # at T = 0 the odd sector's phi = 0 mode is gapless at coupling 1
+        # only: that row fails, the other two rows are one kernel call each
+        kernel = count_calls(monkeypatch, tfim, "x_state_entropies")
+        records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.5], "r": [1, 2, 3]},
+                        fixed={"N": 12, "T": 0.0, "sector": "odd"})
+        assert len(kernel) == 2
+        assert [(rec.lam, rec.r) for rec in records] == [
+            (lam, r) for lam in (0.5, 1.0, 1.5) for r in (1, 2, 3)
+        ]
+        for rec in records:
+            if rec.lam == 1.0:
+                assert rec.mi is None
+                assert rec.tag == "error: gapless momentum at T = 0 (odd sector at coupling 1)"
+            else:
+                assert rec.tag == "odd"
+                point = tfim.TfimParams(rec.lam, 0.0, 12, rec.r, "odd")
+                assert rec.mi == tfim.correlation_mi(point)
+        # one temperature's window breaks Parseval's bound; only its row fails,
+        # each error row with its own point's message
+        elliptic, (bad_x, _) = ising2d._elliptic, ising2d._modulus(2.3)
+        monkeypatch.setattr(ising2d, "_elliptic", lambda x: (
+            (2.0 * elliptic(x)[0], elliptic(x)[1]) if x == bad_x else elliptic(x)))
+        kernel = count_calls(monkeypatch, ising2d, "x_state_entropies")
+        records = sweep("ising2d", axes={"T": [1.8, 2.3, 3.0], "N": [1, 2, 5]})
+        assert len(kernel) == 2
+        assert len(records) == 9
+        for rec in records:
+            if rec.T == 2.3:
+                with pytest.raises(ConvergenceError) as failure:
+                    ising2d.correlation_mi(rec.T, rec.N)
+                assert rec.tag == f"error: {failure.value}"
+            else:
+                assert rec.mi == ising2d.correlation_mi(rec.T, rec.N)
+        assert len({rec.tag for rec in records if rec.T == 2.3}) == 3
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

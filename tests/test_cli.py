@@ -230,6 +230,21 @@ class TestConfigAndErrors:
         assert len(rows) == 3
         assert all(r.endswith(",error: temperature must be finite and > 0") for r in rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", [
+        ["dimer", "--t-min", "inf", "--t-count", "1"],
+        ["dimer", "--t-max", "inf", "--t-count", "3"],
+        ["tfim", "mi", "--t", "inf"],
+        ["tfim", "sweep", "--t", "inf", "--lambda-count", "2"],
+        ["oracle", "compare", "--n", "6", "--t", "inf"],
+    ])
+    def test_infinite_temperature_exits_one(self, capsys, args, fmt):
+        # JSON has no infinity; every format refuses it the same way
+        code, out, err = run_cli(args + ["--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        assert "temperature must be finite" in err
+
     def test_nan_dimer_temperature_is_an_error_row(self, capsys):
         code, out, _ = run_cli(["dimer", "--t-min", "nan", "--t-count", "1"], capsys)
         assert code == 0

@@ -186,6 +186,28 @@ class TestToeplitzDeterminants:
         assert np.shares_memory(stack, windows)
         assert stack[2, 3, 1] == windows[2, 3 - 1 + 1 + 4]
 
+    def test_range_of_shifts_is_one_call_on_the_same_view(self, monkeypatch):
+        windows = np.random.default_rng(11).standard_normal((5, 33))
+        seen = []
+        slogdet = np.linalg.slogdet
+
+        def spy(stack):
+            seen.append(stack)
+            return slogdet(stack)
+
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
+        both = toeplitz_determinants(windows, 8, row_shift=range(-1, 2, 2))
+        (stack,) = seen
+        assert stack.shape == (2, 5, 8, 8)
+        assert np.shares_memory(stack, windows)
+        assert both.tolist() == [
+            toeplitz_determinants(windows, 8, row_shift=shift).tolist() for shift in (-1, 1)
+        ]
+        # the window must hold every shift's matrix: [-16, 16] fits, 18 does not
+        assert toeplitz_determinants(windows, 16, row_shift=range(-1, 2, 2)).shape == (2, 5)
+        with pytest.raises(ValueError, match=r"needs \[-16, 18\]"):
+            toeplitz_determinants(windows, 16, row_shift=range(-1, 4, 2))
+
     def test_too_narrow_window(self):
         windows = np.ones((2, 5))  # a_n for |n| <= 2
         with pytest.raises(ValueError, match=r"needs \[-3, 3\]"):
