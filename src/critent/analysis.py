@@ -67,11 +67,6 @@ class FitResult:
         return d
 
 
-def derivative_at(f, x: float, step: float) -> float:
-    """Two-point central difference of a scalar function."""
-    return (f(x + step) - f(x - step)) / (2.0 * step)
-
-
 def power_law_fit(xs, ys) -> FitResult:
     """Least squares of ln y on ln x: y = amplitude * x^exponent."""
     xs = np.asarray(xs, dtype=float)
@@ -125,16 +120,18 @@ def log_poly_fit(xs, ys, degree: int, full: bool = False) -> FitResult:
     )
 
 
+def _record(model, point, **values):
+    """The sweep row of one grid point, a dict of its parameters."""
+    return SweepRecord(model=model, T=point.get("T"), lam=point.get("lam"),
+                       N=point.get("N"), r=point.get("r"), **values)
+
+
 def _records(model, rows, entropies, tag=""):
     """One record per point of the rows, from entropies shaped like them."""
     points = [p for row in rows for p in row]
     s_i, s_ij, mi = (np.ravel(v) for v in entropies)
-    return [
-        SweepRecord(model=model, T=p.get("T"), lam=p.get("lam"), N=p.get("N"),
-                    r=p.get("r"), s_i=float(a), s_j=float(a), s_ij=float(b),
-                    mi=float(c), tag=tag)
-        for p, a, b, c in zip(points, s_i, s_ij, mi)
-    ]
+    return [_record(model, p, s_i=float(a), s_j=float(a), s_ij=float(b), mi=float(c), tag=tag)
+            for p, a, b, c in zip(points, s_i, s_ij, mi)]
 
 
 def _eval_dimer(rows):
@@ -224,15 +221,7 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
             (row,) = rows
             if len(row) > 1:
                 return [rec for i in row for rec in run_batch([[i]])]
-            point = points[row[0]]
-            return [SweepRecord(
-                model=model,
-                T=point.get("T"),
-                lam=point.get("lam"),
-                N=point.get("N"),
-                r=point.get("r"),
-                tag=f"error: {exc}",
-            )]
+            return [_record(model, points[row[0]], tag=f"error: {exc}")]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -262,9 +251,12 @@ NN_SCALING_SITES = (64, 128, 256, 512, 1024, 2048, 4096)
 FAR_SCALING_SITES = (32, 64, 128, 256, 512)
 
 
-def _tc_step(offset: float) -> float:
-    # keep the stencil clear of the singularity at T_c
-    return min(1e-3, offset / 10.0)
+def _central_differences(mi_at, xs, steps) -> np.ndarray:
+    """(f(x + h) - f(x - h)) / (2h) at each x with its step h (one for
+    all, or one per x), the whole stencil x +- h in one call of mi_at = f."""
+    xs, steps = np.broadcast_arrays(np.asarray(xs, dtype=float), steps)
+    plus, minus = np.split(mi_at(np.concatenate([xs + steps, xs - steps])), 2)
+    return (plus - minus) / (2.0 * steps)
 
 
 def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
@@ -288,14 +280,11 @@ def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
         sign = +1.0
     else:
         raise ValueError("side must be 'below' or 'above'")
-    derivs = np.array([
-        derivative_at(
-            lambda T: ising2d.correlation_mi(T, separation),
-            tc + sign * t,
-            _tc_step(t),
-        )
-        for t in offsets
-    ])
+    derivs = _central_differences(
+        lambda ts: ising2d.entropies(ts, [separation])[2][:, 0],
+        tc + sign * offsets,
+        np.minimum(1e-3, offsets / 10.0),  # clear of the singularity at T_c
+    )
     if side == "below":
         fit = power_law_fit(offsets, np.abs(derivs))
     else:
@@ -314,14 +303,12 @@ def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
 
 
 def _tfim_derivatives(couplings, sites: int, separation: int, step: float) -> np.ndarray:
-    """derivative_at of the T = 0 MI(0, r) at each coupling: the whole
-    stencil lambda +- step is one batch."""
-    couplings = np.asarray(couplings, dtype=float)
-    mi = tfim.mi_over_couplings(
-        np.concatenate([couplings + step, couplings - step]), 0.0, sites, separation
+    """Central differences of the T = 0 MI(0, r) at each coupling: the
+    whole stencil lambda +- step is one batch."""
+    return _central_differences(
+        lambda lams: tfim.mi_over_couplings(lams, 0.0, sites, separation),
+        couplings, step,
     )
-    plus, minus = np.split(mi, 2)
-    return (plus - minus) / (2.0 * step)
 
 
 def tfim_nn_scaling(sites_list=NN_SCALING_SITES, step: float = SCALING_STEP) -> dict:
@@ -404,20 +391,16 @@ def records_to_csv(records, model: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_none(value):
+    """JSON has no NaN or infinity: such a parameter is written as null."""
+    return value if value is None or math.isfinite(value) else None
+
+
 def records_to_json(records) -> dict:
-    """JSON payload matching schemas/sweep.schema.json."""
-    rows = []
-    for rec in records:
-        rows.append({
-            "model": rec.model,
-            "T": rec.T,
-            "lambda": rec.lam,
-            "N": rec.N,
-            "r": rec.r,
-            "S_i": rec.s_i,
-            "S_j": rec.s_j,
-            "S_ij": rec.s_ij,
-            "MI": rec.mi,
-            "tag": rec.tag,
-        })
-    return {"records": rows}
+    """JSON payload matching schemas/sweep.schema.json; a non-finite T or
+    lambda (an error row's parameter) is null."""
+    return {"records": [{
+        "model": rec.model, "T": _finite_or_none(rec.T), "lambda": _finite_or_none(rec.lam),
+        "N": rec.N, "r": rec.r, "S_i": rec.s_i, "S_j": rec.s_j, "S_ij": rec.s_ij,
+        "MI": rec.mi, "tag": rec.tag,
+    } for rec in records]}

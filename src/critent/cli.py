@@ -100,21 +100,14 @@ def _cmd_ising2d(args) -> int:
             lines.append(f"ising2d,{args.t:.12g},{n},{g:.12g}")
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
-    if args.action == "mi":
-        records = analysis.sweep(
-            "ising2d",
-            axes={"T": [args.t], "N": list(range(args.n_min, args.n_max + 1))},
-            fixed={"ensemble": args.ensemble},
-            workers=args.workers,
-        )
-        _records_out(records, args.format, args.output)
-        return EXIT_OK
-    if args.action == "sweep":
+    if args.action in ("mi", "sweep"):
+        # mi is the one-temperature grid, every N from --n-min to --n-max
+        one_t = args.action == "mi"
         records = analysis.sweep(
             "ising2d",
             axes={
-                "T": _grid(args.t_min, args.t_max, args.t_count),
-                "N": list(range(args.n_min, args.n_max + 1, args.n_step)),
+                "T": [args.t] if one_t else _grid(args.t_min, args.t_max, args.t_count),
+                "N": list(range(args.n_min, args.n_max + 1, 1 if one_t else args.n_step)),
             },
             fixed={"ensemble": args.ensemble},
             workers=args.workers,
@@ -138,35 +131,22 @@ def _cmd_ising2d(args) -> int:
             ok = result["relative_residual"] < 0.05
             payload["check"] = {"max_relative_residual": 0.05, "passed": ok}
         payload["passed"] = ok
-        _emit_json(payload, args.output)
-        if not ok:
-            raise CheckFailure(f"ising2d exponents --side {args.side}")
-        return EXIT_OK
     _emit_json(payload, args.output)
+    if args.check and not ok:
+        raise CheckFailure(f"ising2d exponents --side {args.side}")
     return EXIT_OK
 
 
 def _cmd_tfim(args) -> int:
     _finite_temperatures(args.t)
-    if args.action == "mi":
+    if args.action in ("mi", "sweep"):
+        # mi is the one-coupling grid
         records = analysis.sweep(
             "tfim",
             axes={
                 "T": [args.t],
-                "lam": [getattr(args, "lambda")],
-                "r": list(range(args.r_min, args.r_max + 1, args.r_step)),
-            },
-            fixed={"N": args.n, "sector": args.sector},
-            workers=args.workers,
-        )
-        _records_out(records, args.format, args.output)
-        return EXIT_OK
-    if args.action == "sweep":
-        records = analysis.sweep(
-            "tfim",
-            axes={
-                "T": [args.t],
-                "lam": _grid(args.lambda_min, args.lambda_max, args.lambda_count),
+                "lam": ([getattr(args, "lambda")] if args.action == "mi"
+                        else _grid(args.lambda_min, args.lambda_max, args.lambda_count)),
                 "r": list(range(args.r_min, args.r_max + 1, args.r_step)),
             },
             fixed={"N": args.n, "sector": args.sector},
@@ -205,11 +185,9 @@ def _cmd_tfim(args) -> int:
         )
     if args.check:
         payload["passed"] = ok
-        _emit_json(payload, args.output)
-        if not ok:
-            raise CheckFailure(f"tfim scaling --kind {args.kind}")
-        return EXIT_OK
     _emit_json(payload, args.output)
+    if args.check and not ok:
+        raise CheckFailure(f"tfim scaling --kind {args.kind}")
     return EXIT_OK
 
 
@@ -457,18 +435,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action, key, value):
+    """A config value checked as a flag is: of the option's type (a number
+    for a float option, true/false for a switch) and among its choices."""
+    kinds = ((bool,) if action.nargs == 0
+             else {int: (int,), float: (int, float)}.get(action.type, (str,)))
+    if isinstance(value, bool) != (kinds == (bool,)) or not isinstance(value, kinds):
+        raise ValueError(f"config key {key!r}: {value!r} is not of type {kinds[-1].__name__}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return float(value) if action.type is float else value
+
+
 def _apply_config(parser: argparse.ArgumentParser, args, argv) -> None:
     """Config supplies values only for options not given on the command line."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} does not hold a JSON object")
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    options = {a.dest: a for a in commands.choices[args.command]._actions
+               if a.option_strings and hasattr(args, a.dest)}
     given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
              for tok in argv if tok.startswith("--")}
     for key, value in config.items():
         key = key.replace("-", "_")
-        if not hasattr(args, key):
+        if key not in options:
             raise ValueError(f"config key {key!r} is not an option here")
+        value = _config_value(options[key], key, value)
         if key not in given:
             setattr(args, key, value)
 

@@ -31,11 +31,13 @@ where a_n are the Wick-contraction coefficients below and <sz> = -a_0.
 The two-site reduced state is block diagonal in the parity of the pair.
 
 entropies evaluates a whole (couplings, separations) grid at fixed
-(T, N, sector): one window per coupling, one stacked determinant call per
-separation, one range check and one X-state kernel call;
-correlations_and_mi and mi_over_couplings are its one-coupling and
-one-separation cases.  correlations and correlation_mi take one point
-through coefficient_window and toeplitz_determinant, the same floats.
+(T, N, sector): one window per coupling (four for the Gibbs state), one
+stacked determinant call per separation, one range check and one X-state
+kernel call; correlations_and_mi, mi_over_couplings and magnetization_z
+are its one-coupling and one-separation cases.  correlations and
+correlation_mi take one point through coefficient_window and
+toeplitz_determinant (the Gibbs state: its one-point grid), the same
+floats.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .errors import ModelConsistencyError, ValidationError
 from .numerics import toeplitz_determinant, toeplitz_determinants
 
 SECTORS = ("even", "odd", "gibbs")
+# at most this many bordered-matrix entries (8 MB) go into one Gibbs slogdet call
+_GIBBS_BATCH_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -121,23 +125,12 @@ def _thermal_factor(coupling, temperature, phi):
     return np.where(small, 1.0 / temperature, np.tanh(safe / temperature) / safe)
 
 
-def magnetization_z(
-    coupling: float, temperature: float, sites: int, sector: str = "even"
-) -> float:
-    """<sz> = (1/N) sum_phi (1 - lambda cos phi) tanh(omega/T)/omega = -a_0,
-    taken from the same window computation as the correlations.
-
-    For sector "gibbs" at T > 0, the parity-projected Gibbs average of the
-    four traces (module docstring).
-    """
-    if sector == "gibbs":
-        if temperature > 0:
-            (a0,) = _gibbs_means(coupling, temperature, sites, 0, [np.array([[0]])])
-            return -a0
-        sector = "even"
-    phi = momenta(sites, sector)
-    f = _thermal_factor(coupling, temperature, phi)
-    return -float(_window_values(coupling, phi, f, 0)[0])
+def magnetization_z(coupling: float, temperature: float, sites: int,
+                    sector: str = "even") -> float:
+    """<sz> = (1/N) sum_phi (1 - lambda cos phi) tanh(omega/T)/omega = -a_0
+    (for sector "gibbs", the Gibbs average of the four traces), from the
+    one-coupling grid path."""
+    return float(_correlation_arrays(coupling, temperature, sites, [1], sector)[0])
 
 
 def coefficient_window(
@@ -229,41 +222,53 @@ def _gibbs_traces(coupling, temperature, sites, n_max):
     return np.array(log_w), np.array(alpha), np.array(gamma), np.array(windows)
 
 
-def _gibbs_means(coupling, temperature, sites, n_max, blocks) -> list:
-    """Gibbs averages of the Wick determinants det[a_idx], one per index
-    array idx in blocks; indices point into the window n = -n_max..n_max,
-    so a_n sits at n + n_max.
-    """
-    log_w, alpha, gamma, windows = _gibbs_traces(
-        coupling, temperature, sites, n_max
-    )
-    scale = log_w - log_w.max()
-    norm = np.exp(scale) @ alpha
-    means = []
-    for idx in blocks:
-        d = len(idx)
-        bordered = np.empty((len(alpha), d + 1, d + 1))
-        bordered[:, :d, :d] = windows[:, idx]
-        bordered[:, :d, d] = 1.0
-        bordered[:, d, :d] = -gamma[:, None]
-        bordered[:, d, d] = alpha
-        sign, logdet = np.linalg.slogdet(bordered)
-        means.append(float(sign @ np.exp(scale + logdet) / norm))
-    return means
+def _gibbs_means(traces, idx):
+    """Gibbs averages of the Wick determinants det[a_idx] over the couplings
+    and the leading axes of the index array idx, shaped (..., d, d); indices
+    point into the window n = -n_max..n_max, so a_n sits at n + n_max."""
+    log_w, alpha, gamma, windows = traces
+    width, d = windows.shape[-1], idx.shape[-1]
+    # the border's entries 1, -gamma and alpha follow each window, so one
+    # fancy index builds every bordered matrix
+    padded = np.concatenate(
+        [windows, np.stack([np.ones_like(alpha), -gamma, alpha], axis=-1)], axis=-1)
+    border = np.pad(idx, [(0, 0)] * (idx.ndim - 2) + [(0, 1), (0, 1)], constant_values=width)
+    border[..., d, :d] = width + 1
+    border[..., d, d] = width + 2
+    border = border.reshape(-1, d + 1, d + 1)
+    # couplings per slogdet call, so that the bordered stack stays within
+    # _GIBBS_BATCH_ENTRIES: one call for a default sweep (r <= 50)
+    chunk = max(1, _GIBBS_BATCH_ENTRIES // (windows.shape[1] * border.size))
+    sign, logdet = (np.concatenate(v) for v in zip(*(
+        np.linalg.slogdet(padded[k:k + chunk][:, :, border])
+        for k in range(0, len(padded), chunk))))
+    scale = log_w - log_w.max(axis=1, keepdims=True)
+    # the same floats in any batch: the norm is one (1 x 4) @ (4 x 1)
+    # product per coupling, and the terms add trace by trace
+    norm = (np.exp(scale)[:, None, :] @ alpha[:, :, None])[:, :, 0]
+    terms = sign * np.exp(scale[:, :, None] + logdet)
+    means = sum(np.swapaxes(terms, 0, 1)) / norm
+    return means.reshape(len(windows), *idx.shape[:-2])
 
 
-def _gibbs_arrays(coupling, temperature, sites, separations):
+def _gibbs_arrays(couplings, temperature, sites, separations):
+    """mz over the couplings, then gxx, gyy, gzz and czz over (couplings,
+    separations) in the Gibbs state at T > 0: the four traces of every
+    coupling as (couplings, 4, width) windows; one _gibbs_means per
+    separation for xx and yy, one for zz and one for mz."""
     n_max = max(separations)
-    blocks = [np.array([[n_max]])]
-    for r in separations:
-        lags = np.subtract.outer(np.arange(r), np.arange(r)) + n_max
-        blocks += [lags - 1, lags + 1, np.array([[n_max, n_max - r], [n_max + r, n_max]])]
-    a0, *rest = _gibbs_means(coupling, temperature, sites, n_max, blocks)
-    gxx, gyy, gzz = np.array(rest).reshape(-1, 3).T
-    mz = -a0
+    traces = [np.array(v) for v in zip(*(
+        _gibbs_traces(lam, temperature, sites, n_max) for lam in couplings))]
+    mz = -_gibbs_means(traces, np.array([[n_max]]))
+    gxx, gyy = np.transpose([
+        _gibbs_means(traces, np.subtract.outer(np.arange(r), np.arange(r))
+                     + n_max + np.array([-1, 1])[:, None, None])
+        for r in separations
+    ], (2, 1, 0))
+    gzz = _gibbs_means(traces, n_max + np.multiply.outer(separations, [[0, -1], [1, 0]]))
     # a mixture of traces is not a Wick state: the connected part is a
     # difference here
-    return mz, gxx, gyy, gzz, gzz - mz * mz
+    return mz, gxx, gyy, gzz, gzz - (mz * mz)[:, None]
 
 
 def _correlation_arrays(coupling, temperature, sites, separations, sector):
@@ -271,18 +276,17 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
     czz = gzz - mz^2 over (couplings, separations); for one coupling (a
     scalar) mz is a scalar and the rest are arrays over the separations.
 
-    One coefficient window per coupling, sized for the largest separation,
-    stacked into one array; per separation, one stacked determinant call
-    over every window and both shifts; mz and czz by indexing.  The Gibbs
-    route at T > 0 goes coupling by coupling.  Validates the parameters as
-    TfimParams does, with its messages.
+    One coefficient window per coupling (four, one per trace, for the Gibbs
+    route at T > 0), sized for the largest separation, stacked into one
+    array; per separation, one stacked determinant call over every window
+    and both shifts; mz and czz by indexing (Gibbs: one call each).
+    Validates the parameters as TfimParams does, with its messages.
     """
     couplings = np.atleast_1d(np.asarray(coupling, dtype=float))
     for r in (min(separations), max(separations)):
         TfimParams(float(couplings.min()), temperature, sites, r, sector)
     if sector == "gibbs" and temperature > 0:
-        rows = [_gibbs_arrays(lam, temperature, sites, separations) for lam in couplings]
-        grid = tuple(np.array(v) for v in zip(*rows))
+        grid = _gibbs_arrays(couplings, temperature, sites, separations)
     else:
         n_max = max(separations)
         # the Gibbs state at T = 0 is the even sector's ground state
@@ -308,12 +312,13 @@ def _point(params: TfimParams):
     """(mz, gxx, gyy, gzz, czz) at one point through the per-point layers:
     one coefficient_window and two toeplitz_determinant calls.  They
     factorize the matrices the grid path stacks, so the floats are the
-    same; the sweep tests hold the two routes to each other bit for bit."""
+    same; the sweep tests hold the two routes to each other bit for bit.
+    The Gibbs state at T > 0 is the grid path's one-point grid."""
     lam, temperature, sites, r, sector = (
         params.coupling, params.temperature, params.sites, params.separation, params.sector
     )
     if sector == "gibbs" and temperature > 0:
-        mz, *rest = _gibbs_arrays(lam, temperature, sites, [r])
+        mz, *rest = _correlation_arrays(lam, temperature, sites, [r], sector)
         return (mz, *(v[0] for v in rest))
     a = coefficient_window(lam, temperature, sites, r, "even" if sector == "gibbs" else sector)
     mz = -float(a[r])
@@ -358,12 +363,9 @@ def correlations_and_mi(coupling, temperature, sites, separations, sector="even"
 def mi_over_couplings(couplings, temperature, sites, separation, sector="even"):
     """Two-site MI in bits at one (T, N, r) for each coupling, each the same
     float as correlation_mi: the one-separation case of the grid path.
-    Single sectors ("even", "odd") only.
 
     Validates the parameters as TfimParams does, with its messages.
     """
-    if sector == "gibbs":
-        raise ValueError("momentum grids exist for sectors 'even' and 'odd'")
     return _entropy_grid(couplings, temperature, sites, [separation], sector)[-1][2][:, 0]
 
 

@@ -53,6 +53,12 @@ def tfim_coefficient(coupling, temperature, sites, n, sector="even") -> float:
     return float((cos_sum - coupling * sin_sum) / sites)
 
 
+def derivative_at(f, x: float, step: float) -> float:
+    """Two-point central difference of a scalar function, one point at a
+    time: the reference for the library's batched stencils."""
+    return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
 def ising_symbol(temperature):
     """The 2D Ising symbol phi(theta) = (s - e^{-i theta})/|s - e^{-i theta}|,
     s = sinh^2(2/T), as a vectorized theta-array -> complex array.

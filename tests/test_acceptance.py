@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from critent import analysis, density, dimer, exact, ising2d, tfim
+from oracles import derivative_at
 
 TC = ising2d.critical_temperature()
 
@@ -128,7 +129,7 @@ class TestCriterion5DerivativeExponents:
         exponent = result["fit"].coefficients[0]
         offsets = np.array(result["offsets"])
         closed_form = [
-            analysis.derivative_at(
+            derivative_at(
                 _infinite_separation_mi, TC - t, min(1e-3, t / 10.0)
             )
             for t in offsets

@@ -4,7 +4,6 @@ import pytest
 from critent import analysis, ising2d, tfim
 from critent.analysis import (
     SweepRecord,
-    derivative_at,
     log_poly_fit,
     power_law_fit,
     records_to_csv,
@@ -12,6 +11,7 @@ from critent.analysis import (
     sweep,
 )
 from critent.errors import ConvergenceError
+from oracles import derivative_at
 
 
 def count_calls(monkeypatch, owner, name):
@@ -224,6 +224,17 @@ class TestSweep:
         assert len(slogdet) <= 6  # one per separation, both shifts in one call
         assert len(kernel) == 1
 
+    def test_gibbs_grid_is_one_batch(self, monkeypatch):
+        kernel = count_calls(monkeypatch, tfim, "x_state_entropies")
+        slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
+        records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]},
+                        fixed={"N": 12, "T": 0.5, "sector": "gibbs"})
+        assert len(records) == 18 and all(rec.mi is not None for rec in records)
+        # xx and yy share one call per separation; zz (every separation)
+        # and mz are one call each
+        assert len(slogdet) == 6 + 2
+        assert len(kernel) == 1
+
     def test_ising_grid_is_one_batch(self, monkeypatch):
         kernel = count_calls(monkeypatch, ising2d, "x_state_entropies")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
@@ -351,6 +362,18 @@ class TestScalingDrivers:
             analysis.tfim_peak_far_derivative(32, step=1.0)
         with pytest.raises(ValueError, match="coupling must be >= 0"):
             analysis.tfim_nn_scaling(sites_list=(64, 128, 256, 512), step=2.0)
+
+    def test_derivative_exponent_is_one_batch(self, monkeypatch):
+        kernel = count_calls(monkeypatch, ising2d, "x_state_entropies")
+        slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
+        result = analysis.ising2d_derivative_exponent("above", separation=10)
+        assert len(kernel) == 1 and len(slogdet) == 1
+        monkeypatch.undo()
+        tc = ising2d.critical_temperature()
+        assert result["derivatives"] == [
+            derivative_at(lambda T: ising2d.correlation_mi(T, 10), tc + t, min(1e-3, t / 10))
+            for t in result["offsets"]
+        ]
 
     def test_far_scaling_batches_each_stencil(self, monkeypatch):
         calls = {"kernel": 0, "slogdet": 0}

@@ -157,6 +157,33 @@ class TestSweepJsonSchema:
         assert len(lines) == 5
 
 
+class TestPointCommandsAreOneRowOfTheSweep:
+    @pytest.mark.parametrize("sector, temperature", [("even", "0"), ("gibbs", "0.5")])
+    def test_tfim_mi_rows_equal_the_sweep_rows_at_that_lambda(
+            self, capsys, sector, temperature):
+        common = ["--t", temperature, "--n", "12", "--r-max", "6", "--sector", sector]
+        code, point, _ = run_cli(["tfim", "mi", "--lambda", "0.7", *common], capsys)
+        assert code == 0
+        code, grid, _ = run_cli(["tfim", "sweep", "--lambda-max", "1.4",
+                                 "--lambda-count", "3", *common], capsys)
+        assert code == 0
+        rows = [l for l in grid.splitlines() if l.startswith("tfim,")]
+        assert len(rows) == 18
+        matching = [l for l in rows if l.split(",")[2] == "0.7"]
+        assert point.splitlines() == grid.splitlines()[:2] + matching
+
+    def test_ising2d_mi_rows_equal_the_sweep_rows_at_that_temperature(self, capsys):
+        code, point, _ = run_cli(["ising2d", "mi", "--t", "2", "--n-max", "8"], capsys)
+        assert code == 0
+        code, grid, _ = run_cli(["ising2d", "sweep", "--t-min", "1.5", "--t-max", "2.5",
+                                 "--t-count", "3", "--n-max", "8"], capsys)
+        assert code == 0
+        rows = [l for l in grid.splitlines() if l.startswith("ising2d,")]
+        assert len(rows) == 24
+        matching = [l for l in rows if l.split(",")[1] == "2"]
+        assert point.splitlines() == grid.splitlines()[:2] + matching
+
+
 class TestChecks:
     def test_exponents_above_check_passes(self, capsys):
         code, out, _ = run_cli(
@@ -213,6 +240,19 @@ class TestConfigAndErrors:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"t_count": "7"}, "config key 't_count'"),  # a string for an int option
+        ({"format": "xml"}, "config key 'format'"),  # not among the choices
+        ([7], "does not hold a JSON object"),
+    ])
+    def test_config_value_the_parser_would_refuse(self, tmp_path, capsys, config, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(["dimer", "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_unknown_flag_exits_one(self, capsys):
         assert cli.main(["dimer", "--frobnicate"]) == 1
 
@@ -256,6 +296,21 @@ class TestConfigAndErrors:
         rows = [l for l in out.splitlines() if l.startswith("tfim,")]
         assert len(rows) == 2
         assert all(r.endswith(",error: coupling must be >= 0") for r in rows)
+
+    @pytest.mark.parametrize("args, field, tag", [
+        (["dimer", "--t-min", "nan", "--t-count", "1"], "T", "temperature must be >= 0"),
+        (["tfim", "mi", "--lambda", "nan", "--r-max", "2"], "lambda",
+         "coupling must be >= 0"),
+    ])
+    def test_nan_parameter_is_null_in_json(self, capsys, args, field, tag):
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("sweep.schema.json"))
+        assert payload["records"]
+        for row in payload["records"]:
+            assert row[field] is None
+            assert row["tag"] == f"error: {tag}"
 
     def test_nan_oracle_temperature_exits_one(self, capsys):
         code, _, err = run_cli(["oracle", "compare", "--n", "6", "--t", "nan"], capsys)

@@ -335,7 +335,7 @@ class TestMiOverCouplings:
 
     def test_other_sectors_and_separations(self):
         couplings = [0.4, 1.0, 1.6]
-        for sector, temperature in (("odd", 0.5), ("even", 1.5)):
+        for sector, temperature in (("odd", 0.5), ("even", 1.5), ("gibbs", 0.5)):
             batch = tfim.mi_over_couplings(couplings, temperature, 12, 3, sector)
             assert batch.tolist() == [
                 tfim.correlation_mi(params(lam, temperature, 12, 3, sector))
@@ -349,7 +349,6 @@ class TestMiOverCouplings:
             (([1.0], -0.1, 32, 16), "temperature must be >= 0"),
             (([1.0], 0.0, 32, 17), r"separation must be in \[1, sites/2\]"),
             (([1.0], 0.0, 32, 16, "mixed"), "sector must be one of"),
-            (([1.0], 0.5, 32, 16, "gibbs"), "grids exist for sectors 'even' and 'odd'"),
         ):
             with pytest.raises(ValueError, match=message):
                 tfim.mi_over_couplings(*args)
@@ -362,6 +361,19 @@ class TestGibbsSector:
             even = tfim.correlations(params(lam, 0.0, 12, 4, "even"))
             assert gibbs == even
             assert tfim.magnetization_z(lam, 0.0, 12, "gibbs") == even.mz
+
+    def test_bounded_batches_split_couplings_not_values(self, monkeypatch):
+        # a bordered stack too large for one slogdet call is taken a few
+        # couplings at a time, with the same floats
+        couplings, separations = [0.3, 1.0, 1.6], range(1, 7)
+        whole = tfim.entropies(couplings, 0.5, 12, separations, "gibbs")
+        calls, slogdet = [], np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a) or slogdet(a))
+        monkeypatch.setattr(tfim, "_GIBBS_BATCH_ENTRIES", 1)
+        split = tfim.entropies(couplings, 0.5, 12, separations, "gibbs")
+        assert len(calls) == len(couplings) * (len(separations) + 2)
+        for a, b in zip(whole, split):
+            assert np.array_equal(a, b)
 
     def test_continuous_across_unit_coupling(self):
         # the R-sector phi = 0 mode has zero energy at lambda = 1, where
