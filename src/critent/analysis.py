@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
-from itertools import product
 
 import numpy as np
 
@@ -120,119 +119,68 @@ def log_poly_fit(xs, ys, degree: int, full: bool = False) -> FitResult:
     )
 
 
-def _record(model, point, **values):
-    """The sweep row of one grid point, a dict of its parameters."""
-    return SweepRecord(model=model, T=point.get("T"), lam=point.get("lam"),
-                       N=point.get("N"), r=point.get("r"), **values)
-
-
-def _records(model, rows, entropies, tag=""):
-    """One record per point of the rows, from entropies shaped like them."""
-    points = [p for row in rows for p in row]
-    s_i, s_ij, mi = (np.ravel(v) for v in entropies)
-    return [_record(model, p, s_i=float(a), s_j=float(a), s_ij=float(b), mi=float(c), tag=tag)
-            for p, a, b, c in zip(points, s_i, s_ij, mi)]
-
-
-def _eval_dimer(rows):
-    ((point,),) = rows
-    return _records("dimer", rows, dimer.entropies(point["T"]))
-
-
-def _eval_ising2d(rows):
-    ensemble = rows[0][0].get("ensemble", "symmetric")
-    values = ising2d.entropies([row[0]["T"] for row in rows],
-                               [p["N"] for p in rows[0]], ensemble)
-    return _records("ising2d", rows, values, ensemble)
-
-
-def _eval_tfim(rows):
-    p = rows[0][0]
-    sector = p.get("sector", "even")
-    values = tfim.entropies([row[0]["lam"] for row in rows], p["T"], p["N"],
-                            [q["r"] for q in rows[0]], sector)
-    return _records("tfim", rows, values, sector)
-
-
-# model -> (evaluator of a batch of rows, the axes one batch spans, the
-# axis one row runs along)
+# model -> (row axis, column axis or None, evaluator of the rows x columns
+# grid at the fixed parameters: ((S_i, S_ij, MI) shaped like the grid, tag))
 _MODELS = {
-    "dimer": (_eval_dimer, (), None),
-    "ising2d": (_eval_ising2d, ("T", "N"), "N"),
-    "tfim": (_eval_tfim, ("lam", "r"), "r"),
+    "dimer": ("T", None, lambda ts, _, fixed: (dimer.entropies(ts), "")),
+    "ising2d": ("T", "N", lambda ts, ns, fixed: (
+        ising2d.entropies(ts, ns, fixed["ensemble"]), fixed["ensemble"])),
+    "tfim": ("lam", "r", lambda lams, rs, fixed: (
+        tfim.entropies(lams, fixed["T"], fixed["N"], rs, fixed["sector"]), fixed["sector"])),
 }
-
-# canonical axis order for sweep grids, matching the CSV column order
-_AXIS_ORDER = ("T", "lam", "N", "r")
-
-
-def _group(items, key):
-    """items grouped by key(item); groups and members in first-seen order."""
-    groups = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return list(groups.values())
 
 
 def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
-    """Evaluate `model` over the cartesian grid in `axes`.
+    """Evaluate `model` over the grid of its axes, rows x columns (a
+    dimer grid is one column).
 
-    Rows come out in lexicographic order of the canonical axes
-    (T, lambda, N, r) regardless of worker count.  The grid points that
-    differ only in the model's two grid axes, (lambda, r) for tfim and
-    (T, N) for ising2d, are one batch: one coefficient window per coupling
-    or temperature, one stacked determinant call per separation and one
-    vectorized entropy evaluation (tfim.entropies, ising2d.entropies); a
-    dimer batch is one point.  Workers are threads over batches; they keep
-    the output identical and are not a speed-up.  A point that fails with
-    a domain error (ValueError, ConvergenceError) becomes an error row
-    (tag = "error: ...") instead of aborting the sweep: a batch that raises
-    one is evaluated again one row (one coupling or temperature) at a
-    time, and a row that raises one point by point, so each error row
-    carries its own point's message.  Any other exception propagates.
+    `axes` holds exactly the model's grid axes: T for dimer, (T, N) for
+    ising2d and (lam, r) for tfim; every other parameter goes in `fixed`
+    (tfim T, N and sector; ising2d ensemble).  Rows come out row-major, in
+    the order of the axes' values.  The grid is one batch, one evaluator
+    call (dimer.entropies, ising2d.entropies, tfim.entropies): one kernel
+    call for all its points.  With workers > 1 the batch runs on a pool
+    thread; the output is identical and no faster.  A point that fails
+    with a domain error (ValueError, ConvergenceError) becomes an error
+    row (tag = "error: ...") instead of aborting the sweep: a grid that
+    raises one is evaluated again one row (one temperature or coupling)
+    at a time, and a row that raises one point by point, so each error
+    row carries its own point's message.  Any other exception propagates.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-    evaluator, spans, along = _MODELS[model]
-    fixed = dict(fixed or {})
-    names = [n for n in _AXIS_ORDER if n in axes]
-    extra = set(axes) - set(names)
-    if extra:
-        raise ValueError(f"unknown grid axes {sorted(extra)}")
-    grids = [list(axes[n]) for n in names]
-    cells = list(product(*(range(len(g)) for g in grids)))
-    points = [dict(zip(names, (g[i] for g, i in zip(grids, cell))), **fixed)
-              for cell in cells]
+    row_axis, col_axis, evaluate = _MODELS[model]
+    names = [a for a in (row_axis, col_axis) if a]
+    if set(axes) != set(names):
+        raise ValueError(f"{model} sweeps the grid axes {', '.join(names)}, not "
+                         f"{', '.join(sorted(axes)) or 'none'}; every other parameter goes in fixed")
+    fixed = {"ensemble": "symmetric", "sector": "even", **(fixed or {})}
+    fields = {k: fixed[k] for k in ("T", "lam", "N", "r") if k in fixed}
 
-    def key(skip):
-        kept = [k for k, n in enumerate(names) if n not in skip]
-        return lambda i: tuple(cells[i][k] for k in kept)
+    def record(point, **values):
+        return SweepRecord(model=model, **fields, **dict(zip(names, point)), **values)
 
-    # batches of rows of point indices
-    batches = [_group(batch, key({along}))
-               for batch in _group(range(len(points)), key(spans))]
-
-    def run_batch(rows):
+    def run(rows, cols):
         try:
-            return evaluator([[points[i] for i in row] for row in rows])
+            (s_i, s_ij, mi), tag = evaluate(rows, cols, fixed)
         except (ValueError, ConvergenceError) as exc:
             if len(rows) > 1:
-                return [rec for row in rows for rec in run_batch([row])]
-            (row,) = rows
-            if len(row) > 1:
-                return [rec for i in row for rec in run_batch([[i]])]
-            return [_record(model, points[row[0]], tag=f"error: {exc}")]
+                return [rec for x in rows for rec in run([x], cols)]
+            if len(cols) > 1:
+                return [rec for y in cols for rec in run(rows, [y])]
+            return [record((rows[0], cols[0]), tag=f"error: {exc}")]
+        points = ((x, y) for x in rows for y in cols)
+        return [record(p, s_i=float(a), s_j=float(a), s_ij=float(b), mi=float(c), tag=tag)
+                for p, a, b, c in zip(points, np.ravel(s_i), np.ravel(s_ij), np.ravel(mi))]
 
+    rows = list(axes[row_axis])
+    cols = list(axes[col_axis]) if col_axis else [None]
+    if not rows or not cols:
+        return []
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_batch, batches))
-    else:
-        done = [run_batch(b) for b in batches]
-    records = [None] * len(points)
-    for rows, recs in zip(batches, done):
-        for i, rec in zip((i for row in rows for i in row), recs):
-            records[i] = rec
-    return records
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(run, rows, cols).result()
+    return run(rows, cols)
 
 
 # ---------------------------------------------------------------------------

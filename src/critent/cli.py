@@ -93,6 +93,8 @@ def _cmd_dimer(args) -> int:
 
 def _cmd_ising2d(args) -> int:
     if args.action == "corr":
+        if args.format != "csv":
+            raise ValueError("ising2d corr writes CSV only")
         lines = ["# T in units of Ising coupling", "model,T,N,correlation"]
         seps = range(args.n_min, args.n_max + 1)
         values = ising2d.diagonal_correlations(args.t, seps) if seps else []
@@ -144,12 +146,11 @@ def _cmd_tfim(args) -> int:
         records = analysis.sweep(
             "tfim",
             axes={
-                "T": [args.t],
                 "lam": ([getattr(args, "lambda")] if args.action == "mi"
                         else _grid(args.lambda_min, args.lambda_max, args.lambda_count)),
                 "r": list(range(args.r_min, args.r_max + 1, args.r_step)),
             },
-            fixed={"N": args.n, "sector": args.sector},
+            fixed={"T": args.t, "N": args.n, "sector": args.sector},
             workers=args.workers,
         )
         _records_out(records, args.format, args.output)
@@ -343,8 +344,9 @@ def _add_common(parser, *, output=True, fmt=True, workers=True):
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if workers:
         parser.add_argument("--workers", type=int, default=1,
-                            help="threads over sweep batches; output is identical "
-                            "to a serial run and no faster (default 1)")
+                            help="above 1, run the sweep's one batch on a pool "
+                            "thread; output is identical to a serial run and no "
+                            "faster (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

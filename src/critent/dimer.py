@@ -3,14 +3,17 @@
 Spectrum: a singlet at energy -3 and a threefold-degenerate triplet at +1.
 The thermal state is SU(2) invariant: <s^a_1> = 0 and <s^a_1 s^a_2> = g(T)
 on every axis a, so it is the X-state with mz = 0 and gxx = gyy = gzz = g,
-and every entropy comes from the closed-form X-state kernel.  The Boltzmann
-weights are written so that every quantity stays well defined down to
-T = 0 (pure singlet) without large-argument overflow at small T.
+and every entropy comes from the closed-form X-state kernel, one call for
+any number of temperatures.  The Boltzmann weights are written so that
+every quantity stays well defined down to T = 0 (pure singlet) without
+large-argument overflow at small T.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .density import x_state_entropies
 
@@ -41,10 +44,12 @@ def spin_correlation(temperature: float) -> float:
     return p_s * math.expm1(-4.0 / temperature)
 
 
-def entropies(temperature: float):
-    """(S_i, S_ij, MI) in bits, each a one-element array, from the X-state
-    kernel with mz = 0 and gxx = gyy = gzz = czz = spin_correlation(T)."""
-    g = spin_correlation(temperature)
+def entropies(temperatures):
+    """(S_i, S_ij, MI) in bits, one entry per temperature (one temperature
+    or a sequence), from one X-state kernel call with mz = 0 and
+    gxx = gyy = gzz = czz = spin_correlation(T) at each T."""
+    ts = [temperatures] if np.ndim(temperatures) == 0 else temperatures
+    g = np.array([spin_correlation(t) for t in ts], dtype=float)
     return x_state_entropies(0.0, g, g, g)
 
 

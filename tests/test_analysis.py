@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from critent import analysis, ising2d, tfim
+from critent import analysis, dimer, ising2d, tfim
 from critent.analysis import (
     SweepRecord,
     log_poly_fit,
@@ -162,6 +162,35 @@ class TestSweep:
             sweep("xy", axes={"T": [1.0]})
         with pytest.raises(ValueError):
             sweep("dimer", axes={"beta": [1.0]})
+
+    def test_axes_must_be_the_grid_axes(self):
+        with pytest.raises(ValueError, match="tfim sweeps the grid axes lam, r"):
+            sweep("tfim", axes={"T": [0.0], "lam": [0.5, 1.0], "r": [1, 2]},
+                  fixed={"N": 12})
+        with pytest.raises(ValueError, match="ising2d sweeps the grid axes T, N"):
+            sweep("ising2d", axes={"T": [2.0], "N": [1, 2], "r": [1]})
+        with pytest.raises(ValueError, match="ising2d sweeps the grid axes T, N"):
+            sweep("ising2d", axes={"T": [2.0]}, fixed={"N": 1})
+
+    def test_dimer_sweep_is_one_batch(self, monkeypatch):
+        kernel = count_calls(monkeypatch, dimer, "x_state_entropies")
+        ts = np.linspace(0.1, 10, 100)
+        records = sweep("dimer", axes={"T": ts})
+        assert len(kernel) == 1
+        assert [rec.T for rec in records] == list(ts)
+        assert all(rec.mi == dimer.mutual_information(rec.T) for rec in records)
+
+    def test_failing_dimer_grid_is_redone_point_by_point(self):
+        ts = [0.0, 0.5, float("nan"), 2.0, 1e6]
+        records = sweep("dimer", axes={"T": ts})
+        assert len(records) == 5
+        errors = [rec for rec in records if rec.tag.startswith("error")]
+        assert len(errors) == 1 and errors[0] is records[2]
+        assert records[2].tag == "error: temperature must be >= 0"
+        assert records[2].mi is None
+        for rec in records[:2] + records[3:]:
+            assert rec.tag == ""
+            assert rec.mi == dimer.mutual_information(rec.T)
 
     def test_concurrent_equals_serial(self):
         axes = {"T": np.linspace(0.5, 5.0, 8)}

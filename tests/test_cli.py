@@ -156,6 +156,13 @@ class TestSweepJsonSchema:
         assert lines[0] == "model,T,N,correlation"
         assert len(lines) == 5
 
+    def test_ising_corr_refuses_json(self, capsys):
+        code, out, err = run_cli(
+            ["ising2d", "corr", "--t", "3", "--n-max", "2", "--format", "json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "ising2d corr writes CSV only" in err
+
 
 class TestPointCommandsAreOneRowOfTheSweep:
     @pytest.mark.parametrize("sector, temperature", [("even", "0"), ("gibbs", "0.5")])

@@ -102,6 +102,16 @@ class TestMutualInformation:
             assert closed == pytest.approx(generic, abs=1e-12)
 
 
+class TestBatch:
+    def test_batch_equals_single_temperatures(self):
+        ts = [0.0, 1e-3, 0.2, 1.0, 3.0, 47.5, 1e6]
+        batch = dimer.entropies(ts)
+        for k, t in enumerate(ts):
+            single = dimer.entropies(t)
+            assert all(v[k] == w[0] for v, w in zip(batch, single))
+        assert dimer.entropies(np.array(ts))[2].tolist() == batch[2].tolist()
+
+
 class TestHighTemperatureTail:
     def test_slope_matches_series_oracle(self):
         # independent series oracle for the stated thermal state:
