@@ -315,11 +315,10 @@ def _format_number(value) -> str:
     return f"{value:.12g}"
 
 
-def records_to_csv(records, model: str | None = None) -> str:
+def records_to_csv(records) -> str:
     """Stable CSV: units comment, fixed header, 12 significant digits."""
     lines = []
-    models = {r.model for r in records} if model is None else {model}
-    for name in sorted(models):
+    for name in sorted({r.model for r in records}):
         if name in UNITS_COMMENTS:
             lines.append(UNITS_COMMENTS[name])
     lines.append(CSV_HEADER)

@@ -48,11 +48,17 @@ def _emit_json(payload: dict, path: str | None) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
-def _records_out(records, fmt: str, path: str | None) -> None:
-    if fmt == "csv":
-        _emit(analysis.records_to_csv(records), path)
-    else:
+def _records_out(records, fmt: str | None, path: str | None) -> None:
+    if fmt == "json":
         _emit_json(analysis.records_to_json(records), path)
+    else:
+        _emit(analysis.records_to_csv(records), path)
+
+
+def _json_only(args) -> None:
+    """Actions whose result is one JSON object refuse an explicit --format csv."""
+    if args.format == "csv":
+        raise ValueError(f"{args.command} {args.action} writes JSON only")
 
 
 def _grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -93,7 +99,7 @@ def _cmd_dimer(args) -> int:
 
 def _cmd_ising2d(args) -> int:
     if args.action == "corr":
-        if args.format != "csv":
+        if args.format == "json":
             raise ValueError("ising2d corr writes CSV only")
         lines = ["# T in units of Ising coupling", "model,T,N,correlation"]
         seps = range(args.n_min, args.n_max + 1)
@@ -117,6 +123,7 @@ def _cmd_ising2d(args) -> int:
         _records_out(records, args.format, args.output)
         return EXIT_OK
     # exponents
+    _json_only(args)
     result = analysis.ising2d_derivative_exponent(args.side, args.n)
     fit = result["fit"]
     payload = _fit_payload(
@@ -156,6 +163,7 @@ def _cmd_tfim(args) -> int:
         _records_out(records, args.format, args.output)
         return EXIT_OK
     # scaling
+    _json_only(args)
     if args.kind == "nn":
         result = analysis.tfim_nn_scaling()
         fit = result["fit"]
@@ -226,7 +234,7 @@ def _cmd_oracle(args) -> int:
         "threshold": args.max_abs_diff,
         "passed": worst <= args.max_abs_diff,
     }
-    if args.format == "csv":
+    if args.format != "json":
         lines = ["r,quantity,free_fermion,exact,abs_diff"]
         for row in rows:
             for q in ("mz", "gxx", "gyy", "gzz", "MI"):
@@ -253,10 +261,12 @@ def _read_xy(path: str, x_col: str | None, y_col: str | None):
     if not rows:
         raise ValueError(f"{path} holds no header or data rows")
     header, data = rows[0], rows[1:]
-    if x_col is None or y_col is None:
-        xi, yi = 0, 1
-    else:
-        xi, yi = header.index(x_col), header.index(y_col)
+    if (x_col is None) != (y_col is None):
+        raise ValueError("--x-col and --y-col go together")
+    for col in (x_col, y_col):
+        if col is not None and col not in header:
+            raise ValueError(f"{path} has no column {col!r}; its header is {','.join(header)}")
+    xi, yi = (0, 1) if x_col is None else (header.index(x_col), header.index(y_col))
     xs, ys = [], []
     for row in data:
         try:
@@ -341,7 +351,9 @@ def _add_common(parser, *, output=True, fmt=True, workers=True):
     if output:
         parser.add_argument("--output", help="write to this path instead of stdout")
     if fmt:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+        parser.add_argument("--format", choices=("csv", "json"),
+                            help="default csv; ising2d exponents and tfim scaling "
+                            "write JSON only, ising2d corr CSV only")
     if workers:
         parser.add_argument("--workers", type=int, default=1,
                             help="above 1, run the sweep's one batch on a pool "
@@ -449,26 +461,26 @@ def _config_value(action, key, value):
     return float(value) if action.type is float else value
 
 
-def _apply_config(parser: argparse.ArgumentParser, args, argv) -> None:
-    """Config supplies values only for options not given on the command line."""
+def _apply_config(parser: argparse.ArgumentParser, args, argv):
+    """The command's options with the config's values as their defaults,
+    parsed again, so any flag given (abbreviated or not) wins."""
     if not getattr(args, "config", None):
-        return
+        return args
     with open(args.config) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config {args.config} does not hold a JSON object")
     (commands,) = (a for a in parser._actions if a.dest == "command")
-    options = {a.dest: a for a in commands.choices[args.command]._actions
-               if a.option_strings and hasattr(args, a.dest)}
-    given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-             for tok in argv if tok.startswith("--")}
+    command = commands.choices[args.command]
+    options = {a.dest: a for a in command._actions if a.option_strings and hasattr(args, a.dest)}
+    defaults = {}
     for key, value in config.items():
         key = key.replace("-", "_")
         if key not in options:
             raise ValueError(f"config key {key!r} is not an option here")
-        value = _config_value(options[key], key, value)
-        if key not in given:
-            setattr(args, key, value)
+        defaults[key] = _config_value(options[key], key, value)
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -479,7 +491,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config(parser, args, argv)
+        args = _apply_config(parser, args, argv)
         if args.command == "ising2d" and args.t is None:
             args.t = ising2d.critical_temperature()
         return args.func(args)

@@ -6,9 +6,12 @@ matrix together with the ordered subsystem dimensions whose product is its
 size.
 
 Every two-site state of the models here is an X-state: a qubit pair whose
-only nonzero entries sit on the diagonal and the anti-diagonal.
-x_state_entropies evaluates such states in closed form, vectorized over
-rows, without building matrices.
+only nonzero entries sit on the diagonal and the anti-diagonal, fixed by
+the correlations of a CorrelationSet.  x_state_entropies evaluates such
+states in closed form, vectorized over rows, without building matrices;
+two_site_entropies is the models' one way in: it checks the correlations,
+makes that kernel call and turns a non-positive state into
+ModelConsistencyError.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .errors import ValidationError
+from .errors import ModelConsistencyError, ValidationError
 from .numerics import hermitian_eigenvalues
 
 TRACE_TOL = 1e-10
@@ -25,6 +28,7 @@ HERM_TOL = 1e-10
 NEGATIVITY_REJECT = 1e-10  # eigenvalues below -this are construction bugs
 NEGATIVITY_CLIP = 1e-12    # eigenvalues in [-this, 0) are numerical dust
 MI_SNAP = 1e-9             # mutual information in [-this, 0) reports as 0
+CORRELATION_TOL = 1e-8     # correlations may leave [-1, 1] by this much
 SUPPORT_TOL = 1e-12
 LN2 = math.log(2.0)
 
@@ -237,6 +241,45 @@ def x_state_entropies(mz, gxx, gyy, czz):
     diagonal = _weighted_g(q_uu, d) + _weighted_g(q_dd, d) + 2.0 * _weighted_g(q_ud, -d)
     mi = (diagonal + out_coh + in_coh) / LN2
     return s_i, s_ij, mi
+
+
+def _check_correlations(mz, gxx, gyy, gzz) -> None:
+    """ModelConsistencyError unless every entry lies in [-1, 1], up to
+    CORRELATION_TOL (a NaN does not)."""
+    for name, v in (("mz", mz), ("gxx", gxx), ("gyy", gyy), ("gzz", gzz)):
+        v = np.ravel(v)
+        bad = np.flatnonzero(~(np.abs(v) <= 1.0 + CORRELATION_TOL))
+        if bad.size:
+            raise ModelConsistencyError(f"{name} = {v[bad[0]]:.6g} outside [-1, 1]")
+
+
+@dataclass(frozen=True)
+class CorrelationSet:
+    """<sz>, <sx sx>, <sy sy>, <sz sz> at one parameter point."""
+
+    mz: float
+    gxx: float
+    gyy: float
+    gzz: float
+
+    def __post_init__(self):
+        _check_correlations(self.mz, self.gxx, self.gyy, self.gzz)
+
+
+def two_site_entropies(mz, gxx, gyy, gzz, czz):
+    """S_i (= S_j), S_ij and MI, in bits, of the two-site X-states with
+    these correlations (czz = gzz - mz^2, the connected part), shaped like
+    the broadcast inputs: one range check and one x_state_entropies call
+    for all of them.  A correlation outside [-1, 1] or a non-positive
+    state raises ModelConsistencyError."""
+    mz, gxx, gyy, gzz, czz = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (mz, gxx, gyy, gzz, czz)))
+    _check_correlations(mz, gxx, gyy, gzz)
+    try:
+        values = x_state_entropies(*(np.ravel(v) for v in (mz, gxx, gyy, czz)))
+    except ValidationError as exc:
+        raise ModelConsistencyError(f"correlations give an invalid two-site state: {exc}") from exc
+    return tuple(v.reshape(mz.shape) for v in values)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

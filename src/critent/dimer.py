@@ -3,8 +3,8 @@
 Spectrum: a singlet at energy -3 and a threefold-degenerate triplet at +1.
 The thermal state is SU(2) invariant: <s^a_1> = 0 and <s^a_1 s^a_2> = g(T)
 on every axis a, so it is the X-state with mz = 0 and gxx = gyy = gzz = g,
-and every entropy comes from the closed-form X-state kernel, one call for
-any number of temperatures.  The Boltzmann weights are written so that
+and every entropy comes from one density.two_site_entropies call for any
+number of temperatures.  The Boltzmann weights are written so that
 every quantity stays well defined down to T = 0 (pure singlet) without
 large-argument overflow at small T.
 """
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .density import x_state_entropies
+from .density import two_site_entropies
 
 
 def boltzmann_weights(temperature: float) -> tuple[float, float]:
@@ -46,11 +46,11 @@ def spin_correlation(temperature: float) -> float:
 
 def entropies(temperatures):
     """(S_i, S_ij, MI) in bits, one entry per temperature (one temperature
-    or a sequence), from one X-state kernel call with mz = 0 and
+    or a sequence), from one two_site_entropies call with mz = 0 and
     gxx = gyy = gzz = czz = spin_correlation(T) at each T."""
     ts = [temperatures] if np.ndim(temperatures) == 0 else temperatures
     g = np.array([spin_correlation(t) for t in ts], dtype=float)
-    return x_state_entropies(0.0, g, g, g)
+    return two_site_entropies(0.0, g, g, g, g)
 
 
 def mutual_information(temperature: float) -> float:

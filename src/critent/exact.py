@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
-from .density import make_density_matrix
-from .tfim import CorrelationSet
+from .density import CorrelationSet, make_density_matrix
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -36,9 +36,9 @@ import math
 
 import numpy as np
 
-from .density import x_state_entropies
+from .density import two_site_entropies
 from .errors import ConvergenceError, ModelConsistencyError
-from .numerics import toeplitz_determinants
+from .numerics import toeplitz_determinant
 
 ENSEMBLES = ("symmetric", "broken")
 _TINY = math.ulp(0.0)
@@ -157,7 +157,7 @@ def diagonal_correlations(temperature, separations) -> np.ndarray:
         raise ValueError("separation must be >= 1")
     n_max = max(separations) - 1
     windows = np.array([coefficient_window(t, n_max) for t in temperatures])
-    values = np.transpose([toeplitz_determinants(windows, n) for n in separations])
+    values = np.transpose([toeplitz_determinant(windows, n) for n in separations])
     bad = np.argwhere(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
     if bad.size:
         i, j = bad[0]
@@ -177,34 +177,17 @@ def _magnetization(temperature: float, ensemble: str) -> float:
     return magnetization(temperature) if ensemble == "broken" else 0.0
 
 
-def _check_elements(g, m) -> None:
-    """Check that the state's diagonal u+, u-, w = (1 + 2m + G)/4,
-    (1 - 2m + G)/4, (1 - G)/4 lies in [-1e-10, 1], for arrays g and m of
-    one shape."""
-    g, m = np.ravel(g), np.ravel(m)
-    elements = (("u+", (1.0 + 2.0 * m + g) / 4.0), ("u-", (1.0 - 2.0 * m + g) / 4.0),
-                ("w", (1.0 - g) / 4.0))
-    for name, val in elements:
-        bad = np.flatnonzero(~((-1e-10 <= val) & (val <= 1.0)))
-        if bad.size:
-            raise ModelConsistencyError(
-                f"element {name} = {val[bad[0]]:.6g} outside [0, 1] "
-                f"(G = {g[bad[0]]:.6g}, m = {m[bad[0]]:.6g})"
-            )
-
-
 def entropies(temperature, separations, ensemble: str = "symmetric"):
     """(S_i, S_ij, MI) in bits as arrays over the separations at one
     temperature, or over (temperatures, separations) when `temperature` is
-    a sequence: the stacked determinants of diagonal_correlations, one
-    element check and one call of the closed-form X-state kernel, fed the
-    connected correlation G - m^2, for the whole grid."""
+    a sequence: the stacked determinants of diagonal_correlations, then one
+    density.two_site_entropies call for the whole grid.  The state is
+    diagonal (no xx or yy correlation), so the kernel's eigenvalue check
+    is a check of its diagonal; it is fed the connected correlation
+    G - m^2."""
     m = np.array([[_magnetization(t, ensemble)] for t in np.atleast_1d(temperature)])
     g = np.atleast_2d(diagonal_correlations(temperature, separations))
-    g, m = np.broadcast_arrays(g, m)
-    _check_elements(g, m)
-    values = x_state_entropies(np.ravel(m), 0.0, 0.0, np.ravel(g - m * m))
-    values = tuple(v.reshape(g.shape) for v in values)
+    values = two_site_entropies(m, 0.0, 0.0, g, g - m * m)
     return values if np.ndim(temperature) else tuple(v[0] for v in values)
 
 

@@ -1,10 +1,11 @@
 """Scalar/matrix numerical kernels.
 
-Toeplitz determinants in sign/log-magnitude form, Hermitian eigenvalues,
-and trapezoidal quadrature for the Fourier coefficients of a symbol, which
-no model calls: the tests' reference for closed forms.  Everything here is
-a pure function of its inputs; identical inputs give bit-identical outputs
-within one build.
+Toeplitz determinants in sign/log-magnitude form (toeplitz_determinant,
+the one determinant function: one window or a stack of them), Hermitian
+eigenvalues, and trapezoidal quadrature for the Fourier coefficients of a
+symbol, which no model calls: the tests' reference for closed forms.
+Everything here is a pure function of its inputs; identical inputs give
+bit-identical outputs within one build.
 
 Conventions:
   * a_n = (1/2pi) int_0^{2pi} e^{i n theta} phi(theta) dtheta, estimated by
@@ -75,39 +76,37 @@ def fourier_window(
     )
 
 
-def toeplitz_determinant(window, dim: int, row_shift: int = 0) -> float:
-    """det of M[i, j] = a_{i-j+row_shift} for i, j in [0, dim), from the
-    real window of a_n, |n| <= n_max, with a_n at index n + n_max: the
-    one-row case of toeplitz_determinants."""
-    return float(toeplitz_determinants(np.atleast_2d(window), dim, row_shift)[0])
-
-
-def toeplitz_determinants(windows, dim: int, row_shift: int | range = 0) -> np.ndarray:
-    """toeplitz_determinant for each row of the real 2-D `windows`, whose
-    rows hold a_n for |n| <= n_max at index n + n_max (width 2 n_max + 1):
-    one stacked slogdet over a zero-copy strided view whose element
+def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0):
+    """det of M[i, j] = a_{i-j+row_shift} for i, j in [0, dim), from a real
+    window of a_n for |n| <= n_max at index n + n_max (width 2 n_max + 1):
+    a float for one window, an array over the rows of a 2-D stack of
+    windows.  One slogdet over a zero-copy strided view whose element
     (k, i, j) is windows[k, i - j + row_shift + n_max], never a
     (rows, dim, dim) copy.  A range of shifts is one call too, over a view
-    with a leading axis s for the shift row_shift[s]; the result is then
-    (shifts, rows).  Sign/log-magnitude form (pivoted LU underneath) keeps
-    deep sub-unit diagonals from underflowing before the final
+    with a leading axis s for the shift row_shift[s]; the result then has
+    that leading axis.  Sign/log-magnitude form (pivoted LU underneath)
+    keeps deep sub-unit diagonals from underflowing before the final
     exponentiation.
     """
     shifts = row_shift if isinstance(row_shift, range) else range(row_shift, row_shift + 1)
-    n_max = (windows.shape[1] - 1) // 2
+    stack = np.atleast_2d(windows)
+    n_max = (stack.shape[1] - 1) // 2
     if dim < 1:
         raise ValueError("dim must be >= 1")
     lo, hi = min(shifts) - (dim - 1), max(shifts) + (dim - 1)
     if lo < -n_max or hi > n_max:
         raise ValueError(f"window covers [{-n_max}, {n_max}] but the "
                          f"{dim}x{dim} matrix needs [{lo}, {hi}]")
-    row, col = windows.strides
-    stack = np.lib.stride_tricks.as_strided(
-        windows[:, shifts.start + n_max:], shape=(len(shifts), len(windows), dim, dim),
+    row, col = stack.strides
+    view = np.lib.stride_tricks.as_strided(
+        stack[:, shifts.start + n_max:], shape=(len(shifts), len(stack), dim, dim),
         strides=(shifts.step * col, row, col, -col), writeable=False,
     )
-    sign, logabs = np.linalg.slogdet(stack if isinstance(row_shift, range) else stack[0])
-    return sign * np.exp(logabs)
+    sign, logabs = np.linalg.slogdet(view if isinstance(row_shift, range) else view[0])
+    values = sign * np.exp(logabs)
+    if np.ndim(windows) == 2:
+        return values
+    return values[..., 0] if isinstance(row_shift, range) else float(values[0])
 
 
 HERMITICITY_TOL = 1e-10

@@ -31,13 +31,13 @@ where a_n are the Wick-contraction coefficients below and <sz> = -a_0.
 The two-site reduced state is block diagonal in the parity of the pair.
 
 entropies evaluates a whole (couplings, separations) grid at fixed
-(T, N, sector): one window per coupling (four for the Gibbs state), one
-stacked determinant call per separation, one range check and one X-state
-kernel call; correlations_and_mi, mi_over_couplings and magnetization_z
-are its one-coupling and one-separation cases.  correlations and
-correlation_mi take one point through coefficient_window and
-toeplitz_determinant (the Gibbs state: its one-point grid), the same
-floats.
+(T, N, sector): one coefficient_window per coupling (four windows for the
+Gibbs state), one stacked toeplitz_determinant call per separation, then
+density.two_site_entropies for the whole grid; correlations_and_mi,
+mi_over_couplings and magnetization_z are its one-coupling and
+one-separation cases.  correlations and correlation_mi take one point
+through one coefficient_window and two toeplitz_determinant calls (the
+Gibbs state: its one-point grid), the same floats.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import x_state_entropies
-from .errors import ModelConsistencyError, ValidationError
-from .numerics import toeplitz_determinant, toeplitz_determinants
+from .density import CorrelationSet, two_site_entropies
+from .numerics import toeplitz_determinant
 
 SECTORS = ("even", "odd", "gibbs")
 # at most this many bordered-matrix entries (8 MB) go into one Gibbs slogdet call
@@ -76,19 +75,6 @@ class TfimParams:
             raise ValueError("separation must be in [1, sites/2]")
         if self.sector not in SECTORS:
             raise ValueError(f"sector must be one of {SECTORS}")
-
-
-@dataclass(frozen=True)
-class CorrelationSet:
-    """<sz>, <sx sx>, <sy sy>, <sz sz> at one parameter point."""
-
-    mz: float
-    gxx: float
-    gyy: float
-    gzz: float
-
-    def __post_init__(self):
-        _check_range(self.mz, self.gxx, self.gyy, self.gzz)
 
 
 def momenta(sites: int, sector: str = "even") -> np.ndarray:
@@ -290,14 +276,13 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
     else:
         n_max = max(separations)
         # the Gibbs state at T = 0 is the even sector's ground state
-        phi = momenta(sites, "even" if sector == "gibbs" else sector)
+        grid_sector = "even" if sector == "gibbs" else sector
         a = np.array([  # row k: a_n at n + n_max for couplings[k]
-            _window_values(lam, phi, _thermal_factor(lam, temperature, phi), n_max)
-            for lam in couplings
+            coefficient_window(lam, temperature, sites, n_max, grid_sector) for lam in couplings
         ])
         # (separations, shifts -1 and +1, couplings) -> two (couplings, separations)
         gxx, gyy = np.transpose(
-            [toeplitz_determinants(a, r, row_shift=range(-1, 2, 2)) for r in separations],
+            [toeplitz_determinant(a, r, row_shift=range(-1, 2, 2)) for r in separations],
             (1, 2, 0),
         )
         lags = np.asarray(separations)
@@ -327,14 +312,6 @@ def _point(params: TfimParams):
             toeplitz_determinant(a, r, row_shift=+1), mz * mz + czz, czz)
 
 
-def _check_range(mz, gxx, gyy, gzz) -> None:
-    for name, v in (("mz", mz), ("gxx", gxx), ("gyy", gyy), ("gzz", gzz)):
-        v = np.ravel(v)
-        bad = np.flatnonzero(~((-1.0 - 1e-8 <= v) & (v <= 1.0 + 1e-8)))
-        if bad.size:
-            raise ModelConsistencyError(f"{name} = {v[bad[0]]:.6g} outside [-1, 1]")
-
-
 def correlations(params: TfimParams) -> CorrelationSet:
     """All four correlation entries at one parameter point."""
     return CorrelationSet(*(float(v) for v in _point(params)[:4]))
@@ -343,8 +320,8 @@ def correlations(params: TfimParams) -> CorrelationSet:
 def entropies(coupling, temperature, sites, separations, sector="even"):
     """(S_i, S_ij, MI) in bits as arrays over the separations at one
     coupling, or over (couplings, separations) when `coupling` is a
-    sequence: the grid path of _correlation_arrays, then one range check
-    and one X-state kernel call for the whole grid."""
+    sequence: the grid path of _correlation_arrays, then one
+    two_site_entropies call for the whole grid."""
     couplings = np.atleast_1d(coupling)
     values = _entropy_grid(couplings, temperature, sites, separations, sector)[-1]
     return values if np.ndim(coupling) else tuple(v[0] for v in values)
@@ -376,32 +353,12 @@ def _entropy_grid(couplings, temperature, sites, separations, sector):
     mz, gxx, gyy, gzz, czz = _correlation_arrays(
         couplings, temperature, sites, separations, sector
     )
-    where = f"at couplings {couplings.tolist()}, separations {separations}"
-    return mz, gxx, gyy, gzz, _x_state(mz, gxx, gyy, gzz, czz, where)
-
-
-def _x_state(mz, gxx, gyy, gzz, czz, where):
-    """Range check, then one X-state kernel call over the (couplings,
-    separations) grid, with mz over the couplings.  An invalid state is a
-    model error naming the point, or `where` for a grid of several."""
-    mz = np.broadcast_to(mz[:, None], gxx.shape)
-    _check_range(mz, gxx, gyy, gzz)
-    try:
-        values = x_state_entropies(*(np.ravel(v) for v in (mz, gxx, gyy, czz)))
-    except ValidationError as exc:
-        if gxx.size == 1:
-            where = CorrelationSet(*(float(v[0, 0]) for v in (mz, gxx, gyy, gzz)))
-        raise ModelConsistencyError(
-            f"correlations {where} gave an invalid two-site state: {exc}"
-        ) from exc
-    return tuple(v.reshape(gxx.shape) for v in values)
+    return mz, gxx, gyy, gzz, two_site_entropies(mz[:, None], gxx, gyy, gzz, czz)
 
 
 def correlation_mi(params: TfimParams) -> float:
     """Two-site mutual information, in bits, from the one-point route."""
-    mz, *rest = _point(params)
-    _, _, mi = _x_state(np.array([mz]), *(np.array([[v]]) for v in rest), None)
-    return float(mi[0, 0])
+    return float(two_site_entropies(*_point(params))[2])
 
 
 def ground_energy(coupling: float, sites: int, sector: str = "even") -> float:

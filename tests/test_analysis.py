@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from critent import analysis, dimer, ising2d, tfim
+from critent import analysis, density, dimer, ising2d, tfim
 from critent.analysis import (
     SweepRecord,
     log_poly_fit,
@@ -173,7 +173,7 @@ class TestSweep:
             sweep("ising2d", axes={"T": [2.0]}, fixed={"N": 1})
 
     def test_dimer_sweep_is_one_batch(self, monkeypatch):
-        kernel = count_calls(monkeypatch, dimer, "x_state_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
         ts = np.linspace(0.1, 10, 100)
         records = sweep("dimer", axes={"T": ts})
         assert len(kernel) == 1
@@ -245,7 +245,7 @@ class TestSweep:
         assert records[0].tag != records[1].tag
 
     def test_tfim_grid_is_one_batch(self, monkeypatch):
-        kernel = count_calls(monkeypatch, tfim, "x_state_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
         records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]},
                         fixed={"N": 12, "T": 0.0})
@@ -254,7 +254,7 @@ class TestSweep:
         assert len(kernel) == 1
 
     def test_gibbs_grid_is_one_batch(self, monkeypatch):
-        kernel = count_calls(monkeypatch, tfim, "x_state_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
         records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]},
                         fixed={"N": 12, "T": 0.5, "sector": "gibbs"})
@@ -265,7 +265,7 @@ class TestSweep:
         assert len(kernel) == 1
 
     def test_ising_grid_is_one_batch(self, monkeypatch):
-        kernel = count_calls(monkeypatch, ising2d, "x_state_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
         records = sweep("ising2d", axes={"T": [1.8, 2.3, 3.0], "N": [1, 2, 5, 9, 20]})
         assert len(records) == 15 and all(rec.mi is not None for rec in records)
@@ -275,7 +275,7 @@ class TestSweep:
     def test_failing_grid_is_redone_row_by_row(self, monkeypatch):
         # at T = 0 the odd sector's phi = 0 mode is gapless at coupling 1
         # only: that row fails, the other two rows are one kernel call each
-        kernel = count_calls(monkeypatch, tfim, "x_state_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
         records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.5], "r": [1, 2, 3]},
                         fixed={"N": 12, "T": 0.0, "sector": "odd"})
         assert len(kernel) == 2
@@ -295,7 +295,7 @@ class TestSweep:
         elliptic, (bad_x, _) = ising2d._elliptic, ising2d._modulus(2.3)
         monkeypatch.setattr(ising2d, "_elliptic", lambda x: (
             (2.0 * elliptic(x)[0], elliptic(x)[1]) if x == bad_x else elliptic(x)))
-        kernel = count_calls(monkeypatch, ising2d, "x_state_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
         records = sweep("ising2d", axes={"T": [1.8, 2.3, 3.0], "N": [1, 2, 5]})
         assert len(kernel) == 2
         assert len(records) == 9
@@ -393,7 +393,7 @@ class TestScalingDrivers:
             analysis.tfim_nn_scaling(sites_list=(64, 128, 256, 512), step=2.0)
 
     def test_derivative_exponent_is_one_batch(self, monkeypatch):
-        kernel = count_calls(monkeypatch, ising2d, "x_state_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
         result = analysis.ising2d_derivative_exponent("above", separation=10)
         assert len(kernel) == 1 and len(slogdet) == 1
@@ -406,7 +406,7 @@ class TestScalingDrivers:
 
     def test_far_scaling_batches_each_stencil(self, monkeypatch):
         calls = {"kernel": 0, "slogdet": 0}
-        kernel, slogdet = tfim.x_state_entropies, np.linalg.slogdet
+        kernel, slogdet = density.x_state_entropies, np.linalg.slogdet
 
         def counted_kernel(*args):
             calls["kernel"] += 1
@@ -416,7 +416,7 @@ class TestScalingDrivers:
             calls["slogdet"] += 1
             return slogdet(*args)
 
-        monkeypatch.setattr(tfim, "x_state_entropies", counted_kernel)
+        monkeypatch.setattr(density, "x_state_entropies", counted_kernel)
         monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
         sites = (8, 12, 16, 24, 32)
         result = analysis.tfim_far_scaling(sites_list=sites)

@@ -132,6 +132,19 @@ class TestFitCommand:
         assert code == 0
         assert json.loads(out)["exponent"] == pytest.approx(3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("columns, message", [
+        (["--x-col", "N"], "--x-col and --y-col go together"),
+        (["--y-col", "N"], "--x-col and --y-col go together"),
+        (["--x-col", "N", "--y-col", "Q"], "has no column 'Q'; its header is MI,N"),
+    ])
+    def test_column_options_are_checked(self, tmp_path, capsys, columns, message):
+        path = tmp_path / "data.csv"
+        path.write_text("MI,N\n8,2\n64,4\n512,8\n4096,16\n")
+        code, out, err = run_cli(["fit", "power", "--input", str(path), *columns], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestSweepJsonSchema:
     def test_tfim_json_validates(self, capsys):
@@ -162,6 +175,16 @@ class TestSweepJsonSchema:
         assert code == 1
         assert out == ""
         assert "ising2d corr writes CSV only" in err
+
+    @pytest.mark.parametrize("args", [
+        ["ising2d", "exponents", "--side", "above"],
+        ["tfim", "scaling", "--kind", "far"],
+    ])
+    def test_json_only_actions_refuse_csv(self, capsys, args):
+        code, out, err = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{args[0]} {args[1]} writes JSON only" in err
 
 
 class TestPointCommandsAreOneRowOfTheSweep:
@@ -239,6 +262,14 @@ class TestConfigAndErrors:
         assert code == 0
         rows = [l for l in out.splitlines() if l and not l.startswith(("#", "model"))]
         assert len(rows) == 3
+
+    def test_abbreviated_flags_override_config(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t_count": 3}))
+        code, out, _ = run_cli(["dimer", "--t-c", "2", "--config", str(config)], capsys)
+        assert code == 0
+        rows = [l for l in out.splitlines() if l and not l.startswith(("#", "model"))]
+        assert len(rows) == 2
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "run.json"

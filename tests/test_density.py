@@ -12,10 +12,11 @@ from critent.density import (
     random_density_matrix,
     relative_entropy,
     tensor_product,
+    two_site_entropies,
     von_neumann_entropy,
     x_state_entropies,
 )
-from critent.errors import ValidationError
+from critent.errors import ModelConsistencyError, ValidationError
 from oracles import dimer_thermal_state
 
 
@@ -324,3 +325,27 @@ class TestXStateKernel:
         reference = mpmath_mi(*inputs)
         assert reference > 0
         assert abs((mi[0] - reference) / reference) <= 1e-12
+
+
+class TestTwoSiteEntropies:
+    def test_grid_equals_kernel_rows(self):
+        # mz over the rows, correlations over (rows, columns)
+        rng = np.random.default_rng(15)
+        mz = rng.uniform(-0.5, 0.5, (3, 1))
+        gxx, gyy, czz = rng.uniform(-0.01, 0.01, (3, 3, 4))
+        gzz = mz * mz + czz
+        values = two_site_entropies(mz, gxx, gyy, gzz, czz)
+        assert [v.shape for v in values] == [(3, 4)] * 3
+        kernel = x_state_entropies(np.broadcast_to(mz, (3, 4)).ravel(), gxx.ravel(),
+                                   gyy.ravel(), czz.ravel())
+        assert [v.ravel().tolist() for v in values] == [v.tolist() for v in kernel]
+
+    def test_invalid_states_are_model_errors(self):
+        with pytest.raises(ModelConsistencyError, match=r"gzz = 1.5 outside \[-1, 1\]"):
+            two_site_entropies(0.0, 0.0, 0.0, [0.5, 1.5], [0.5, 1.5])
+        with pytest.raises(ModelConsistencyError, match=r"mz = nan outside"):
+            two_site_entropies(float("nan"), 0.0, 0.0, 0.0, 0.0)
+        # every entry in range, but w - |z+| = -1e-9 < 0
+        with pytest.raises(ModelConsistencyError,
+                           match="invalid two-site state: positive semidefinite"):
+            two_site_entropies(0.0, [0.5, 1.0 + 4e-9], 0.0, 0.0, 0.0)

@@ -7,7 +7,6 @@ from critent.numerics import (
     fourier_window,
     hermitian_eigenvalues,
     toeplitz_determinant,
-    toeplitz_determinants,
 )
 from oracles import ising_symbol
 
@@ -166,7 +165,7 @@ class TestToeplitzDeterminants:
         r = 16
         windows = rng.standard_normal((7, 2 * r + 1))
         for dim in (1, r // 2, r):
-            stacked = toeplitz_determinants(windows, dim, row_shift=shift)
+            stacked = toeplitz_determinant(windows, dim, row_shift=shift)
             single = [toeplitz_determinant(row, dim, row_shift=shift) for row in windows]
             assert stacked.tolist() == single
 
@@ -180,7 +179,7 @@ class TestToeplitzDeterminants:
             return slogdet(stack)
 
         monkeypatch.setattr(np.linalg, "slogdet", spy)
-        toeplitz_determinants(windows, 4, row_shift=1)
+        toeplitz_determinant(windows, 4, row_shift=1)
         (stack,) = seen
         assert stack.shape == (3, 4, 4)
         assert np.shares_memory(stack, windows)
@@ -196,27 +195,27 @@ class TestToeplitzDeterminants:
             return slogdet(stack)
 
         monkeypatch.setattr(np.linalg, "slogdet", spy)
-        both = toeplitz_determinants(windows, 8, row_shift=range(-1, 2, 2))
+        both = toeplitz_determinant(windows, 8, row_shift=range(-1, 2, 2))
         (stack,) = seen
         assert stack.shape == (2, 5, 8, 8)
         assert np.shares_memory(stack, windows)
         assert both.tolist() == [
-            toeplitz_determinants(windows, 8, row_shift=shift).tolist() for shift in (-1, 1)
+            toeplitz_determinant(windows, 8, row_shift=shift).tolist() for shift in (-1, 1)
         ]
         # the window must hold every shift's matrix: [-16, 16] fits, 18 does not
-        assert toeplitz_determinants(windows, 16, row_shift=range(-1, 2, 2)).shape == (2, 5)
+        assert toeplitz_determinant(windows, 16, row_shift=range(-1, 2, 2)).shape == (2, 5)
         with pytest.raises(ValueError, match=r"needs \[-16, 18\]"):
-            toeplitz_determinants(windows, 16, row_shift=range(-1, 4, 2))
+            toeplitz_determinant(windows, 16, row_shift=range(-1, 4, 2))
 
     def test_too_narrow_window(self):
         windows = np.ones((2, 5))  # a_n for |n| <= 2
         with pytest.raises(ValueError, match=r"needs \[-3, 3\]"):
-            toeplitz_determinants(windows, 4)
+            toeplitz_determinant(windows, 4)
         with pytest.raises(ValueError, match=r"needs \[-2, 4\]"):
-            toeplitz_determinants(windows, 4, row_shift=1)
+            toeplitz_determinant(windows, 4, row_shift=1)
         with pytest.raises(ValueError, match="dim must be >= 1"):
-            toeplitz_determinants(windows, 0)
-        assert toeplitz_determinants(windows, 2, row_shift=1).shape == (2,)
+            toeplitz_determinant(windows, 0)
+        assert toeplitz_determinant(windows, 2, row_shift=1).shape == (2,)
 
 
 class TestHermitianEigenvalues:
