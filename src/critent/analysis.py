@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -178,6 +177,10 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
     if not rows or not cols:
         return []
     if workers > 1:
+        # imported here: its import chain (logging among it) costs every
+        # single-worker start several milliseconds
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=1) as pool:
             return pool.submit(run, rows, cols).result()
     return run(rows, cols)

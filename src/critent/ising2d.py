@@ -20,7 +20,8 @@ reference.
 
 diagonal_correlations and entropies take one temperature or a sequence of
 them; a sequence gives a (temperatures, separations) grid from one window
-per temperature and one stacked determinant call per N.
+per temperature and one determinant call, whose Levinson recursion yields
+the N x N leading minor for every N at once.
 
 Separations N are in units of sqrt(2) lattice constants.  Two statistical
 descriptions of the ordered phase are supported:
@@ -149,15 +150,15 @@ def diagonal_correlations(temperature, separations) -> np.ndarray:
     """<s_{0,0} s_{N,N}> for each N in separations at one temperature, or
     over (temperatures, separations) when `temperature` is a sequence, as
     N x N Toeplitz determinants of a_{i-j}: one coefficient window per
-    temperature sized for the largest N, stacked, then one stacked
-    determinant call per N over every temperature."""
+    temperature sized for the largest N, stacked, then one determinant
+    call for the leading minors of every N over every temperature."""
     temperatures = list(temperature) if np.ndim(temperature) else [temperature]
     separations = [int(n) for n in separations]
     if min(separations) < 1:
         raise ValueError("separation must be >= 1")
     n_max = max(separations) - 1
     windows = np.array([coefficient_window(t, n_max) for t in temperatures])
-    values = np.transpose([toeplitz_determinant(windows, n) for n in separations])
+    values = toeplitz_determinant(windows, n_max + 1, sizes=separations)
     bad = np.argwhere(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
     if bad.size:
         i, j = bad[0]
@@ -180,7 +181,7 @@ def _magnetization(temperature: float, ensemble: str) -> float:
 def entropies(temperature, separations, ensemble: str = "symmetric"):
     """(S_i, S_ij, MI) in bits as arrays over the separations at one
     temperature, or over (temperatures, separations) when `temperature` is
-    a sequence: the stacked determinants of diagonal_correlations, then one
+    a sequence: the leading minors of diagonal_correlations, then one
     density.two_site_entropies call for the whole grid.  The state is
     diagonal (no xx or yy correlation), so the kernel's eigenvalue check
     is a check of its diagonal; it is fed the connected correlation

@@ -1,9 +1,10 @@
 """Scalar/matrix numerical kernels.
 
 Toeplitz determinants in sign/log-magnitude form (toeplitz_determinant,
-the one determinant function: one window or a stack of them), Hermitian
-eigenvalues, and trapezoidal quadrature for the Fourier coefficients of a
-symbol, which no model calls: the tests' reference for closed forms.
+the one determinant function: one window or a stack of them, with every
+leading minor from one Levinson recursion), Hermitian eigenvalues, and
+trapezoidal quadrature for the Fourier coefficients of a symbol, which no
+model calls: the tests' reference for closed forms.
 Everything here is a pure function of its inputs; identical inputs give
 bit-identical outputs within one build.
 
@@ -76,20 +77,27 @@ def fourier_window(
     )
 
 
-def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0):
+def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0, sizes=None):
     """det of M[i, j] = a_{i-j+row_shift} for i, j in [0, dim), from a real
     window of a_n for |n| <= n_max at index n + n_max (width 2 n_max + 1):
     a float for one window, an array over the rows of a 2-D stack of
-    windows.  One slogdet over a zero-copy strided view whose element
-    (k, i, j) is windows[k, i - j + row_shift + n_max], never a
-    (rows, dim, dim) copy.  A range of shifts is one call too, over a view
-    with a leading axis s for the shift row_shift[s]; the result then has
-    that leading axis.  Sign/log-magnitude form (pivoted LU underneath)
-    keeps deep sub-unit diagonals from underflowing before the final
-    exponentiation.
+    windows.  A range of shifts gives the result a leading axis s for the
+    shift row_shift[s]; a sequence `sizes` of k in [1, dim] gives it a
+    trailing axis of the k x k leading minors in place of the one
+    dim x dim determinant.
+
+    One nonsymmetric Levinson recursion per shift over the whole stack
+    (Trench, J. SIAM 12, 515 (1964)) gives every leading minor in
+    O(rows dim^2) as the product of its pivots, in sign/log-magnitude form
+    so that deep sub-unit minors do not underflow before the final
+    exponentiation.  The k x k minor of a row is the same float whatever
+    dim and whichever rows share the stack.  A row whose pivots are not all
+    finite up to size k (a zero pivot makes the next one infinite or NaN)
+    has broken down there: its minors from k on are pivoted-LU slogdets,
+    one call per size over the rows that broke.
     """
     shifts = row_shift if isinstance(row_shift, range) else range(row_shift, row_shift + 1)
-    stack = np.atleast_2d(windows)
+    stack = np.atleast_2d(np.asarray(windows, dtype=float))
     n_max = (stack.shape[1] - 1) // 2
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -97,16 +105,63 @@ def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0):
     if lo < -n_max or hi > n_max:
         raise ValueError(f"window covers [{-n_max}, {n_max}] but the "
                          f"{dim}x{dim} matrix needs [{lo}, {hi}]")
-    row, col = stack.strides
-    view = np.lib.stride_tricks.as_strided(
-        stack[:, shifts.start + n_max:], shape=(len(shifts), len(stack), dim, dim),
-        strides=(shifts.step * col, row, col, -col), writeable=False,
-    )
-    sign, logabs = np.linalg.slogdet(view if isinstance(row_shift, range) else view[0])
-    values = sign * np.exp(logabs)
-    if np.ndim(windows) == 2:
-        return values
-    return values[..., 0] if isinstance(row_shift, range) else float(values[0])
+    ks = [dim] if sizes is None else [int(k) for k in sizes]
+    if not all(1 <= k <= dim for k in ks):
+        raise ValueError(f"sizes must lie in [1, {dim}]")
+    # the windows reversed, one column per row; a lone row is doubled: numpy
+    # sums a single column pairwise but two or more columns term by term, and
+    # one order keeps a row's minors the same in any stack
+    lags = np.ascontiguousarray(np.repeat(stack, 2 if len(stack) == 1 else 1, axis=0)[:, ::-1].T)
+    values = np.array([_leading_minors(stack, lags, n_max + s, dim, ks) for s in shifts])
+    if np.ndim(windows) == 1:
+        values = values[:, 0]
+    if not isinstance(row_shift, range):
+        values = values[0]
+    if sizes is None:
+        values = values[..., 0]
+    return float(values) if values.ndim == 0 else values
+
+
+def _leading_minors(stack, lags, centre, dim, sizes):
+    """(rows, sizes) leading minors of M[i, j] = t_{i-j} with t_n at
+    stack[:, centre + n], which is lags[mid - n] for mid = width - 1 - centre.
+
+    With M_k x = (p_k, 0, ..., 0), x_0 = 1, and M_k w = (0, ..., 0, p_k),
+    w_{k-1} = 1, the pivot p_k = det M_k / det M_{k-1}, and bordering both
+    gives p_{k+1} = p_k - e_x e_w / p_k with e_x = sum_j t_{k-j} x_j and
+    e_w = sum_j t_{-1-j} w_j; x is stored from the top of its buffer and
+    w from the bottom, so neither update reads a vector backwards.
+    """
+    width, columns = lags.shape
+    mid = width - 1 - centre
+    pivots = np.empty((dim, columns))
+    pivots[0] = lags[mid]
+    x, w = np.zeros((2, dim, columns))
+    x[0] = w[-1] = 1.0
+    with np.errstate(all="ignore"):  # a breakdown shows as a non-finite pivot
+        for k in range(1, dim):
+            e_x = (lags[mid - k:mid] * x[:k]).sum(axis=0)
+            e_w = (lags[mid + 1:mid + 1 + k] * w[dim - k:]).sum(axis=0)
+            ratio_x, ratio_w = e_x / pivots[k - 1], e_w / pivots[k - 1]
+            pivots[k] = pivots[k - 1] - e_x * ratio_w
+            if k + 1 < dim:
+                step = ratio_w * x[:k + 1]
+                x[:k + 1] -= ratio_x * w[dim - 1 - k:]
+                w[dim - 1 - k:] -= step
+        pivots = pivots[:, :len(stack)].T
+        at = np.asarray(sizes) - 1
+        logabs = np.cumsum(np.log(np.abs(pivots)), axis=1)[:, at]
+        values = np.cumprod(np.sign(pivots), axis=1)[:, at] * np.exp(logabs)
+    intact = np.logical_and.accumulate(np.isfinite(pivots), axis=1)[:, at]
+    for j in np.flatnonzero(~intact.all(axis=0)):
+        broken, k = np.flatnonzero(~intact[:, j]), sizes[j]
+        rows = stack[broken]
+        row, col = rows.strides
+        view = np.lib.stride_tricks.as_strided(
+            rows[:, centre:], shape=(broken.size, k, k), strides=(row, col, -col))
+        sign, logabs_k = np.linalg.slogdet(view)
+        values[broken, j] = sign * np.exp(logabs_k)
+    return values
 
 
 HERMITICITY_TOL = 1e-10

@@ -30,14 +30,16 @@ Correlations at separation r (lattice constants, r <= N/2):
 where a_n are the Wick-contraction coefficients below and <sz> = -a_0.
 The two-site reduced state is block diagonal in the parity of the pair.
 
-entropies evaluates a whole (couplings, separations) grid at fixed
-(T, N, sector): one coefficient_window per coupling (four windows for the
-Gibbs state), one stacked toeplitz_determinant call per separation, then
-density.two_site_entropies for the whole grid; correlations_and_mi,
-mi_over_couplings and magnetization_z are its one-coupling and
-one-separation cases.  correlations and correlation_mi take one point
-through one coefficient_window and two toeplitz_determinant calls (the
-Gibbs state: its one-point grid), the same floats.
+The r x r matrices of every separation are leading minors of the
+largest one, so entropies evaluates a whole (couplings, separations) grid
+at fixed (T, N, sector) with one coefficient_window per coupling and one
+toeplitz_determinant call (a Levinson recursion per shift over the stacked
+windows; the Gibbs state's bordered matrices take one slogdet per
+separation instead), then density.two_site_entropies for the whole grid;
+correlations_and_mi, mi_over_couplings and magnetization_z are its
+one-coupling and one-separation cases.  correlations and correlation_mi
+take one point through one coefficient_window and two toeplitz_determinant
+calls (the Gibbs state: its one-point grid), the same floats.
 """
 
 from __future__ import annotations
@@ -264,8 +266,9 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
 
     One coefficient window per coupling (four, one per trace, for the Gibbs
     route at T > 0), sized for the largest separation, stacked into one
-    array; per separation, one stacked determinant call over every window
-    and both shifts; mz and czz by indexing (Gibbs: one call each).
+    array; one determinant call gives every separation's minor for every
+    window and both shifts (Gibbs: one bordered slogdet per separation);
+    mz and czz by indexing (Gibbs: one call each).
     Validates the parameters as TfimParams does, with its messages.
     """
     couplings = np.atleast_1d(np.asarray(coupling, dtype=float))
@@ -280,11 +283,8 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
         a = np.array([  # row k: a_n at n + n_max for couplings[k]
             coefficient_window(lam, temperature, sites, n_max, grid_sector) for lam in couplings
         ])
-        # (separations, shifts -1 and +1, couplings) -> two (couplings, separations)
-        gxx, gyy = np.transpose(
-            [toeplitz_determinant(a, r, row_shift=range(-1, 2, 2)) for r in separations],
-            (1, 2, 0),
-        )
+        # shifts -1 and +1: two (couplings, separations) arrays of leading minors
+        gxx, gyy = toeplitz_determinant(a, n_max, row_shift=range(-1, 2, 2), sizes=separations)
         lags = np.asarray(separations)
         mz = -a[:, n_max]
         # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
@@ -295,9 +295,10 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
 
 def _point(params: TfimParams):
     """(mz, gxx, gyy, gzz, czz) at one point through the per-point layers:
-    one coefficient_window and two toeplitz_determinant calls.  They
-    factorize the matrices the grid path stacks, so the floats are the
-    same; the sweep tests hold the two routes to each other bit for bit.
+    one coefficient_window and two toeplitz_determinant calls.  A minor
+    does not depend on the size or the stack it is taken from, so the
+    floats are the grid path's; the sweep tests hold the two routes to each
+    other bit for bit.
     The Gibbs state at T > 0 is the grid path's one-point grid."""
     lam, temperature, sites, r, sector = (
         params.coupling, params.temperature, params.sites, params.separation, params.sector

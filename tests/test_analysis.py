@@ -246,11 +246,14 @@ class TestSweep:
 
     def test_tfim_grid_is_one_batch(self, monkeypatch):
         kernel = count_calls(monkeypatch, density, "x_state_entropies")
+        determinant = count_calls(monkeypatch, tfim, "toeplitz_determinant")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
         records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]},
                         fixed={"N": 12, "T": 0.0})
         assert len(records) == 18 and all(rec.mi is not None for rec in records)
-        assert len(slogdet) <= 6  # one per separation, both shifts in one call
+        # one recursion per shift over the grid gives every separation; no
+        # row breaks down, so no pivoted LU
+        assert len(determinant) == 1 and len(slogdet) == 0
         assert len(kernel) == 1
 
     def test_gibbs_grid_is_one_batch(self, monkeypatch):
@@ -266,10 +269,11 @@ class TestSweep:
 
     def test_ising_grid_is_one_batch(self, monkeypatch):
         kernel = count_calls(monkeypatch, density, "x_state_entropies")
+        determinant = count_calls(monkeypatch, ising2d, "toeplitz_determinant")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
         records = sweep("ising2d", axes={"T": [1.8, 2.3, 3.0], "N": [1, 2, 5, 9, 20]})
         assert len(records) == 15 and all(rec.mi is not None for rec in records)
-        assert len(slogdet) <= 5  # one per separation
+        assert len(determinant) == 1 and len(slogdet) == 0  # one recursion, every N
         assert len(kernel) == 1
 
     def test_failing_grid_is_redone_row_by_row(self, monkeypatch):
@@ -394,9 +398,10 @@ class TestScalingDrivers:
 
     def test_derivative_exponent_is_one_batch(self, monkeypatch):
         kernel = count_calls(monkeypatch, density, "x_state_entropies")
+        determinant = count_calls(monkeypatch, ising2d, "toeplitz_determinant")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
         result = analysis.ising2d_derivative_exponent("above", separation=10)
-        assert len(kernel) == 1 and len(slogdet) == 1
+        assert len(kernel) == 1 and len(determinant) == 1 and len(slogdet) == 0
         monkeypatch.undo()
         tc = ising2d.critical_temperature()
         assert result["derivatives"] == [
@@ -407,6 +412,7 @@ class TestScalingDrivers:
     def test_far_scaling_batches_each_stencil(self, monkeypatch):
         calls = {"kernel": 0, "slogdet": 0}
         kernel, slogdet = density.x_state_entropies, np.linalg.slogdet
+        determinant = count_calls(monkeypatch, tfim, "toeplitz_determinant")
 
         def counted_kernel(*args):
             calls["kernel"] += 1
@@ -422,4 +428,7 @@ class TestScalingDrivers:
         result = analysis.tfim_far_scaling(sites_list=sites)
         assert len(result["peaks"]) == len(sites)
         assert calls["kernel"] <= 2 * len(sites)
-        assert calls["slogdet"] <= 4 * len(sites)
+        # one recursion per shift for each stencil (coarse and fine) of
+        # each ring; no row breaks down
+        assert len(determinant) == 2 * len(sites)
+        assert calls["slogdet"] == 0

@@ -1,7 +1,10 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
-from critent import ising2d
+from critent import ising2d, tfim
 from critent.errors import ConvergenceError
 from critent.numerics import (
     fourier_window,
@@ -169,43 +172,93 @@ class TestToeplitzDeterminants:
             single = [toeplitz_determinant(row, dim, row_shift=shift) for row in windows]
             assert stacked.tolist() == single
 
-    def test_windows_are_not_copied(self, monkeypatch):
-        windows = np.random.default_rng(10).standard_normal((3, 9))
-        seen = []
-        slogdet = np.linalg.slogdet
-
-        def spy(stack):
-            seen.append(stack)
-            return slogdet(stack)
-
-        monkeypatch.setattr(np.linalg, "slogdet", spy)
-        toeplitz_determinant(windows, 4, row_shift=1)
-        (stack,) = seen
-        assert stack.shape == (3, 4, 4)
-        assert np.shares_memory(stack, windows)
-        assert stack[2, 3, 1] == windows[2, 3 - 1 + 1 + 4]
-
-    def test_range_of_shifts_is_one_call_on_the_same_view(self, monkeypatch):
+    def test_range_of_shifts_equals_one_call_per_shift(self):
         windows = np.random.default_rng(11).standard_normal((5, 33))
-        seen = []
-        slogdet = np.linalg.slogdet
-
-        def spy(stack):
-            seen.append(stack)
-            return slogdet(stack)
-
-        monkeypatch.setattr(np.linalg, "slogdet", spy)
         both = toeplitz_determinant(windows, 8, row_shift=range(-1, 2, 2))
-        (stack,) = seen
-        assert stack.shape == (2, 5, 8, 8)
-        assert np.shares_memory(stack, windows)
+        assert both.shape == (2, 5)
         assert both.tolist() == [
             toeplitz_determinant(windows, 8, row_shift=shift).tolist() for shift in (-1, 1)
         ]
+        sizes = [1, 3, 8]
+        minors = toeplitz_determinant(windows, 8, row_shift=range(-1, 2, 2), sizes=sizes)
+        assert minors.shape == (2, 5, 3)
+        assert minors.tolist() == [
+            toeplitz_determinant(windows, 8, row_shift=shift, sizes=sizes).tolist()
+            for shift in (-1, 1)
+        ]
+        assert toeplitz_determinant(windows[0], 8, row_shift=range(-1, 2, 2)).shape == (2,)
         # the window must hold every shift's matrix: [-16, 16] fits, 18 does not
         assert toeplitz_determinant(windows, 16, row_shift=range(-1, 2, 2)).shape == (2, 5)
         with pytest.raises(ValueError, match=r"needs \[-16, 18\]"):
             toeplitz_determinant(windows, 16, row_shift=range(-1, 4, 2))
+        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
+            toeplitz_determinant(windows, 8, sizes=[0, 4])
+        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
+            toeplitz_determinant(windows, 8, sizes=[9])
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_minors_equal_smaller_calls_bit_for_bit(self, shift):
+        windows = np.random.default_rng(12).standard_normal((6, 2 * 17 + 1))
+        sizes = range(1, 17)
+        stacked = toeplitz_determinant(windows, 16, row_shift=shift, sizes=sizes)
+        alone = toeplitz_determinant(windows[2], 16, row_shift=shift, sizes=sizes)
+        assert stacked.shape == (6, 16) and alone.shape == (16,)
+        assert alone.tolist() == stacked[2].tolist()
+        for k in sizes:
+            narrow = windows[:, 17 - (k + 1):17 + k + 2]  # a_n for |n| <= k + 1
+            assert toeplitz_determinant(narrow, k, row_shift=shift).tolist() == \
+                stacked[:, k - 1].tolist()
+            assert toeplitz_determinant(narrow[2], k, row_shift=shift) == alone[k - 1]
+
+    def test_no_dense_stack_is_built(self, monkeypatch):
+        rows, dim = 4, 512
+        windows = np.array([tfim.coefficient_window(lam, 0.0, 2 * dim, dim)
+                            for lam in np.linspace(0.6, 1.4, rows)])
+        monkeypatch.setattr(np.linalg, "slogdet", None)  # no row breaks down
+        tracemalloc.start()
+        try:
+            toeplitz_determinant(windows, dim, row_shift=range(-1, 2, 2),
+                                 sizes=range(1, dim + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * dim * dim * 8 / 16  # (rows, dim, dim) is 8 MB
+
+    def test_breakdown_rows_take_one_slogdet_per_size(self, monkeypatch):
+        # at lambda = 0 the TFIM window is -delta_n0: both shifted matrices
+        # have a zero diagonal, so the first pivot is 0 and every minor
+        # from size 2 on goes to pivoted LU, for that row alone
+        couplings = [0.0, 0.5, 1.0]
+        windows = np.array([tfim.coefficient_window(lam, 0.0, 1000, 50) for lam in couplings])
+        calls, slogdet = [], np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+        minors = toeplitz_determinant(windows, 50, row_shift=range(-1, 2, 2),
+                                      sizes=range(1, 51))
+        assert calls == [(1, k, k) for k in range(2, 51)] * 2
+        monkeypatch.undo()
+        for s, shift in enumerate((-1, 1)):
+            assert minors[s, 0].tolist() == [lu_minor(windows[0], k, shift) for k in range(1, 51)]
+            np.testing.assert_allclose(
+                minors[s, 1:], [[lu_minor(row, k, shift) for k in range(1, 51)]
+                                for row in windows[1:]], rtol=1e-10, atol=1e-12)
+
+    def test_ising_breakdown_above_tc_equals_slogdet(self, monkeypatch):
+        # at T = 5 the forward vector grows like sinh^-2(2/T)^k and overflows
+        # near k = 395, where the minors reach the subnormal range
+        window = ising2d.coefficient_window(5.0, 799)
+        calls, slogdet = [], np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+        sizes = [100, 300, 390, 400, 500, 800]
+        minors = toeplitz_determinant(window, 800, sizes=sizes)
+        broken = [shape[-1] for shape in calls]
+        monkeypatch.undo()
+        assert 800 in broken and 100 not in broken
+        lu = [lu_minor(window, k) for k in sizes]
+        for k, value, reference in zip(sizes, minors, lu):
+            if k in broken:
+                assert value == reference
+            else:
+                assert value == pytest.approx(reference, rel=1e-10, abs=1e-300)
 
     def test_too_narrow_window(self):
         windows = np.ones((2, 5))  # a_n for |n| <= 2
@@ -216,6 +269,60 @@ class TestToeplitzDeterminants:
         with pytest.raises(ValueError, match="dim must be >= 1"):
             toeplitz_determinant(windows, 0)
         assert toeplitz_determinant(windows, 2, row_shift=1).shape == (2,)
+
+
+def lu_minor(window, k, shift=0):
+    """The k x k determinant of a_{i-j+shift} by np.linalg.slogdet (pivoted LU)."""
+    n_max = (len(window) - 1) // 2
+    idx = np.subtract.outer(np.arange(k), np.arange(k)) + shift + n_max
+    sign, logabs = np.linalg.slogdet(window[idx])
+    return float(sign * np.exp(logabs))
+
+
+def lu_minors(windows, shift, sizes):
+    """(rows, sizes) array of lu_minor over a stack of windows."""
+    return np.array([[lu_minor(row, k, shift) for k in sizes] for row in windows])
+
+
+class TestLevinsonAgainstReferences:
+    """The recursion against pivoted LU on the grids the CLI evaluates, and
+    against 40-digit determinants of the same float windows."""
+
+    @pytest.mark.parametrize("sites", [32, 64, 128, 256, 512])
+    def test_far_pair_grid(self, sites):
+        coarse = np.arange(0.9, 1.15 + 1e-12, 0.005)
+        couplings = np.concatenate([coarse - 1e-4, coarse + 1e-4])
+        r = sites // 2
+        windows = np.array([tfim.coefficient_window(lam, 0.0, sites, r) for lam in couplings])
+        minors = toeplitz_determinant(windows, r, row_shift=range(-1, 2, 2), sizes=[r])
+        for s, shift in enumerate((-1, 1)):
+            np.testing.assert_allclose(minors[s], lu_minors(windows, shift, [r]),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_tfim_sweep_grid(self):
+        windows = np.array([tfim.coefficient_window(lam, 0.0, 1000, 50)
+                            for lam in np.linspace(0.0, 2.0, 11)])
+        sizes = range(1, 51)
+        minors = toeplitz_determinant(windows, 50, row_shift=range(-1, 2, 2), sizes=sizes)
+        for s, shift in enumerate((-1, 1)):
+            np.testing.assert_allclose(minors[s], lu_minors(windows, shift, sizes),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_ising_sweep_grid(self):
+        windows = np.array([ising2d.coefficient_window(t, 49)
+                            for t in np.linspace(1.5, 3.5, 21)])
+        sizes = range(1, 51)
+        np.testing.assert_allclose(toeplitz_determinant(windows, 50, sizes=sizes),
+                                   lu_minors(windows, 0, sizes), rtol=1e-10, atol=1e-12)
+
+    def test_forty_digit_determinant(self):
+        window = tfim.coefficient_window(1.1, 0.0, 128, 64)
+        for shift in (-1, 1):
+            with mpmath.workdps(40):
+                exact = mpmath.det(mpmath.matrix(
+                    [[window[i - j + shift + 64] for j in range(64)] for i in range(64)]))
+            value = toeplitz_determinant(window, 64, row_shift=shift)
+            assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 class TestHermitianEigenvalues:
