@@ -109,8 +109,9 @@ def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0, sizes=No
     if not all(1 <= k <= dim for k in ks):
         raise ValueError(f"sizes must lie in [1, {dim}]")
     # the windows reversed, one column per row; a lone row is doubled: numpy
-    # sums a single column pairwise but two or more columns term by term, and
-    # one order keeps a row's minors the same in any stack
+    # (einsum too) sums a single column in another order than two or more
+    # columns, which it sums term by term, and one order keeps a row's
+    # minors the same in any stack
     lags = np.ascontiguousarray(np.repeat(stack, 2 if len(stack) == 1 else 1, axis=0)[:, ::-1].T)
     values = np.array([_leading_minors(stack, lags, n_max + s, dim, ks) for s in shifts])
     if np.ndim(windows) == 1:
@@ -130,7 +131,9 @@ def _leading_minors(stack, lags, centre, dim, sizes):
     w_{k-1} = 1, the pivot p_k = det M_k / det M_{k-1}, and bordering both
     gives p_{k+1} = p_k - e_x e_w / p_k with e_x = sum_j t_{k-j} x_j and
     e_w = sum_j t_{-1-j} w_j; x is stored from the top of its buffer and
-    w from the bottom, so neither update reads a vector backwards.
+    w from the bottom, so neither update reads a vector backwards.  Each
+    dot product is one einsum pass over its (k, columns) slices, with no
+    product temporary, summing term by term as (a * b).sum(axis=0) does.
     """
     width, columns = lags.shape
     mid = width - 1 - centre
@@ -140,8 +143,8 @@ def _leading_minors(stack, lags, centre, dim, sizes):
     x[0] = w[-1] = 1.0
     with np.errstate(all="ignore"):  # a breakdown shows as a non-finite pivot
         for k in range(1, dim):
-            e_x = (lags[mid - k:mid] * x[:k]).sum(axis=0)
-            e_w = (lags[mid + 1:mid + 1 + k] * w[dim - k:]).sum(axis=0)
+            e_x = np.einsum("ij,ij->j", lags[mid - k:mid], x[:k])
+            e_w = np.einsum("ij,ij->j", lags[mid + 1:mid + 1 + k], w[dim - k:])
             ratio_x, ratio_w = e_x / pivots[k - 1], e_w / pivots[k - 1]
             pivots[k] = pivots[k - 1] - e_x * ratio_w
             if k + 1 < dim:

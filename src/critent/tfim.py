@@ -32,14 +32,16 @@ The two-site reduced state is block diagonal in the parity of the pair.
 
 The r x r matrices of every separation are leading minors of the
 largest one, so entropies evaluates a whole (couplings, separations) grid
-at fixed (T, N, sector) with one coefficient_window per coupling and one
-toeplitz_determinant call (a Levinson recursion per shift over the stacked
-windows; the Gibbs state's bordered matrices take one slogdet per
-separation instead), then density.two_site_entropies for the whole grid;
-correlations_and_mi, mi_over_couplings and magnetization_z are its
-one-coupling and one-separation cases.  correlations and correlation_mi
-take one point through one coefficient_window and two toeplitz_determinant
-calls (the Gibbs state: its one-point grid), the same floats.
+at fixed (T, N, sector) with one coefficient_window call for all its
+couplings (one inverse FFT along the momentum axis of a (couplings, N)
+array) and one toeplitz_determinant call (a Levinson recursion per shift
+over the stacked windows; the Gibbs state's bordered matrices take one
+slogdet per separation instead), then density.two_site_entropies for the
+whole grid; correlations_and_mi, mi_over_couplings and magnetization_z
+are its one-coupling and one-separation cases.  correlations and
+correlation_mi take one point through one coefficient_window and two
+toeplitz_determinant calls (the Gibbs state: its one-point grid), the same
+floats.
 """
 
 from __future__ import annotations
@@ -92,15 +94,17 @@ def momenta(sites: int, sector: str = "even") -> np.ndarray:
     return 2.0 * np.pi * q / sites
 
 
-def dispersion(coupling: float, phi) -> np.ndarray:
-    """omega = sqrt(1 + lambda^2 - 2 lambda cos phi) >= |1 - lambda|."""
-    if coupling < 0:
+def dispersion(coupling, phi) -> np.ndarray:
+    """omega = sqrt(1 + lambda^2 - 2 lambda cos phi) >= |1 - lambda|, for a
+    coupling or an array of them broadcast against phi."""
+    if np.any(np.asarray(coupling) < 0):
         raise ValueError("coupling must be >= 0")
     return np.sqrt(1.0 + coupling**2 - 2.0 * coupling * np.cos(phi))
 
 
 def _thermal_factor(coupling, temperature, phi):
-    """tanh(omega/T)/omega, with the T = 0 limit tanh -> 1 taken exactly."""
+    """tanh(omega/T)/omega, with the T = 0 limit tanh -> 1 taken exactly;
+    a couplings column (couplings, 1) gives a (couplings, N) array."""
     omega = dispersion(coupling, phi)
     if temperature == 0:
         if np.any(omega < 1e-12):
@@ -122,17 +126,19 @@ def magnetization_z(coupling: float, temperature: float, sites: int,
 
 
 def coefficient_window(
-    coupling: float,
+    coupling,
     temperature: float,
     sites: int,
     n_max: int,
     sector: str = "even",
 ) -> np.ndarray:
     """a_n for |n| <= n_max, at index n + n_max, from one length-N FFT
-    over the momentum grid."""
+    over the momentum grid; for a sequence of couplings, a (couplings,
+    2 n_max + 1) stack from one FFT call, row k the window of coupling k
+    bit for bit."""
     phi = momenta(sites, sector)
-    f = _thermal_factor(coupling, temperature, phi)
-    return _window_values(coupling, phi, f, n_max)
+    column = np.asarray(coupling, dtype=float)[..., None]
+    return _window_values(column, phi, _thermal_factor(column, temperature, phi), n_max)
 
 
 def _window_values(coupling, phi, f, n_max) -> np.ndarray:
@@ -142,11 +148,25 @@ def _window_values(coupling, phi, f, n_max) -> np.ndarray:
         a_n = Re (e^{i phi_0 n}/N) sum_k e^{2 pi i k n/N} (lambda e^{i phi_k} - 1) f_k,
 
     one inverse FFT whose entries do not depend on n_max, so a coefficient
-    is the same float in every window that holds it.
+    is the same float in every window that holds it.  f is (N,) for one
+    coupling or (couplings, N) for a couplings column (couplings, 1), the
+    stack taking one FFT call along its last axis.  Every step after the
+    first writes in place and f is let go before the FFT, so when the
+    caller keeps no reference to f (coefficient_window) at most two complex
+    (couplings, N)-sized arrays are alive at once: the FFT's input and
+    output.  The result is a real copy, so no complex buffer outlives the
+    call.
     """
     n = np.arange(-n_max, n_max + 1)
-    spectrum = np.fft.ifft((coupling * np.exp(1j * phi) - 1.0) * f)
-    return (np.exp(1j * phi[0] * n) * spectrum[n % len(phi)]).real
+    spectrum = coupling * np.exp(1j * phi)
+    spectrum -= 1.0
+    spectrum *= f
+    del f
+    spectrum = np.fft.ifft(spectrum, axis=-1)
+    window = spectrum[..., n % len(phi)]
+    del spectrum  # before the multiply's buffer is taken
+    window *= np.exp(1j * phi[0] * n)
+    return np.ascontiguousarray(window.real)
 
 
 def _log_2cosh(y):
@@ -264,10 +284,11 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
     czz = gzz - mz^2 over (couplings, separations); for one coupling (a
     scalar) mz is a scalar and the rest are arrays over the separations.
 
-    One coefficient window per coupling (four, one per trace, for the Gibbs
-    route at T > 0), sized for the largest separation, stacked into one
-    array; one determinant call gives every separation's minor for every
-    window and both shifts (Gibbs: one bordered slogdet per separation);
+    One coefficient_window call for the stacked windows of all couplings
+    (the Gibbs route at T > 0: four windows per coupling, one per trace,
+    built coupling by coupling), sized for the largest separation; one
+    determinant call gives every separation's minor for every window and
+    both shifts (Gibbs: one bordered slogdet per separation);
     mz and czz by indexing (Gibbs: one call each).
     Validates the parameters as TfimParams does, with its messages.
     """
@@ -280,9 +301,8 @@ def _correlation_arrays(coupling, temperature, sites, separations, sector):
         n_max = max(separations)
         # the Gibbs state at T = 0 is the even sector's ground state
         grid_sector = "even" if sector == "gibbs" else sector
-        a = np.array([  # row k: a_n at n + n_max for couplings[k]
-            coefficient_window(lam, temperature, sites, n_max, grid_sector) for lam in couplings
-        ])
+        # row k: a_n at n + n_max for couplings[k]
+        a = coefficient_window(couplings, temperature, sites, n_max, grid_sector)
         # shifts -1 and +1: two (couplings, separations) arrays of leading minors
         gxx, gyy = toeplitz_determinant(a, n_max, row_shift=range(-1, 2, 2), sizes=separations)
         lags = np.asarray(separations)

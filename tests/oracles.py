@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from critent import dimer, tfim
-from critent.density import DensityMatrix, make_density_matrix
+from critent.density import DensityMatrix, make_density_matrix, two_site_entropies
 
 
 def x_state(mz, gxx, gyy, gzz) -> DensityMatrix:
@@ -33,6 +33,14 @@ def site_state(mz) -> DensityMatrix:
     return make_density_matrix(np.diag([(1 + mz) / 2, (1 - mz) / 2]), (2,))
 
 
+def _thermal_factor(omega, temperature):
+    """tanh(omega/T)/omega, with tanh -> 1 at T = 0 and -> 1/T at omega = 0."""
+    if temperature == 0:
+        return 1.0 / omega
+    safe = np.where(omega > 0, omega, 1.0)
+    return np.where(omega > 0, np.tanh(safe / temperature) / safe, 1.0 / temperature)
+
+
 def tfim_coefficient(coupling, temperature, sites, n, sector="even") -> float:
     """Wick coefficient a_n of the ring as the direct momentum sum
 
@@ -42,15 +50,65 @@ def tfim_coefficient(coupling, temperature, sites, n, sector="even") -> float:
     with tanh -> 1 at T = 0 and tanh(omega/T)/omega -> 1/T at omega = 0.
     """
     phi = tfim.momenta(sites, sector)
-    omega = tfim.dispersion(coupling, phi)
-    if temperature == 0:
-        f = 1.0 / omega
-    else:
-        safe = np.where(omega > 0, omega, 1.0)
-        f = np.where(omega > 0, np.tanh(safe / temperature) / safe, 1.0 / temperature)
+    f = _thermal_factor(tfim.dispersion(coupling, phi), temperature)
     cos_sum = np.sum(np.cos(phi * n) * (coupling * np.cos(phi) - 1.0) * f)
     sin_sum = np.sum(np.sin(phi * n) * np.sin(phi) * f)
     return float((cos_sum - coupling * sin_sum) / sites)
+
+
+def tfim_windows(couplings, temperature, sites, n_max, sector="even") -> np.ndarray:
+    """(couplings, 2 n_max + 1) stack of TFIM coefficient windows built one
+    coupling at a time, each from its own length-N inverse FFT of
+    (lambda e^{i phi} - 1) tanh(omega/T)/omega over the momentum grid: the
+    reference for the library's one-FFT-call stack."""
+    phi = tfim.momenta(sites, sector)
+    n = np.arange(-n_max, n_max + 1)
+    rows = []
+    for lam in couplings:
+        f = _thermal_factor(tfim.dispersion(lam, phi), temperature)
+        spectrum = np.fft.ifft((lam * np.exp(1j * phi) - 1.0) * f)
+        rows.append((np.exp(1j * phi[0] * n) * spectrum[n % sites]).real)
+    return np.array(rows)
+
+
+def levinson_minors(windows, shift: int, dim: int) -> np.ndarray:
+    """(rows, dim) leading minors of M[i, j] = a_{i-j+shift} for a stack of
+    two or more windows, by the nonsymmetric Levinson recursion with each
+    dot product a multiply-then-sum over (k, rows) products (numpy adds
+    them term by term), the minors as signed exponentials of cumulative
+    log-pivots; no pivot may vanish.  The reference for the library's
+    single-pass recursion."""
+    windows = np.asarray(windows, dtype=float)
+    rows, centre = len(windows), (windows.shape[1] - 1) // 2 + shift
+
+    def lag(n):
+        return windows[:, centre + n]
+
+    zero = np.zeros((1, rows))
+    x = w = np.ones((1, rows))
+    pivots = [lag(0)]
+    for k in range(1, dim):
+        e_x = (np.array([lag(k - j) for j in range(k)]) * x).sum(axis=0)
+        e_w = (np.array([lag(-1 - j) for j in range(k)]) * w).sum(axis=0)
+        ratio_x, ratio_w = e_x / pivots[-1], e_w / pivots[-1]
+        pivots.append(pivots[-1] - e_x * ratio_w)
+        x, w = (np.vstack([x, zero]) - ratio_x * np.vstack([zero, w]),
+                np.vstack([zero, w]) - ratio_w * np.vstack([x, zero]))
+    pivots = np.array(pivots).T
+    assert np.all(np.isfinite(pivots)) and np.all(pivots != 0.0)
+    return np.cumprod(np.sign(pivots), axis=1) * np.exp(np.cumsum(np.log(np.abs(pivots)), axis=1))
+
+
+def tfim_mi_reference(couplings, sites, separation) -> np.ndarray:
+    """T = 0 even-sector MI(0, r) over the couplings from tfim_windows and
+    levinson_minors: <sz> = -a_0, gxx and gyy the r x r minors of shifts
+    -1 and +1, czz = -a_r a_{-r}, then the library's entropy kernel."""
+    r = separation
+    a = tfim_windows(couplings, 0.0, sites, r)
+    mz = -a[:, r]
+    gxx, gyy = (levinson_minors(a, shift, r)[:, -1:] for shift in (-1, 1))
+    czz = -(a[:, 2 * r] * a[:, 0])[:, None]
+    return two_site_entropies(mz[:, None], gxx, gyy, (mz * mz)[:, None] + czz, czz)[2][:, 0]
 
 
 def derivative_at(f, x: float, step: float) -> float:

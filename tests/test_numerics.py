@@ -11,7 +11,7 @@ from critent.numerics import (
     hermitian_eigenvalues,
     toeplitz_determinant,
 )
-from oracles import ising_symbol
+from oracles import ising_symbol, levinson_minors
 
 
 def cofactor_determinant(matrix):
@@ -209,6 +209,25 @@ class TestToeplitzDeterminants:
             assert toeplitz_determinant(narrow, k, row_shift=shift).tolist() == \
                 stacked[:, k - 1].tolist()
             assert toeplitz_determinant(narrow[2], k, row_shift=shift) == alone[k - 1]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 102])
+    def test_row_minors_do_not_depend_on_the_stack(self, rows):
+        # each dot product is one einsum pass; numpy's einsum sums a single
+        # column in another order than two or more, so a lone row is
+        # doubled and keeps the minors it has in any stack
+        dim = 256
+        couplings = np.concatenate([np.arange(0.9, 1.15 + 1e-12, 0.005) + d
+                                    for d in (1e-4, -1e-4)])
+        windows = tfim.coefficient_window(couplings, 0.0, 2 * dim, dim)
+        sizes, shifts = range(1, dim + 1), range(-1, 2, 2)
+        whole = toeplitz_determinant(windows, dim, row_shift=shifts, sizes=sizes)
+        pick = np.linspace(0, len(couplings) - 1, rows).astype(int)
+        part = toeplitz_determinant(windows[pick], dim, row_shift=shifts, sizes=sizes)
+        assert part.tolist() == whole[:, pick].tolist()
+        if rows == 102:
+            # the multiply-then-sum recursion gives the same floats
+            for s, shift in enumerate(shifts):
+                assert whole[s].tolist() == levinson_minors(windows, shift, dim).tolist()
 
     def test_no_dense_stack_is_built(self, monkeypatch):
         rows, dim = 4, 512

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from critent import density, exact, ising2d, tfim
 from critent.tfim import TfimParams
-from oracles import site_state, tfim_coefficient, x_state
+from oracles import site_state, tfim_coefficient, tfim_mi_reference, tfim_windows, x_state
 
 
 def params(coupling, temperature, sites, separation, sector="even"):
@@ -109,6 +110,42 @@ class TestCoefficients:
                     abs=1e-14,
                 )
 
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.4])
+    @pytest.mark.parametrize("sites", [8, 512, 1000])
+    @pytest.mark.parametrize("above_half", [False, True])
+    def test_coupling_stack_equals_single_windows_bit_for_bit(
+        self, sector, temperature, sites, above_half
+    ):
+        # one FFT call over a (couplings, N) array: each row is the window
+        # of its coupling alone, and the per-coupling reference's, bit for bit
+        n_max = sites // 2 + 3 if above_half else sites // 2 - 1
+        couplings = [0.0, 0.3, 0.999, 1.0001, 1.7, 12.5]
+        stack = tfim.coefficient_window(couplings, temperature, sites, n_max, sector)
+        assert stack.shape == (len(couplings), 2 * n_max + 1)
+        singles = [tfim.coefficient_window(lam, temperature, sites, n_max, sector)
+                   for lam in couplings]
+        assert np.array_equal(stack, singles)
+        assert np.array_equal(stack, tfim_windows(couplings, temperature, sites, n_max, sector))
+        one = tfim.coefficient_window([0.3], temperature, sites, n_max, sector)
+        assert one.shape == (1, 2 * n_max + 1) and np.array_equal(one[0], singles[1])
+
+    def test_coupling_stack_peak_memory(self):
+        # 102 couplings (a far-pair coarse stencil) at N = 512: the spectrum
+        # is built in place, so the call peaks near the FFT's complex input
+        # and output, about 4x the real result; the direct expression
+        # (lambda e^{i phi} - 1) f peaks above 7x
+        couplings = np.concatenate([np.arange(0.9, 1.15 + 1e-12, 0.005) + d for d in (1e-4, -1e-4)])
+        tfim.coefficient_window(couplings, 0.0, 512, 256)  # FFT plan caches
+        tracemalloc.start()
+        try:
+            window = tfim.coefficient_window(couplings, 0.0, 512, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert window.shape == (102, 513)
+        assert peak < 5 * window.nbytes
+
     def test_window_entries_do_not_depend_on_width(self):
         wide = tfim.coefficient_window(0.9, 0.4, 1000, 50)
         for n_max in (0, 1, 7):
@@ -146,6 +183,14 @@ class TestCoefficients:
     def test_odd_sector_zero_mode_guard(self):
         with pytest.raises(ValueError):
             tfim.coefficient_window(1.0, 0.0, 8, 0, "odd")
+        with pytest.raises(ValueError, match="gapless momentum at T = 0"):
+            tfim.coefficient_window([0.5, 1.0, 1.5], 0.0, 8, 2, "odd")
+
+    def test_negative_coupling_in_a_stack_is_rejected(self):
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            tfim.coefficient_window([0.5, -1e-4], 0.0, 8, 2)
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            tfim.dispersion(np.array([[0.5], [-1.0]]), tfim.momenta(8))
 
 
 class TestCorrelations:
@@ -332,6 +377,15 @@ class TestMiOverCouplings:
             for lam in couplings
         ]
         assert batch.tolist() == single
+
+    def test_far_stencil_equals_per_coupling_reference_bit_for_bit(self):
+        # the coarse stencil of a ring of 64: windows one coupling at a time
+        # and a multiply-then-sum Levinson recursion, independent of the
+        # library's stacked window and single-pass recursion
+        couplings = np.concatenate([self.COARSE + self.STEP, self.COARSE - self.STEP])
+        assert len(couplings) == 102
+        batch = tfim.mi_over_couplings(couplings, 0.0, 64, 32)
+        assert batch.tolist() == tfim_mi_reference(couplings, 64, 32).tolist()
 
     def test_other_sectors_and_separations(self):
         couplings = [0.4, 1.0, 1.6]
