@@ -1,8 +1,8 @@
 """Scalar/matrix numerical kernels.
 
 Toeplitz determinants in sign/log-magnitude form (toeplitz_determinant,
-the one determinant function: one window or a stack of them, with every
-leading minor from one Levinson recursion), Hermitian eigenvalues, and
+the one determinant function: one window or a stack of them at one shift,
+with every leading minor from one Levinson recursion), Hermitian eigenvalues, and
 trapezoidal quadrature for the Fourier coefficients of a symbol, which no
 model calls: the tests' reference for closed forms.
 Everything here is a pure function of its inputs; identical inputs give
@@ -77,16 +77,15 @@ def fourier_window(
     )
 
 
-def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0, sizes=None):
+def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
     """det of M[i, j] = a_{i-j+row_shift} for i, j in [0, dim), from a real
     window of a_n for |n| <= n_max at index n + n_max (width 2 n_max + 1):
     a float for one window, an array over the rows of a 2-D stack of
-    windows.  A range of shifts gives the result a leading axis s for the
-    shift row_shift[s]; a sequence `sizes` of k in [1, dim] gives it a
+    windows.  A sequence `sizes` of k in [1, dim] gives the result a
     trailing axis of the k x k leading minors in place of the one
     dim x dim determinant.
 
-    One nonsymmetric Levinson recursion per shift over the whole stack
+    One nonsymmetric Levinson recursion over the whole stack
     (Trench, J. SIAM 12, 515 (1964)) gives every leading minor in
     O(rows dim^2) as the product of its pivots, in sign/log-magnitude form
     so that deep sub-unit minors do not underflow before the final
@@ -96,12 +95,11 @@ def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0, sizes=No
     has broken down there: its minors from k on are pivoted-LU slogdets,
     one call per size over the rows that broke.
     """
-    shifts = row_shift if isinstance(row_shift, range) else range(row_shift, row_shift + 1)
     stack = np.atleast_2d(np.asarray(windows, dtype=float))
     n_max = (stack.shape[1] - 1) // 2
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    lo, hi = min(shifts) - (dim - 1), max(shifts) + (dim - 1)
+    lo, hi = row_shift - (dim - 1), row_shift + (dim - 1)
     if lo < -n_max or hi > n_max:
         raise ValueError(f"window covers [{-n_max}, {n_max}] but the "
                          f"{dim}x{dim} matrix needs [{lo}, {hi}]")
@@ -113,10 +111,8 @@ def toeplitz_determinant(windows, dim: int, row_shift: int | range = 0, sizes=No
     # columns, which it sums term by term, and one order keeps a row's
     # minors the same in any stack
     lags = np.ascontiguousarray(np.repeat(stack, 2 if len(stack) == 1 else 1, axis=0)[:, ::-1].T)
-    values = np.array([_leading_minors(stack, lags, n_max + s, dim, ks) for s in shifts])
+    values = _leading_minors(stack, lags, n_max + row_shift, dim, ks)
     if np.ndim(windows) == 1:
-        values = values[:, 0]
-    if not isinstance(row_shift, range):
         values = values[0]
     if sizes is None:
         values = values[..., 0]

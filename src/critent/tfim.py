@@ -34,14 +34,14 @@ The r x r matrices of every separation are leading minors of the
 largest one, so entropies evaluates a whole (couplings, separations) grid
 at fixed (T, N, sector) with one coefficient_window call for all its
 couplings (one inverse FFT along the momentum axis of a (couplings, N)
-array) and one toeplitz_determinant call (a Levinson recursion per shift
-over the stacked windows; the Gibbs state's bordered matrices take one
-slogdet per separation instead), then density.two_site_entropies for the
-whole grid; correlations_and_mi, mi_over_couplings and magnetization_z
-are its one-coupling and one-separation cases.  correlations and
-correlation_mi take one point through one coefficient_window and two
-toeplitz_determinant calls (the Gibbs state: its one-point grid), the same
-floats.
+array; the Gibbs state: one per momentum grid, over a (2, couplings, N)
+stack of plain and twisted factors) and one toeplitz_determinant call per
+shift (a Levinson recursion over the stacked windows; the Gibbs state's
+bordered matrices take one slogdet per separation instead), then
+density.two_site_entropies for the whole grid.  correlations_and_mi,
+mi_over_couplings and magnetization_z are its one-coupling and
+one-separation cases, and correlations and correlation_mi its one-point
+grid, so every route gives the same floats.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def magnetization_z(coupling: float, temperature: float, sites: int,
     """<sz> = (1/N) sum_phi (1 - lambda cos phi) tanh(omega/T)/omega = -a_0
     (for sector "gibbs", the Gibbs average of the four traces), from the
     one-coupling grid path."""
-    return float(_correlation_arrays(coupling, temperature, sites, [1], sector)[0])
+    return float(_correlation_arrays([coupling], temperature, sites, [1], sector)[0][0])
 
 
 def coefficient_window(
@@ -150,10 +150,12 @@ def _window_values(coupling, phi, f, n_max) -> np.ndarray:
     one inverse FFT whose entries do not depend on n_max, so a coefficient
     is the same float in every window that holds it.  f is (N,) for one
     coupling or (couplings, N) for a couplings column (couplings, 1), the
-    stack taking one FFT call along its last axis.  Every step after the
+    stack taking one FFT call along its last axis; the Gibbs traces pass a
+    (2, couplings, N) stack of plain and twisted factors with the column
+    broadcast to (2, couplings, 1).  Every step after the
     first writes in place and f is let go before the FFT, so when the
     caller keeps no reference to f (coefficient_window) at most two complex
-    (couplings, N)-sized arrays are alive at once: the FFT's input and
+    f-sized arrays are alive at once: the FFT's input and
     output.  The result is a real copy, so no complex buffer outlives the
     call.
     """
@@ -179,8 +181,9 @@ def _log_2sinh(y):
     return y + np.log(-np.expm1(-2.0 * y))
 
 
-def _gibbs_traces(coupling, temperature, sites, n_max):
-    """The four fermionic traces whose signed sum is the Gibbs state.
+def _gibbs_traces(couplings, temperature, sites, n_max):
+    """The four fermionic traces whose signed sum is the Gibbs state, for
+    each coupling.
 
     For each momentum grid (even: NS, odd: R) there is the plain trace
     Tr e^{-H/T} (thermal factor tanh) and the twisted trace Tr P e^{-H/T}
@@ -191,43 +194,37 @@ def _gibbs_traces(coupling, temperature, sites, n_max):
     every a_n, so each Wick determinant det(B + c 1 1^T) times that mode's
     factor is the bordered determinant det[[B, 1], [-gamma 1^T, alpha]]
     with alpha the mode's share of the weight and gamma = alpha c, both
-    finite at lambda = 1.
+    finite at lambda = 1.  A grid's plain and twisted windows of every
+    coupling are one _window_values call on a (2, couplings, N) stack; the
+    log-partition sums add one coupling at a time, in the order of a lone
+    coupling's sum.
 
-    Returns (log_w, alpha, gamma, windows): trace i has weight
-    exp(log_w[i]) alpha[i], and windows[i] holds b_n for |n| <= n_max.
+    Returns (log_w, alpha, gamma, windows) over (couplings, traces): trace
+    i of coupling k has weight exp(log_w[k, i]) alpha[k, i], and
+    windows[k, i] holds b_n for |n| <= n_max.
     """
-    log_w, alpha, gamma, windows = [], [], [], []
-    x = (1.0 - coupling) / temperature
+    column = couplings[:, None]
+    x = (1.0 - column) / temperature
     big, small = 1.0 + np.exp(-2.0 * abs(x)), -np.expm1(-2.0 * abs(x))
+    log_z, windows = [], []
     for sector in ("even", "odd"):
         phi = momenta(sites, sector)
         kept = phi != 0.0
-        omega = np.where(kept, dispersion(coupling, phi), 1.0)
+        omega = np.where(kept, dispersion(column, phi), 1.0)
         y = omega / temperature
-        for twisted in (False, True):
-            if twisted:
-                log_z = np.sum(_log_2sinh(y[kept]))
-                f = np.where(kept, 1.0 / (np.tanh(y) * omega), 0.0)
-            else:
-                log_z = np.sum(_log_2cosh(y[kept]))
-                f = np.where(kept, np.tanh(y) / omega, 0.0)
-            windows.append(_window_values(coupling, phi, f, n_max))
-            if sector == "even":
-                log_w.append(log_z)
-                alpha.append(1.0)
-                gamma.append(0.0)
-            else:
-                # the phi = 0 mode's factor 2cosh(x) (plain) or -2sinh(x)
-                # (twisted, with the projector's sign), scaled by e^{-|x|},
-                # and c = -tanh(x)/N or -coth(x)/N
-                log_w.append(log_z + abs(x))
-                if twisted:
-                    alpha.append(-np.sign(x) * small)
-                    gamma.append(big / sites)
-                else:
-                    alpha.append(big)
-                    gamma.append(-np.sign(x) * small / sites)
-    return np.array(log_w), np.array(alpha), np.array(gamma), np.array(windows)
+        log_z += [[np.sum(v) for v in log_2(y[:, kept])] for log_2 in (_log_2cosh, _log_2sinh)]
+        f = np.where(kept, [np.tanh(y) / omega, 1.0 / (np.tanh(y) * omega)], 0.0)
+        windows += list(_window_values(np.broadcast_to(column, (2, *column.shape)), phi, f, n_max))
+    # the R grid's phi = 0 mode's factor 2cosh(x) (plain) or -2sinh(x)
+    # (twisted, with the projector's sign), scaled by e^{-|x|}, and
+    # c = -tanh(x)/N or -coth(x)/N
+    # C order: _gibbs_means's norm matmul rounds otherwise on a transpose
+    log_w = np.stack(log_z, axis=-1)
+    log_w[:, 2:] += abs(x)
+    ones, zeros, sign = np.ones_like(x), np.zeros_like(x), np.sign(x)
+    alpha = np.hstack([ones, ones, big, -sign * small])
+    gamma = np.hstack([zeros, zeros, -sign * small / sites, big / sites])
+    return log_w, alpha, gamma, np.stack(windows, axis=1)
 
 
 def _gibbs_means(traces, idx):
@@ -262,11 +259,11 @@ def _gibbs_means(traces, idx):
 def _gibbs_arrays(couplings, temperature, sites, separations):
     """mz over the couplings, then gxx, gyy, gzz and czz over (couplings,
     separations) in the Gibbs state at T > 0: the four traces of every
-    coupling as (couplings, 4, width) windows; one _gibbs_means per
-    separation for xx and yy, one for zz and one for mz."""
+    coupling as (couplings, 4, width) windows from one _gibbs_traces call;
+    one _gibbs_means per separation for xx and yy, one for zz and one for
+    mz."""
     n_max = max(separations)
-    traces = [np.array(v) for v in zip(*(
-        _gibbs_traces(lam, temperature, sites, n_max) for lam in couplings))]
+    traces = _gibbs_traces(couplings, temperature, sites, n_max)
     mz = -_gibbs_means(traces, np.array([[n_max]]))
     gxx, gyy = np.transpose([
         _gibbs_means(traces, np.subtract.outer(np.arange(r), np.arange(r))
@@ -279,63 +276,44 @@ def _gibbs_arrays(couplings, temperature, sites, separations):
     return mz, gxx, gyy, gzz, gzz - (mz * mz)[:, None]
 
 
-def _correlation_arrays(coupling, temperature, sites, separations, sector):
+def _correlation_arrays(couplings, temperature, sites, separations, sector):
     """mz over the couplings, then gxx, gyy, gzz and the connected
-    czz = gzz - mz^2 over (couplings, separations); for one coupling (a
-    scalar) mz is a scalar and the rest are arrays over the separations.
+    czz = gzz - mz^2 over (couplings, separations).
 
     One coefficient_window call for the stacked windows of all couplings
-    (the Gibbs route at T > 0: four windows per coupling, one per trace,
-    built coupling by coupling), sized for the largest separation; one
-    determinant call gives every separation's minor for every window and
-    both shifts (Gibbs: one bordered slogdet per separation);
-    mz and czz by indexing (Gibbs: one call each).
-    Validates the parameters as TfimParams does, with its messages.
+    (the Gibbs route at T > 0: one _gibbs_traces call, two stacked window
+    FFTs), sized for the largest separation; one determinant call per shift
+    gives every separation's minor for every window (Gibbs: one bordered
+    slogdet per separation for both); mz and czz by indexing (Gibbs: one
+    call each).  Validates the parameters as TfimParams does, with its
+    messages.
     """
-    couplings = np.atleast_1d(np.asarray(coupling, dtype=float))
+    couplings = np.asarray(couplings, dtype=float)
     for r in (min(separations), max(separations)):
         TfimParams(float(couplings.min()), temperature, sites, r, sector)
     if sector == "gibbs" and temperature > 0:
-        grid = _gibbs_arrays(couplings, temperature, sites, separations)
-    else:
-        n_max = max(separations)
-        # the Gibbs state at T = 0 is the even sector's ground state
-        grid_sector = "even" if sector == "gibbs" else sector
-        # row k: a_n at n + n_max for couplings[k]
-        a = coefficient_window(couplings, temperature, sites, n_max, grid_sector)
-        # shifts -1 and +1: two (couplings, separations) arrays of leading minors
-        gxx, gyy = toeplitz_determinant(a, n_max, row_shift=range(-1, 2, 2), sizes=separations)
-        lags = np.asarray(separations)
-        mz = -a[:, n_max]
-        # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
-        czz = -(a[:, n_max + lags] * a[:, n_max - lags])
-        grid = mz, gxx, gyy, (mz * mz)[:, None] + czz, czz
-    return grid if np.ndim(coupling) else tuple(v[0] for v in grid)
-
-
-def _point(params: TfimParams):
-    """(mz, gxx, gyy, gzz, czz) at one point through the per-point layers:
-    one coefficient_window and two toeplitz_determinant calls.  A minor
-    does not depend on the size or the stack it is taken from, so the
-    floats are the grid path's; the sweep tests hold the two routes to each
-    other bit for bit.
-    The Gibbs state at T > 0 is the grid path's one-point grid."""
-    lam, temperature, sites, r, sector = (
-        params.coupling, params.temperature, params.sites, params.separation, params.sector
-    )
-    if sector == "gibbs" and temperature > 0:
-        mz, *rest = _correlation_arrays(lam, temperature, sites, [r], sector)
-        return (mz, *(v[0] for v in rest))
-    a = coefficient_window(lam, temperature, sites, r, "even" if sector == "gibbs" else sector)
-    mz = -float(a[r])
-    czz = -(a[2 * r] * a[0])
-    return (mz, toeplitz_determinant(a, r, row_shift=-1),
-            toeplitz_determinant(a, r, row_shift=+1), mz * mz + czz, czz)
+        return _gibbs_arrays(couplings, temperature, sites, separations)
+    n_max = max(separations)
+    # the Gibbs state at T = 0 is the even sector's ground state
+    grid_sector = "even" if sector == "gibbs" else sector
+    # row k: a_n at n + n_max for couplings[k]
+    a = coefficient_window(couplings, temperature, sites, n_max, grid_sector)
+    # shifts -1 and +1: two (couplings, separations) arrays of leading minors
+    gxx, gyy = (toeplitz_determinant(a, n_max, row_shift=s, sizes=separations) for s in (-1, 1))
+    lags = np.asarray(separations)
+    mz = -a[:, n_max]
+    # Wick: <sz sz> - <sz>^2 = -a_r a_{-r}, exactly, with no cancellation
+    czz = -(a[:, n_max + lags] * a[:, n_max - lags])
+    return mz, gxx, gyy, (mz * mz)[:, None] + czz, czz
 
 
 def correlations(params: TfimParams) -> CorrelationSet:
-    """All four correlation entries at one parameter point."""
-    return CorrelationSet(*(float(v) for v in _point(params)[:4]))
+    """All four correlation entries at one parameter point: the one-point
+    grid."""
+    mz, gxx, gyy, gzz, _ = _correlation_arrays(
+        [params.coupling], params.temperature, params.sites, [params.separation], params.sector
+    )
+    return CorrelationSet(float(mz[0]), *(float(v[0, 0]) for v in (gxx, gyy, gzz)))
 
 
 def entropies(coupling, temperature, sites, separations, sector="even"):
@@ -378,8 +356,10 @@ def _entropy_grid(couplings, temperature, sites, separations, sector):
 
 
 def correlation_mi(params: TfimParams) -> float:
-    """Two-site mutual information, in bits, from the one-point route."""
-    return float(two_site_entropies(*_point(params))[2])
+    """Two-site mutual information, in bits: the one-point grid."""
+    return float(_entropy_grid(
+        [params.coupling], params.temperature, params.sites, [params.separation], params.sector
+    )[-1][2][0, 0])
 
 
 def ground_energy(coupling: float, sites: int, sector: str = "even") -> float:

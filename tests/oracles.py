@@ -111,6 +111,42 @@ def tfim_mi_reference(couplings, sites, separation) -> np.ndarray:
     return two_site_entropies(mz[:, None], gxx, gyy, (mz * mz)[:, None] + czz, czz)[2][:, 0]
 
 
+def tfim_gibbs_reference(coupling, temperature, sites, separation):
+    """(mz, gxx, gyy, gzz) of the ring's Gibbs state at one point as the
+    signed sum of the four Lieb-Schultz-Mattis traces, the slow direct way.
+
+    Per momentum grid (even: NS, odd: R) the plain trace has weight
+    prod 2cosh(omega/T) and factor tanh(omega/T)/omega, the twisted trace
+    prod 2sinh(omega/T) and coth(omega/T)/omega, with the R grid's phi = 0
+    mode kept at its signed energy omega_0 = 1 - lambda and the R twisted
+    trace negated.  Each trace's window is the direct cosine sum
+
+        a_n = (1/N) sum_phi [lambda cos(phi (n + 1)) - cos(phi n)] f(phi)
+
+    over the full grid, its determinants dense np.linalg.det.  The
+    coupling must stay away from 1 (where coth(omega_0/T) diverges) and T
+    high enough that cosh(omega/T) does not overflow.
+    """
+    r = separation
+    n = np.arange(-r, r + 1)
+    idx = np.subtract.outer(np.arange(r), np.arange(r)) + r
+    weights, values = [], []
+    for sector, parity in (("even", 1.0), ("odd", -1.0)):
+        phi = tfim.momenta(sites, sector)
+        omega = np.where(phi == 0.0, 1.0 - coupling, tfim.dispersion(coupling, phi))
+        y = omega / temperature
+        for factor, trace, sign in ((np.tanh(y), 2.0 * np.cosh(y), 1.0),
+                                    (1.0 / np.tanh(y), 2.0 * np.sinh(y), parity)):
+            weights.append((sign * np.prod(np.sign(trace)), np.sum(np.log(np.abs(trace)))))
+            a = (coupling * np.cos(np.outer(n + 1, phi)) - np.cos(np.outer(n, phi))) \
+                @ (factor / omega) / sites
+            values.append([-a[r], np.linalg.det(a[idx - 1]), np.linalg.det(a[idx + 1]),
+                           a[r] ** 2 - a[2 * r] * a[0]])
+    top = max(log_z for _, log_z in weights)
+    w = np.array([sign * math.exp(log_z - top) for sign, log_z in weights])
+    return tuple(w @ np.array(values) / w.sum())
+
+
 def derivative_at(f, x: float, step: float) -> float:
     """Two-point central difference of a scalar function, one point at a
     time: the reference for the library's batched stencils."""

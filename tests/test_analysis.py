@@ -251,17 +251,21 @@ class TestSweep:
         records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]},
                         fixed={"N": 12, "T": 0.0})
         assert len(records) == 18 and all(rec.mi is not None for rec in records)
-        # one recursion per shift over the grid gives every separation; no
-        # row breaks down, so no pivoted LU
-        assert len(determinant) == 1 and len(slogdet) == 0
+        # one call (one recursion) per shift over the grid gives every
+        # separation; no row breaks down, so no pivoted LU
+        assert len(determinant) == 2 and len(slogdet) == 0
         assert len(kernel) == 1
 
     def test_gibbs_grid_is_one_batch(self, monkeypatch):
         kernel = count_calls(monkeypatch, density, "x_state_entropies")
         slogdet = count_calls(monkeypatch, np.linalg, "slogdet")
+        ifft = count_calls(monkeypatch, np.fft, "ifft")
         records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4, 5, 6]},
                         fixed={"N": 12, "T": 0.5, "sector": "gibbs"})
         assert len(records) == 18 and all(rec.mi is not None for rec in records)
+        # the plain and twisted windows of every coupling: one stacked FFT
+        # per momentum grid
+        assert len(ifft) == 2
         # xx and yy share one call per separation; zz (every separation)
         # and mz are one call each
         assert len(slogdet) == 6 + 2
@@ -428,7 +432,7 @@ class TestScalingDrivers:
         result = analysis.tfim_far_scaling(sites_list=sites)
         assert len(result["peaks"]) == len(sites)
         assert calls["kernel"] <= 2 * len(sites)
-        # one recursion per shift for each stencil (coarse and fine) of
-        # each ring; no row breaks down
-        assert len(determinant) == 2 * len(sites)
+        # one call per shift for each stencil (coarse and fine) of each
+        # ring; no row breaks down
+        assert len(determinant) == 4 * len(sites)
         assert calls["slogdet"] == 0

@@ -317,8 +317,8 @@ class TestXStateKernel:
         if case.startswith("tfim"):
             lam, temperature = {"tfim-0.5-1": (0.5, 1.0), "tfim-1-5": (1.0, 5.0)}[case]
             mz, gxx, gyy, _, czz = tfim._correlation_arrays(
-                lam, temperature, 1000, [300], "even")
-            inputs = (mz, gxx[0], gyy[0], czz[0])
+                [lam], temperature, 1000, [300], "even")
+            inputs = (mz[0], gxx[0, 0], gyy[0, 0], czz[0, 0])
         else:
             inputs = (0.0, 0.0, 0.0, ising2d.diagonal_correlation(3.0, 30))
         _, _, mi = x_state_entropies(*inputs)

@@ -159,6 +159,16 @@ class TestToeplitzDeterminant:
             toeplitz_determinant(window, 3)  # needs indices +-2
         with pytest.raises(ValueError):
             toeplitz_determinant(window, 2, row_shift=1)  # needs a_2
+        windows = np.random.default_rng(11).standard_normal((5, 33))
+        # the window holds a_n for |n| <= 16: shifts -1 and 1 fit, 3 does not
+        for shift in (-1, 1):
+            assert toeplitz_determinant(windows, 16, row_shift=shift).shape == (5,)
+        with pytest.raises(ValueError, match=r"needs \[-12, 18\]"):
+            toeplitz_determinant(windows, 16, row_shift=3)
+        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
+            toeplitz_determinant(windows, 8, sizes=[0, 4])
+        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
+            toeplitz_determinant(windows, 8, sizes=[9])
 
 
 class TestToeplitzDeterminants:
@@ -171,30 +181,6 @@ class TestToeplitzDeterminants:
             stacked = toeplitz_determinant(windows, dim, row_shift=shift)
             single = [toeplitz_determinant(row, dim, row_shift=shift) for row in windows]
             assert stacked.tolist() == single
-
-    def test_range_of_shifts_equals_one_call_per_shift(self):
-        windows = np.random.default_rng(11).standard_normal((5, 33))
-        both = toeplitz_determinant(windows, 8, row_shift=range(-1, 2, 2))
-        assert both.shape == (2, 5)
-        assert both.tolist() == [
-            toeplitz_determinant(windows, 8, row_shift=shift).tolist() for shift in (-1, 1)
-        ]
-        sizes = [1, 3, 8]
-        minors = toeplitz_determinant(windows, 8, row_shift=range(-1, 2, 2), sizes=sizes)
-        assert minors.shape == (2, 5, 3)
-        assert minors.tolist() == [
-            toeplitz_determinant(windows, 8, row_shift=shift, sizes=sizes).tolist()
-            for shift in (-1, 1)
-        ]
-        assert toeplitz_determinant(windows[0], 8, row_shift=range(-1, 2, 2)).shape == (2,)
-        # the window must hold every shift's matrix: [-16, 16] fits, 18 does not
-        assert toeplitz_determinant(windows, 16, row_shift=range(-1, 2, 2)).shape == (2, 5)
-        with pytest.raises(ValueError, match=r"needs \[-16, 18\]"):
-            toeplitz_determinant(windows, 16, row_shift=range(-1, 4, 2))
-        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
-            toeplitz_determinant(windows, 8, sizes=[0, 4])
-        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
-            toeplitz_determinant(windows, 8, sizes=[9])
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_minors_equal_smaller_calls_bit_for_bit(self, shift):
@@ -219,15 +205,15 @@ class TestToeplitzDeterminants:
         couplings = np.concatenate([np.arange(0.9, 1.15 + 1e-12, 0.005) + d
                                     for d in (1e-4, -1e-4)])
         windows = tfim.coefficient_window(couplings, 0.0, 2 * dim, dim)
-        sizes, shifts = range(1, dim + 1), range(-1, 2, 2)
-        whole = toeplitz_determinant(windows, dim, row_shift=shifts, sizes=sizes)
+        sizes = range(1, dim + 1)
         pick = np.linspace(0, len(couplings) - 1, rows).astype(int)
-        part = toeplitz_determinant(windows[pick], dim, row_shift=shifts, sizes=sizes)
-        assert part.tolist() == whole[:, pick].tolist()
-        if rows == 102:
-            # the multiply-then-sum recursion gives the same floats
-            for s, shift in enumerate(shifts):
-                assert whole[s].tolist() == levinson_minors(windows, shift, dim).tolist()
+        for shift in (-1, 1):
+            whole = toeplitz_determinant(windows, dim, row_shift=shift, sizes=sizes)
+            part = toeplitz_determinant(windows[pick], dim, row_shift=shift, sizes=sizes)
+            assert part.tolist() == whole[pick].tolist()
+            if rows == 102:
+                # the multiply-then-sum recursion gives the same floats
+                assert whole.tolist() == levinson_minors(windows, shift, dim).tolist()
 
     def test_no_dense_stack_is_built(self, monkeypatch):
         rows, dim = 4, 512
@@ -236,8 +222,8 @@ class TestToeplitzDeterminants:
         monkeypatch.setattr(np.linalg, "slogdet", None)  # no row breaks down
         tracemalloc.start()
         try:
-            toeplitz_determinant(windows, dim, row_shift=range(-1, 2, 2),
-                                 sizes=range(1, dim + 1))
+            for shift in (-1, 1):
+                toeplitz_determinant(windows, dim, row_shift=shift, sizes=range(1, dim + 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -251,15 +237,15 @@ class TestToeplitzDeterminants:
         windows = np.array([tfim.coefficient_window(lam, 0.0, 1000, 50) for lam in couplings])
         calls, slogdet = [], np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
-        minors = toeplitz_determinant(windows, 50, row_shift=range(-1, 2, 2),
-                                      sizes=range(1, 51))
+        minors = [toeplitz_determinant(windows, 50, row_shift=shift, sizes=range(1, 51))
+                  for shift in (-1, 1)]
         assert calls == [(1, k, k) for k in range(2, 51)] * 2
         monkeypatch.undo()
-        for s, shift in enumerate((-1, 1)):
-            assert minors[s, 0].tolist() == [lu_minor(windows[0], k, shift) for k in range(1, 51)]
+        for shift, shifted in zip((-1, 1), minors):
+            assert shifted[0].tolist() == [lu_minor(windows[0], k, shift) for k in range(1, 51)]
             np.testing.assert_allclose(
-                minors[s, 1:], [[lu_minor(row, k, shift) for k in range(1, 51)]
-                                for row in windows[1:]], rtol=1e-10, atol=1e-12)
+                shifted[1:], [[lu_minor(row, k, shift) for k in range(1, 51)]
+                              for row in windows[1:]], rtol=1e-10, atol=1e-12)
 
     def test_ising_breakdown_above_tc_equals_slogdet(self, monkeypatch):
         # at T = 5 the forward vector grows like sinh^-2(2/T)^k and overflows
@@ -313,19 +299,19 @@ class TestLevinsonAgainstReferences:
         couplings = np.concatenate([coarse - 1e-4, coarse + 1e-4])
         r = sites // 2
         windows = np.array([tfim.coefficient_window(lam, 0.0, sites, r) for lam in couplings])
-        minors = toeplitz_determinant(windows, r, row_shift=range(-1, 2, 2), sizes=[r])
-        for s, shift in enumerate((-1, 1)):
-            np.testing.assert_allclose(minors[s], lu_minors(windows, shift, [r]),
-                                       rtol=1e-10, atol=1e-12)
+        for shift in (-1, 1):
+            np.testing.assert_allclose(
+                toeplitz_determinant(windows, r, row_shift=shift, sizes=[r]),
+                lu_minors(windows, shift, [r]), rtol=1e-10, atol=1e-12)
 
     def test_tfim_sweep_grid(self):
         windows = np.array([tfim.coefficient_window(lam, 0.0, 1000, 50)
                             for lam in np.linspace(0.0, 2.0, 11)])
         sizes = range(1, 51)
-        minors = toeplitz_determinant(windows, 50, row_shift=range(-1, 2, 2), sizes=sizes)
-        for s, shift in enumerate((-1, 1)):
-            np.testing.assert_allclose(minors[s], lu_minors(windows, shift, sizes),
-                                       rtol=1e-10, atol=1e-12)
+        for shift in (-1, 1):
+            np.testing.assert_allclose(
+                toeplitz_determinant(windows, 50, row_shift=shift, sizes=sizes),
+                lu_minors(windows, shift, sizes), rtol=1e-10, atol=1e-12)
 
     def test_ising_sweep_grid(self):
         windows = np.array([ising2d.coefficient_window(t, 49)

@@ -7,7 +7,14 @@ import pytest
 
 from critent import density, exact, ising2d, tfim
 from critent.tfim import TfimParams
-from oracles import site_state, tfim_coefficient, tfim_mi_reference, tfim_windows, x_state
+from oracles import (
+    site_state,
+    tfim_coefficient,
+    tfim_gibbs_reference,
+    tfim_mi_reference,
+    tfim_windows,
+    x_state,
+)
 
 
 def params(coupling, temperature, sites, separation, sector="even"):
@@ -169,13 +176,13 @@ class TestCoefficients:
         # the R grid's phi = 0 mode has omega = 0 at lambda = 1; its windows
         # hold the sum over the other modes, with 1/N kept
         sites, temperature, n_max = 12, 0.5, 6
-        _, _, _, windows = tfim._gibbs_traces(1.0, temperature, sites, n_max)
-        assert np.all(np.isfinite(windows))
+        _, _, _, windows = tfim._gibbs_traces(np.array([0.5, 1.0]), temperature, sites, n_max)
+        assert windows.shape == (2, 4, 2 * n_max + 1) and np.all(np.isfinite(windows))
         phi = tfim.momenta(sites, "odd")
         phi = phi[phi != 0.0]
         y = tfim.dispersion(1.0, phi) / temperature
-        for window, f in ((windows[2], np.tanh(y) / (y * temperature)),
-                          (windows[3], 1.0 / (np.tanh(y) * y * temperature))):
+        for window, f in ((windows[1, 2], np.tanh(y) / (y * temperature)),
+                          (windows[1, 3], 1.0 / (np.tanh(y) * y * temperature))):
             for n in range(-n_max, n_max + 1):
                 direct = np.sum((np.cos(phi * (n + 1)) - np.cos(phi * n)) * f) / sites
                 assert window[n + n_max] == pytest.approx(direct, abs=1e-14)
@@ -428,6 +435,17 @@ class TestGibbsSector:
         assert len(calls) == len(couplings) * (len(separations) + 2)
         for a, b in zip(whole, split):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("coupling", [0.5, 0.95, 1.5, 1.85, 2.0])
+    def test_far_separations_equal_trace_sum(self, coupling):
+        # the bordered determinants up to r = 100 against the four traces
+        # summed directly, with the zero mode inside dense determinants
+        separations = [20, 60, 80, 100]
+        mz, gxx, gyy, gzz, _ = tfim.correlations_and_mi(coupling, 0.5, 200, separations, "gibbs")
+        for k, r in enumerate(separations):
+            reference = tfim_gibbs_reference(coupling, 0.5, 200, r)
+            for value, expected in zip((mz, gxx[k], gyy[k], gzz[k]), reference):
+                assert abs(value - expected) <= 1e-13
 
     def test_continuous_across_unit_coupling(self):
         # the R-sector phi = 0 mode has zero energy at lambda = 1, where
