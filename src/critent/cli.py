@@ -204,6 +204,10 @@ def _cmd_oracle(args) -> int:
     _finite_temperatures(args.t)
     lam = getattr(args, "lambda")
     seps = [args.r] if args.r is not None else list(range(1, args.n // 2 + 1))
+    # both sides' parameter checks before the diagonalization: exact's ring
+    # range first, then the free-fermion side's (an even ring, N >= 4)
+    exact.check_ring(args.n, lam)
+    tfim.TfimParams(lam, args.t, args.n, seps[0])
     oracle = exact.reports(args.n, lam, args.t, seps)
     mz, gxx, gyy, gzz, mi = tfim.correlations_and_mi(lam, args.t, args.n, seps)
     rows = []

@@ -5,28 +5,28 @@ Independent reference for the free-fermion formulas, valid for
 up in the sz basis.  H = -sum_j [coupling sx_j sx_{j+1} + sz_j] commutes
 with the parity P = prod_j sz_j, whose entries are (-1)^(number of down
 spins), and with the translation T that moves the spin at site j to site
-j + 1.  So it splits into 2N blocks, one per parity and momentum
-k = 2 pi m / N (Sandvik, AIP Conf. Proc. 1297, 135 (2010), section 4).
-
-Block (P, k) is spanned by the momentum states
-|a(k)> = (R_a^(1/2) / N) sum_{l < N} e^{-ikl} T^l |a>: one per orbit
-representative a (the smallest index in its translation orbit) of parity P
-whose orbit period R_a has k R_a in 2 pi Z; at other k the sum vanishes.
+j + 1, so it splits into one block per parity and momentum k = 2 pi m / N
+(Sandvik, AIP Conf. Proc. 1297, 135 (2010), section 4).  Block (P, k) is
+spanned by the momentum states |a(k)> = (R_a^(1/2) / N) sum_{l < N}
+e^{-ikl} T^l |a>: one per orbit representative a (the smallest index in its
+translation orbit) of parity P whose orbit period R_a has k R_a in 2 pi Z.
 A block holds about 2^N / (2N) states, 171 at N = 12, and is built from
-bit operations on its representatives: each flipped bond of a sends it to
-T^l |b> of some representative b, which adds
--coupling e^{ikl} (R_a / R_b)^(1/2) to <b(k)|H|a(k)>.  Each block is
-diagonalized once per (N, coupling, T); no 2^N x 2^N matrix is formed
-(build_hamiltonian is the dense reference the tests compare against).  At
-N = 12 and T > 0 the 24 blocks take about 0.25 s on one BLAS thread, with
-a tracemalloc peak near 15 MB.
+bit operations: each flipped bond of a sends it to T^l |b> of some
+representative b, which adds -coupling e^{ikl} (R_a / R_b)^(1/2) to
+<b(k)|H|a(k)>; no 2^N x 2^N matrix is formed (build_hamiltonian is the
+dense reference the tests compare against).  H is real, so block (P, -k)
+is the complex conjugate of block (P, k), with the same levels and real
+expectation values: only 0 <= k <= pi is diagonalized, and each k strictly
+between counts twice.  At N = 12 and T > 0 the 14 blocks take about 0.16 s
+on one BLAS thread, with a tracemalloc peak near 10 MB.
 
-At T = 0 the state is the lowest level of the even blocks; at T > 0 it is
-exp(-H/T)/Z over all blocks.  Both commute with T, so <s^a_0 s^a_r> is the
-translation average (1/N) sum_j <s^a_j s^a_{j+r}>, which is block diagonal
-in momentum and is read off each block's density matrix U W U^dagger for
-every r in one pass.  rho_{0r} follows from (mz, gxx, gyy, gzz) by the
-Pauli expansion; the reduction uses nothing from the free-fermion code.
+At T = 0 the state is the lowest level of the even blocks (their levels by
+eigvalsh, then eigh of the ground block only); at T > 0 it is exp(-H/T)/Z
+over all blocks.  Both commute with T, so <s^a_0 s^a_r> is the translation
+average (1/N) sum_j <s^a_j s^a_{j+r}>, which is block diagonal in momentum
+and is read off each block's density matrix U W U^dagger for every r in
+one pass.  rho_{0r} follows from (mz, gxx, gyy, gzz) by the Pauli
+expansion; the reduction uses nothing from the free-fermion code.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class OracleReport:
     ground_energy: float
 
 
-def _check_ring(sites: int, coupling: float) -> None:
+def check_ring(sites: int, coupling: float) -> None:
     if not 3 <= sites <= 12:
         raise ValueError("sites must be in [3, 12]")
     if not coupling >= 0:
@@ -68,7 +68,7 @@ def build_hamiltonian(sites: int, coupling: float) -> np.ndarray:
     N = 2 is rejected: the wraparound bond would double-count the single
     physical bond.
     """
-    _check_ring(sites, coupling)
+    check_ring(sites, coupling)
     dim = 1 << sites
     idx = np.arange(dim)
     bits = (idx[:, None] >> np.arange(sites)) & 1
@@ -125,25 +125,34 @@ def _translation_averages(sites: int, coupling: float, temperature: float):
         phase = np.exp(1j * k * shift[flipped]) * np.sqrt(ratio)
         return col, np.where(members[col] == b, phase, 0.0)
 
-    blocks = []
-    for p in (1, -1) if temperature > 0 else (1,):
-        for m in range(sites):
-            rows = np.flatnonzero((parity == p) & (m * period[reps] % sites == 0))
-            k = 2 * np.pi * m / sites
-            col, factor = targets(reps[rows], bonds[rows], k)
-            ham = np.diag(-spins[rows].sum(axis=1).astype(complex))
-            np.add.at(ham, (col, np.arange(rows.size)[:, None]), -coupling * factor)
-            blocks.append((rows, k, *np.linalg.eigh(ham)))
-    lowest = [vals[0] for _, _, vals, _ in blocks]
-    energy = min(lowest[:sites])  # the even blocks come first
+    def block(p, m):
+        # rows, k = 2 pi m / N, multiplicity (k and -k) and H of block (p, k)
+        rows = np.flatnonzero((parity == p) & (m * period[reps] % sites == 0))
+        k = 2 * np.pi * m / sites
+        col, factor = targets(reps[rows], bonds[rows], k)
+        ham = np.diag(-spins[rows].sum(axis=1).astype(complex))
+        np.add.at(ham, (col, np.arange(rows.size)[:, None]), -coupling * factor)
+        return rows, k, 1 if 2 * m % sites == 0 else 2, ham
+
+    momenta = range(sites // 2 + 1)
     if temperature == 0:
-        rows, k, vals, vecs = blocks[int(np.argmin(lowest))]
-        blocks, weights = [(rows, k, vals[:1], vecs[:, :1])], [np.ones(1)]
+        even = [block(1, m) for m in momenta]
+        rows, k, _, ham = even[np.argmin([np.linalg.eigvalsh(h)[0] for *_, h in even])]
+        vals, vecs = np.linalg.eigh(ham)
+        energy, states = vals[0], [(rows, k, vecs[:, :1], np.ones(1))]
     else:
-        weights = [np.exp(-(vals - min(lowest)) / temperature) for _, _, vals, _ in blocks]
-    norm = sum(w.sum() for w in weights)
+        spectra = []  # (parity, rows, k, multiplicity, levels, vectors) per block
+        for p in (1, -1):
+            for m in momenta:
+                rows, k, mult, ham = block(p, m)
+                spectra.append((p, rows, k, mult, *np.linalg.eigh(ham)))
+        energy = min(vals[0] for p, *_, vals, _ in spectra if p == 1)
+        floor = min(vals[0] for *_, vals, _ in spectra)
+        states = [(rows, k, vecs, mult * np.exp(-(vals - floor) / temperature))
+                  for _, rows, k, mult, vals, vecs in spectra]
+    norm = sum(w.sum() for *_, w in states)
     mz, gxx, gyy, gzz = 0.0, 0.0, 0.0, 0.0
-    for (rows, k, _, vecs), w in zip(blocks, weights):
+    for rows, k, vecs, w in states:
         rho = (vecs * (w / norm)) @ vecs.conj().T  # the state on the block
         diagonal = rho.diagonal().real
         mz = mz + diagonal @ spins[rows].mean(axis=1)
@@ -167,28 +176,19 @@ def reports(
         raise ValueError("separation must be in [1, sites/2]")
     if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
-    _check_ring(sites, coupling)
+    check_ring(sites, coupling)
     mz, gxx, gyy, gzz, energy = _translation_averages(sites, coupling, temperature)
     eye = np.eye(2)
     out = []
     for r in separations:
-        corr = CorrelationSet(
-            mz=mz, gxx=float(gxx[r - 1]), gyy=float(gyy[r - 1]), gzz=float(gzz[r - 1])
-        )
+        corr = CorrelationSet(mz, *(float(g[r - 1]) for g in (gxx, gyy, gzz)))
         rho = (
             np.eye(4) + mz * (np.kron(_SZ, eye) + np.kron(eye, _SZ))
             + corr.gxx * np.kron(_SX, _SX) + corr.gyy * np.kron(_SY, _SY)
             + corr.gzz * np.kron(_SZ, _SZ)
         ) / 4.0
-        out.append(OracleReport(
-            sites=sites,
-            coupling=coupling,
-            temperature=temperature,
-            separation=r,
-            correlations=corr,
-            mi=density.mutual_information(make_density_matrix(rho, (2, 2))),
-            ground_energy=energy,
-        ))
+        mi = density.mutual_information(make_density_matrix(rho, (2, 2)))
+        out.append(OracleReport(sites, coupling, temperature, r, corr, mi, energy))
     return out
 
 

@@ -98,7 +98,53 @@ class TestOracleCompare:
         )
         assert code == 3  # the even-sector formulas miss the Gibbs state at T > 0
         assert len(json.loads(out)["rows"]) == 5
-        assert 0 < len(blocks) <= 2 * 10
+        # both parities at k = 2 pi m / N for m = 0..N/2 only: block -k is the
+        # conjugate of block k
+        assert len(blocks) == 2 * (10 // 2 + 1)
+
+    def test_ground_state_from_one_block_eigenvector(self, capsys, monkeypatch):
+        calls = {"eigh": [], "eigvalsh": []}
+
+        def counted(name):
+            solver = getattr(np.linalg, name)
+
+            def call(a, *args, **kwargs):
+                if a.shape[-1] > 4:  # a (parity, momentum) block
+                    calls[name].append(a.shape)
+                return solver(a, *args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        code, out, _ = run_cli(
+            ["oracle", "compare", "--n", "10", "--lambda", "1.0", "--t", "0",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 5
+        # levels of every even block, eigenvectors of the ground block only
+        assert len(calls["eigvalsh"]) == 10 // 2 + 1
+        assert len(calls["eigh"]) == 1
+
+    @pytest.mark.parametrize("sites", [3, 9, 11])
+    def test_odd_ring_fails_before_the_diagonalization(self, sites, capsys, monkeypatch):
+        def block_eigh(*args, **kwargs):
+            raise AssertionError("the oracle diagonalized a block")
+
+        monkeypatch.setattr(np.linalg, "eigh", block_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", block_eigh)
+        code, _, err = run_cli(
+            ["oracle", "compare", "--n", str(sites), "--t", "0.5"], capsys
+        )
+        assert code == 1
+        assert "sites must be even and >= 4" in err
+
+    @pytest.mark.parametrize("sites", [2, 13, 14])
+    def test_ring_outside_the_oracle_range(self, sites, capsys):
+        code, _, err = run_cli(["oracle", "compare", "--n", str(sites)], capsys)
+        assert code == 1
+        assert "sites must be in [3, 12]" in err
 
 
 class TestFitCommand:
