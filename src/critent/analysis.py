@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +23,7 @@ UNITS_COMMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One sweep row; inapplicable fields are None (empty CSV columns)."""
 
     model: str
@@ -35,14 +36,6 @@ class SweepRecord:
     s_ij: float | None = None
     mi: float | None = None
     tag: str = ""
-
-    def __post_init__(self):
-        if self.mi is not None:
-            gap = abs(self.mi - (self.s_i + self.s_j - self.s_ij))
-            if gap > MI_IDENTITY_TOL or self.mi < 0:
-                raise AssertionError(
-                    f"MI identity violated by {gap:.3e} at {self}"
-                )
 
 
 @dataclass(frozen=True)
@@ -129,6 +122,15 @@ _MODELS = {
 }
 
 
+def _check_mi_identity(s_i, s_ij, mi, rows) -> None:
+    """AssertionError at the first row whose MI is negative or off S_i + S_j
+    - S_ij by more than MI_IDENTITY_TOL; a NaN fails neither comparison."""
+    gap = np.abs(mi - (s_i + s_i - s_ij))
+    bad = np.flatnonzero((gap > MI_IDENTITY_TOL) | (mi < 0))
+    if bad.size:
+        raise AssertionError(f"MI identity violated by {gap[bad[0]]:.3e} at {rows[bad[0]]}")
+
+
 def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
     """Evaluate `model` over the grid of its axes, rows x columns (a
     dimer grid is one column).
@@ -138,13 +140,16 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
     (tfim T, N and sector; ising2d ensemble).  Rows come out row-major, in
     the order of the axes' values.  The grid is one batch, one evaluator
     call (dimer.entropies, ising2d.entropies, tfim.entropies): one kernel
-    call for all its points.  With workers > 1 the batch runs on a pool
-    thread; the output is identical and no faster.  A point that fails
-    with a domain error (ValueError, ConvergenceError) becomes an error
-    row (tag = "error: ...") instead of aborting the sweep: a grid that
-    raises one is evaluated again one row (one temperature or coupling)
-    at a time, and a row that raises one point by point, so each error
-    row carries its own point's message.  Any other exception propagates.
+    call for all its points.  Its rows are one map(SweepRecord, ...) over
+    its columns, and the MI identity is checked once per evaluated grid: a
+    violation is an AssertionError, never an error row.  With workers > 1
+    the batch runs on a pool thread; the output is identical and no
+    faster.  A point that fails with a domain error (ValueError,
+    ConvergenceError) becomes an error row (tag = "error: ...") instead of
+    aborting the sweep: a grid that raises one is evaluated again one row
+    (one temperature or coupling) at a time, and a row that raises one
+    point by point, so each error row carries its own point's message.
+    Any other exception propagates.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -154,23 +159,26 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
         raise ValueError(f"{model} sweeps the grid axes {', '.join(names)}, not "
                          f"{', '.join(sorted(axes)) or 'none'}; every other parameter goes in fixed")
     fixed = {"ensemble": "symmetric", "sector": "even", **(fixed or {})}
-    fields = {k: fixed[k] for k in ("T", "lam", "N", "r") if k in fixed}
 
-    def record(point, **values):
-        return SweepRecord(model=model, **fields, **dict(zip(names, point)), **values)
+    def records(rows, cols, s_i, s_ij, mi, tag):
+        # the T, lam, N, r columns of the rows x cols grid, row-major
+        axis = {row_axis: [x for x in rows for _ in cols], col_axis: cols * len(rows)}
+        params = (axis[k] if k in axis else repeat(fixed.get(k)) for k in ("T", "lam", "N", "r"))
+        return list(map(SweepRecord, repeat(model), *params, s_i, s_i, s_ij, mi, repeat(tag)))
 
     def run(rows, cols):
         try:
-            (s_i, s_ij, mi), tag = evaluate(rows, cols, fixed)
+            values, tag = evaluate(rows, cols, fixed)
         except (ValueError, ConvergenceError) as exc:
             if len(rows) > 1:
                 return [rec for x in rows for rec in run([x], cols)]
             if len(cols) > 1:
                 return [rec for y in cols for rec in run(rows, [y])]
-            return [record((rows[0], cols[0]), tag=f"error: {exc}")]
-        points = ((x, y) for x in rows for y in cols)
-        return [record(p, s_i=float(a), s_j=float(a), s_ij=float(b), mi=float(c), tag=tag)
-                for p, a, b, c in zip(points, np.ravel(s_i), np.ravel(s_ij), np.ravel(mi))]
+            return records(rows, cols, [None], [None], [None], f"error: {exc}")
+        s_i, s_ij, mi = (np.ravel(v) for v in values)
+        grid = records(rows, cols, s_i.tolist(), s_ij.tolist(), mi.tolist(), tag)
+        _check_mi_identity(s_i, s_ij, mi, grid)
+        return grid
 
     rows = list(axes[row_axis])
     cols = list(axes[col_axis]) if col_axis else [None]
@@ -257,7 +265,7 @@ def _tfim_derivatives(couplings, sites: int, separation: int, step: float) -> np
     """Central differences of the T = 0 MI(0, r) at each coupling: the
     whole stencil lambda +- step is one batch."""
     return _central_differences(
-        lambda lams: tfim.mi_over_couplings(lams, 0.0, sites, separation),
+        lambda lams: tfim.entropies(lams, 0.0, sites, [separation])[2][:, 0],
         couplings, step,
     )
 

@@ -80,13 +80,6 @@ def build_hamiltonian(sites: int, coupling: float) -> np.ndarray:
     return ham
 
 
-def parity_diagonal(sites: int) -> np.ndarray:
-    """Diagonal of P = prod_j sz_j over the computational basis."""
-    idx = np.arange(1 << sites)
-    counts = ((idx[:, None] >> np.arange(sites)) & 1).sum(axis=1)
-    return np.where(counts % 2, -1.0, 1.0)
-
-
 def _orbits(sites: int):
     """Representative, shift and orbit period of every basis index i, with
     i = T^shift(representative)."""

@@ -38,10 +38,11 @@ array; the Gibbs state: one per momentum grid, over a (2, couplings, N)
 stack of plain and twisted factors) and one toeplitz_determinant call per
 shift (a Levinson recursion over the stacked windows; the Gibbs state's
 bordered matrices take one slogdet per separation instead), then
-density.two_site_entropies for the whole grid.  correlations_and_mi,
-mi_over_couplings and magnetization_z are its one-coupling and
-one-separation cases, and correlations and correlation_mi its one-point
-grid, so every route gives the same floats.
+density.two_site_entropies for the whole grid.  correlations_and_mi and
+magnetization_z are its one-coupling and one-separation cases, and
+correlations and correlation_mi its one-point grid, so every route gives
+the same floats; the scaling drivers' coupling stencils are entropies at
+one separation.
 """
 
 from __future__ import annotations
@@ -334,15 +335,6 @@ def correlations_and_mi(coupling, temperature, sites, separations, sector="even"
         [coupling], temperature, sites, separations, sector
     )
     return float(mz[0]), gxx[0], gyy[0], gzz[0], mi[0]
-
-
-def mi_over_couplings(couplings, temperature, sites, separation, sector="even"):
-    """Two-site MI in bits at one (T, N, r) for each coupling, each the same
-    float as correlation_mi: the one-separation case of the grid path.
-
-    Validates the parameters as TfimParams does, with its messages.
-    """
-    return _entropy_grid(couplings, temperature, sites, [separation], sector)[-1][2][:, 0]
 
 
 def _entropy_grid(couplings, temperature, sites, separations, sector):

@@ -147,6 +147,14 @@ def tfim_gibbs_reference(coupling, temperature, sites, separation):
     return tuple(w @ np.array(values) / w.sum())
 
 
+def parity_diagonal(sites: int) -> np.ndarray:
+    """Diagonal of the ring's parity P = prod_j sz_j over the computational
+    basis (bit j of the index is site j, bit value 1 spin down)."""
+    idx = np.arange(1 << sites)
+    counts = ((idx[:, None] >> np.arange(sites)) & 1).sum(axis=1)
+    return np.where(counts % 2, -1.0, 1.0)
+
+
 def derivative_at(f, x: float, step: float) -> float:
     """Two-point central difference of a scalar function, one point at a
     time: the reference for the library's batched stencils."""

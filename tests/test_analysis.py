@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,58 @@ class TestSweep:
         mis = [r.mi for r in records]
         assert all(a > b for a, b in zip(mis, mis[1:]))
 
-    def test_record_identity_enforced(self):
-        with pytest.raises(AssertionError):
-            SweepRecord(model="dimer", T=1.0, s_i=1.0, s_j=1.0, s_ij=1.0, mi=0.5)
+    def test_record_identity_enforced(self, monkeypatch):
+        # one point of an evaluated grid off MI = S_i + S_j - S_ij: the sweep
+        # raises, naming that point, instead of writing an error row
+        entropies = tfim.entropies
+
+        def off_identity(*args):
+            s_i, s_ij, mi = entropies(*args)
+            mi = mi.copy()
+            mi[1, 0] += 1e-6
+            return s_i, s_ij, mi
+
+        monkeypatch.setattr(tfim, "entropies", off_identity)
+        with pytest.raises(AssertionError, match=(
+            r"MI identity violated by 1\.000e-06 at "
+            r"SweepRecord\(model='tfim', T=0\.0, lam=1\.0, N=12, r=1, ")):
+            sweep("tfim", axes={"lam": [0.5, 1.0], "r": [1, 2]}, fixed={"N": 12, "T": 0.0})
+        # a negative MI fails even on the identity
+        monkeypatch.setattr(dimer, "entropies", lambda ts: (
+            np.zeros(len(ts)), np.full(len(ts), 1e-3), np.full(len(ts), -1e-3)))
+        with pytest.raises(AssertionError, match=r"by 0\.000e\+00 at SweepRecord\(model='dimer', T=2\.0,"):
+            sweep("dimer", axes={"T": [2.0, 3.0]})
+
+    def test_nan_grid_passes_identity(self, monkeypatch):
+        # NaN compares false both ways, so an all-NaN grid gives NaN rows
+        monkeypatch.setattr(ising2d, "entropies", lambda ts, ns, ensemble: (
+            np.full((len(ts), len(ns)), np.nan),) * 3)
+        records = sweep("ising2d", axes={"T": [1.8, 3.0], "N": [1, 2, 3]})
+        assert len(records) == 6
+        assert all(np.isnan([rec.s_i, rec.s_j, rec.s_ij, rec.mi]).all() for rec in records)
+        assert {rec.tag for rec in records} == {"symmetric"}
+
+    def test_one_identity_check_per_evaluated_grid(self, monkeypatch):
+        checks = count_calls(monkeypatch, analysis, "_check_mi_identity")
+        evaluated, entropies = [], tfim.entropies
+
+        def counted(*args):
+            result = entropies(*args)
+            evaluated.append(args)
+            return result
+
+        monkeypatch.setattr(tfim, "entropies", counted)
+        records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.7], "r": [1, 2, 3, 4]},
+                        fixed={"N": 12, "T": 0.0})
+        assert len(records) == 12 and len(evaluated) == 1 and len(checks) == 1
+        # the odd sector's coupling-1 row fails at T = 0: the grid and that
+        # row's three points raise, the other two rows are evaluated
+        evaluated.clear()
+        checks.clear()
+        records = sweep("tfim", axes={"lam": [0.5, 1.0, 1.5], "r": [1, 2, 3]},
+                        fixed={"N": 12, "T": 0.0, "sector": "odd"})
+        assert sum(rec.mi is None for rec in records) == 3
+        assert len(evaluated) == 2 and len(checks) == 2
 
     def test_ising_sweep_shape_markers(self):
         records = sweep(
@@ -326,6 +377,46 @@ class TestSweep:
 
 
 class TestSerialization:
+    # hand-built rows: None fields, int N and r, floats at 12 significant
+    # digits, -0.0, a dimer row and an error row with a NaN temperature
+    RECORDS = [
+        SweepRecord("dimer", T=0.5, s_i=1.0, s_j=1.0, s_ij=0.25, mi=1.75),
+        SweepRecord("ising2d", T=2.269185314213022, N=5, s_i=0.9999999999996,
+                    s_j=0.9999999999996, s_ij=1.9999999999992, mi=1.2345678901234567e-20,
+                    tag="broken"),
+        SweepRecord("tfim", T=0.0, lam=1 / 3, N=12, r=3, s_i=-0.0, s_j=-0.0,
+                    s_ij=-0.0, mi=0.0, tag="even"),
+        SweepRecord("tfim", T=float("nan"), lam=0.5, N=12, r=7,
+                    tag="error: temperature must be >= 0"),
+    ]
+
+    def test_csv_contract(self):
+        assert records_to_csv(self.RECORDS) == (
+            "# T in units of the Heisenberg coupling\n"
+            "# T in units of Ising coupling; N in units of sqrt(2) lattice constant\n"
+            "# lambda: Ising coupling in units of the transverse field; r in lattice constants\n"
+            "model,T,lambda,N,r,S_i,S_j,S_ij,MI,tag\n"
+            "dimer,0.5,,,,1,1,0.25,1.75,\n"
+            "ising2d,2.26918531421,,5,,1,1,2,1.23456789012e-20,broken\n"
+            "tfim,0,0.333333333333,12,3,-0,-0,-0,0,even\n"
+            "tfim,nan,0.5,12,7,,,,,error: temperature must be >= 0\n"
+        )
+
+    def test_json_contract(self):
+        rows = [json.dumps(row, allow_nan=False)
+                for row in records_to_json(self.RECORDS)["records"]]
+        assert rows == [
+            '{"model": "dimer", "T": 0.5, "lambda": null, "N": null, "r": null, '
+            '"S_i": 1.0, "S_j": 1.0, "S_ij": 0.25, "MI": 1.75, "tag": ""}',
+            '{"model": "ising2d", "T": 2.269185314213022, "lambda": null, "N": 5, '
+            '"r": null, "S_i": 0.9999999999996, "S_j": 0.9999999999996, '
+            '"S_ij": 1.9999999999992, "MI": 1.2345678901234567e-20, "tag": "broken"}',
+            '{"model": "tfim", "T": 0.0, "lambda": 0.3333333333333333, "N": 12, "r": 3, '
+            '"S_i": -0.0, "S_j": -0.0, "S_ij": -0.0, "MI": 0.0, "tag": "even"}',
+            '{"model": "tfim", "T": null, "lambda": 0.5, "N": 12, "r": 7, "S_i": null, '
+            '"S_j": null, "S_ij": null, "MI": null, "tag": "error: temperature must be >= 0"}',
+        ]
+
     def test_csv_layout(self):
         records = sweep("dimer", axes={"T": [1.0, 2.0]})
         text = records_to_csv(records)

@@ -6,6 +6,7 @@ import pytest
 
 from critent import density, exact, tfim
 from critent.density import DensityMatrix, make_density_matrix
+from oracles import parity_diagonal
 
 
 class TestBuildHamiltonian:
@@ -23,7 +24,7 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("sites,coupling", [(3, 0.5), (4, 1.0), (6, 2.0)])
     def test_commutes_with_parity(self, sites, coupling):
         ham = exact.build_hamiltonian(sites, coupling)
-        parity = exact.parity_diagonal(sites)
+        parity = parity_diagonal(sites)
         commutator = ham * parity[None, :] - parity[:, None] * ham
         assert np.max(np.abs(commutator)) < 1e-12
 
@@ -74,7 +75,7 @@ class TestObservables:
         # the T = 0 state is the even block's lowest level: the full
         # spectrum holds nothing lower, up to solver rounding
         for sites in (4, 6, 8):
-            even = exact.parity_diagonal(sites) > 0
+            even = parity_diagonal(sites) > 0
             for coupling in (0.5, 1.0, 2.0, 1e4):
                 ham = exact.build_hamiltonian(sites, coupling)
                 lowest = np.linalg.eigvalsh(ham)[0]
@@ -174,7 +175,7 @@ def _dense_pair_state(sites, coupling, temperature, separation):
     """
     ham = exact.build_hamiltonian(sites, coupling)
     if temperature == 0:
-        ham = ham + np.diag(1.0 - exact.parity_diagonal(sites))
+        ham = ham + np.diag(1.0 - parity_diagonal(sites))
         vecs = np.linalg.eigh(ham)[1][:, :1]
         gibbs = vecs @ vecs.T
     else:

@@ -371,6 +371,11 @@ class TestMiOverCouplings:
     COARSE = np.arange(0.9, 1.15 + 1e-12, 0.005)
     FINE = COARSE[20] + np.arange(-4, 5) * 0.001
 
+    @staticmethod
+    def mi_over_couplings(couplings, temperature, sites, separation, sector="even"):
+        # the scaling drivers' stencil call: a one-separation entropies grid
+        return tfim.entropies(couplings, temperature, sites, [separation], sector)[2][:, 0]
+
     @pytest.mark.parametrize("sites", [32, 64])
     @pytest.mark.parametrize("temperature", [0.0, 0.5])
     @pytest.mark.parametrize("grid", ["coarse", "fine"])
@@ -378,7 +383,7 @@ class TestMiOverCouplings:
         centres = self.COARSE if grid == "coarse" else self.FINE
         couplings = np.concatenate([centres + self.STEP, centres - self.STEP])
         assert couplings.min() < 1.0 < couplings.max()
-        batch = tfim.mi_over_couplings(couplings, temperature, sites, sites // 2)
+        batch = self.mi_over_couplings(couplings, temperature, sites, sites // 2)
         single = [
             tfim.correlation_mi(params(lam, temperature, sites, sites // 2))
             for lam in couplings
@@ -391,13 +396,13 @@ class TestMiOverCouplings:
         # library's stacked window and single-pass recursion
         couplings = np.concatenate([self.COARSE + self.STEP, self.COARSE - self.STEP])
         assert len(couplings) == 102
-        batch = tfim.mi_over_couplings(couplings, 0.0, 64, 32)
+        batch = self.mi_over_couplings(couplings, 0.0, 64, 32)
         assert batch.tolist() == tfim_mi_reference(couplings, 64, 32).tolist()
 
     def test_other_sectors_and_separations(self):
         couplings = [0.4, 1.0, 1.6]
         for sector, temperature in (("odd", 0.5), ("even", 1.5), ("gibbs", 0.5)):
-            batch = tfim.mi_over_couplings(couplings, temperature, 12, 3, sector)
+            batch = self.mi_over_couplings(couplings, temperature, 12, 3, sector)
             assert batch.tolist() == [
                 tfim.correlation_mi(params(lam, temperature, 12, 3, sector))
                 for lam in couplings
@@ -412,7 +417,7 @@ class TestMiOverCouplings:
             (([1.0], 0.0, 32, 16, "mixed"), "sector must be one of"),
         ):
             with pytest.raises(ValueError, match=message):
-                tfim.mi_over_couplings(*args)
+                self.mi_over_couplings(*args)
 
 
 class TestGibbsSector:
