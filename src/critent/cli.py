@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -48,13 +49,6 @@ def _emit_json(payload: dict, path: str | None) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
-def _records_out(records, fmt: str | None, path: str | None) -> None:
-    if fmt == "json":
-        _emit_json(analysis.records_to_json(records), path)
-    else:
-        _emit(analysis.records_to_csv(records), path)
-
-
 def _json_only(args) -> None:
     """Actions whose result is one JSON object refuse an explicit --format csv."""
     if args.format == "csv":
@@ -82,19 +76,35 @@ def _fit_payload(fit: FitResult, **extra) -> dict:
     return payload
 
 
+def _sweep(args, model: str, axes: dict, **fixed) -> int:
+    """Every sweep command: the model's grid, written as CSV or JSON."""
+    records = analysis.sweep(model, axes=axes, fixed=fixed, workers=args.workers)
+    if args.format == "json":
+        _emit_json(analysis.records_to_json(records), args.output)
+    else:
+        _emit(analysis.records_to_csv(records), args.output)
+    return EXIT_OK
+
+
+def _fit_report(args, label: str, fit: FitResult, ok: bool, **extra) -> int:
+    """Every fitted-law report: the fit and its extra keys as one JSON
+    object, with "passed" under --check, where a missed check exits 3."""
+    payload = _fit_payload(fit, **extra)
+    if args.check:
+        payload["passed"] = ok
+    _emit_json(payload, args.output)
+    if args.check and not ok:
+        raise CheckFailure(label)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 def _cmd_dimer(args) -> int:
     _finite_temperatures(args.t_min, args.t_max)
-    records = analysis.sweep(
-        "dimer",
-        axes={"T": _grid(args.t_min, args.t_max, args.t_count)},
-        workers=args.workers,
-    )
-    _records_out(records, args.format, args.output)
-    return EXIT_OK
+    return _sweep(args, "dimer", {"T": _grid(args.t_min, args.t_max, args.t_count)})
 
 
 def _cmd_ising2d(args) -> int:
@@ -111,97 +121,59 @@ def _cmd_ising2d(args) -> int:
     if args.action in ("mi", "sweep"):
         # mi is the one-temperature grid, every N from --n-min to --n-max
         one_t = args.action == "mi"
-        records = analysis.sweep(
-            "ising2d",
-            axes={
-                "T": [args.t] if one_t else _grid(args.t_min, args.t_max, args.t_count),
-                "N": list(range(args.n_min, args.n_max + 1, 1 if one_t else args.n_step)),
-            },
-            fixed={"ensemble": args.ensemble},
-            workers=args.workers,
-        )
-        _records_out(records, args.format, args.output)
-        return EXIT_OK
+        return _sweep(args, "ising2d", {
+            "T": [args.t] if one_t else _grid(args.t_min, args.t_max, args.t_count),
+            "N": list(range(args.n_min, args.n_max + 1, 1 if one_t else args.n_step)),
+        }, ensemble=args.ensemble)
     # exponents
     _json_only(args)
     result = analysis.ising2d_derivative_exponent(args.side, args.n)
-    fit = result["fit"]
-    payload = _fit_payload(
-        fit,
-        side=args.side,
-        separation=args.n,
-        relative_residual=result["relative_residual"],
-    )
-    if args.check:
-        if args.side == "below":
-            ok = abs(fit.coefficients[0] - (-0.5)) <= 0.05
-            payload["check"] = {"target_exponent": -0.5, "tolerance": 0.05, "passed": ok}
-        else:
-            ok = result["relative_residual"] < 0.05
-            payload["check"] = {"max_relative_residual": 0.05, "passed": ok}
-        payload["passed"] = ok
-    _emit_json(payload, args.output)
-    if args.check and not ok:
-        raise CheckFailure(f"ising2d exponents --side {args.side}")
-    return EXIT_OK
+    fit, residual = result["fit"], result["relative_residual"]
+    if args.side == "below":
+        ok = abs(fit.coefficients[0] - (-0.5)) <= 0.05
+        check = {"target_exponent": -0.5, "tolerance": 0.05, "passed": ok}
+    else:
+        ok = residual < 0.05
+        check = {"max_relative_residual": 0.05, "passed": ok}
+    return _fit_report(args, f"ising2d exponents --side {args.side}", fit, ok,
+                       side=args.side, separation=args.n, relative_residual=residual,
+                       **({"check": check} if args.check else {}))
 
 
 def _cmd_tfim(args) -> int:
     _finite_temperatures(args.t)
     if args.action in ("mi", "sweep"):
         # mi is the one-coupling grid
-        records = analysis.sweep(
-            "tfim",
-            axes={
-                "lam": ([getattr(args, "lambda")] if args.action == "mi"
-                        else _grid(args.lambda_min, args.lambda_max, args.lambda_count)),
-                "r": list(range(args.r_min, args.r_max + 1, args.r_step)),
-            },
-            fixed={"T": args.t, "N": args.n, "sector": args.sector},
-            workers=args.workers,
-        )
-        _records_out(records, args.format, args.output)
-        return EXIT_OK
+        return _sweep(args, "tfim", {
+            "lam": ([getattr(args, "lambda")] if args.action == "mi"
+                    else _grid(args.lambda_min, args.lambda_max, args.lambda_count)),
+            "r": list(range(args.r_min, args.r_max + 1, args.r_step)),
+        }, T=args.t, N=args.n, sector=args.sector)
     # scaling
     _json_only(args)
     if args.kind == "nn":
         result = analysis.tfim_nn_scaling()
-        fit = result["fit"]
-        payload = _fit_payload(
-            fit,
-            kind_of_scaling="nn",
-            sites=result["sites"],
-            derivatives=result["derivatives"],
-            relative_residual=result["relative_residual"],
-        )
-        ok = fit.coefficients[1] > 0 and result["relative_residual"] < 0.05
+        keys = ("sites", "derivatives", "relative_residual")
+        ok = result["relative_residual"] < 0.05
     else:
         result = analysis.tfim_far_scaling()
-        fit = result["fit"]
-        payload = _fit_payload(
-            fit,
-            kind_of_scaling="far",
-            sites=result["sites"],
-            peaks=result["peaks"],
-            peak_locations=result["peak_locations"],
-            relative_residual=result["relative_residual"],
-            relative_residual_linear=result["relative_residual_linear"],
-        )
-        ok = (
-            fit.coefficients[1] > 0
-            and result["relative_residual"] < 0.10
-            and fit.residual_norm < result["fit_linear"].residual_norm
-        )
-    if args.check:
-        payload["passed"] = ok
-    _emit_json(payload, args.output)
-    if args.check and not ok:
-        raise CheckFailure(f"tfim scaling --kind {args.kind}")
-    return EXIT_OK
+        keys = ("sites", "peaks", "peak_locations", "relative_residual",
+                "relative_residual_linear")
+        ok = (result["relative_residual"] < 0.10
+              and result["fit"].residual_norm < result["fit_linear"].residual_norm)
+    fit = result["fit"]
+    return _fit_report(args, f"tfim scaling --kind {args.kind}", fit,
+                       fit.coefficients[1] > 0 and ok,
+                       kind_of_scaling=args.kind, **{key: result[key] for key in keys})
+
+
+ORACLE_QUANTITIES = ("mz", "gxx", "gyy", "gzz", "MI")
 
 
 def _cmd_oracle(args) -> int:
     _finite_temperatures(args.t)
+    if not 0.0 <= args.max_abs_diff < math.inf:
+        raise ValueError("--max-abs-diff must be a finite number >= 0")
     lam = getattr(args, "lambda")
     seps = [args.r] if args.r is not None else list(range(1, args.n // 2 + 1))
     # both sides' parameter checks before the diagonalization: exact's ring
@@ -209,51 +181,30 @@ def _cmd_oracle(args) -> int:
     exact.check_ring(args.n, lam)
     tfim.TfimParams(lam, args.t, args.n, seps[0])
     oracle = exact.reports(args.n, lam, args.t, seps)
-    mz, gxx, gyy, gzz, mi = tfim.correlations_and_mi(lam, args.t, args.n, seps)
-    rows = []
-    worst = 0.0
-    for i, (r, report) in enumerate(zip(seps, oracle)):
-        free = {"mz": float(mz), "gxx": float(gxx[i]), "gyy": float(gyy[i]),
-                "gzz": float(gzz[i]), "MI": float(mi[i])}
-        ed = {"mz": report.correlations.mz, "gxx": report.correlations.gxx,
-              "gyy": report.correlations.gyy, "gzz": report.correlations.gzz,
-              "MI": report.mi}
-        diffs = {q: abs(free[q] - ed[q]) for q in free}
-        max_abs = max(diffs.values())
-        worst = max(worst, max_abs)
-        rows.append({
-            "r": r,
-            "free_fermion": free,
-            "exact": ed,
-            "abs_diff": diffs,
-            "max_abs_diff": max_abs,
-        })
-    payload = {
-        "N": args.n,
-        "lambda": lam,
-        "T": args.t,
-        "ground_energy": oracle[-1].ground_energy,
-        "rows": rows,
-        "max_abs_diff": worst,
-        "threshold": args.max_abs_diff,
-        "passed": worst <= args.max_abs_diff,
-    }
-    if args.format != "json":
+    # (separations, quantities) arrays, columns in ORACLE_QUANTITIES order
+    free = np.column_stack(np.broadcast_arrays(
+        *tfim.correlations_and_mi(lam, args.t, args.n, seps)))
+    ed = np.array([(*astuple(report.correlations), report.mi) for report in oracle])
+    table = list(zip(seps, free.tolist(), ed.tolist(), np.abs(free - ed).tolist()))
+    worst = max(0.0, *(max(d) for *_, d in table))
+    if args.format == "json":
+        rows = [{"r": r, "free_fermion": dict(zip(ORACLE_QUANTITIES, f)),
+                 "exact": dict(zip(ORACLE_QUANTITIES, e)),
+                 "abs_diff": dict(zip(ORACLE_QUANTITIES, d)), "max_abs_diff": max(d)}
+                for r, f, e, d in table]
+        _emit_json({"N": args.n, "lambda": lam, "T": args.t,
+                    "ground_energy": oracle[-1].ground_energy, "rows": rows,
+                    "max_abs_diff": worst, "threshold": args.max_abs_diff,
+                    "passed": worst <= args.max_abs_diff}, args.output)
+    else:
         lines = ["r,quantity,free_fermion,exact,abs_diff"]
-        for row in rows:
-            for q in ("mz", "gxx", "gyy", "gzz", "MI"):
-                lines.append(
-                    f"{row['r']},{q},{row['free_fermion'][q]:.12g},"
-                    f"{row['exact'][q]:.12g},{row['abs_diff'][q]:.12g}"
-                )
+        for r, *values in table:
+            lines += [f"{r},{q},{f:.12g},{e:.12g},{d:.12g}"
+                      for q, f, e, d in zip(ORACLE_QUANTITIES, *values)]
         lines.append(f"max,all,,,{worst:.12g}")
         _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit_json(payload, args.output)
     if worst > args.max_abs_diff:
-        raise CheckFailure(
-            f"oracle divergence {worst:.3e} exceeds {args.max_abs_diff:.3e}"
-        )
+        raise CheckFailure(f"oracle divergence {worst:.3e} exceeds {args.max_abs_diff:.3e}")
     return EXIT_OK
 
 
@@ -296,6 +247,8 @@ def _cmd_fit(args) -> int:
 def _cmd_props(args) -> int:
     rng = np.random.default_rng(args.seed)
     trials = args.trials
+    if trials < 1:
+        raise ValueError("--trials must be >= 1")
     failures = []
 
     def check(name, ok, detail=""):

@@ -66,14 +66,15 @@ def make_density_matrix(matrix, dims) -> DensityMatrix:
             "dims", f"product of {dims} must equal dimension {matrix.shape[0]}"
         )
     tr = np.trace(matrix)
-    if abs(tr - 1.0) > TRACE_TOL:
+    # each check reads `not x <= tol`, so a NaN fails it
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValidationError("unit trace", f"trace = {tr:.12g}")
     herm = np.max(np.abs(matrix - matrix.conj().T))
-    if herm > HERM_TOL:
+    if not herm <= HERM_TOL:
         raise ValidationError("hermitian", f"residual {herm:.3e}")
     sym = (matrix + matrix.conj().T) / 2.0
     w, v = np.linalg.eigh(sym)
-    if w[0] < -NEGATIVITY_REJECT:
+    if not w[0] >= -NEGATIVITY_REJECT:
         raise ValidationError(
             "positive semidefinite", f"smallest eigenvalue {w[0]:.3e}"
         )
@@ -87,7 +88,7 @@ def make_density_matrix(matrix, dims) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum p log2 p over the spectrum, with 0 log 0 = 0.  In bits."""
     p = np.clip(hermitian_eigenvalues(rho.matrix), 0.0, None)
-    return float(-np.sum(_plogp(p)) / LN2)
+    return float((0.0 - np.sum(_plogp(p))) / LN2)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -236,8 +237,9 @@ def x_state_entropies(mz, gxx, gyy, czz):
     spectrum = (out_hi, out_lo, in_hi, in_lo)
     _reject_negative(spectrum)
     _reject_negative((up, dn))
-    s_i = -(_plogp(up) + _plogp(dn)) / LN2
-    s_ij = -(_plogp(out_hi) + _plogp(out_lo) + _plogp(in_hi) + _plogp(in_lo)) / LN2
+    # 0 - sum, not -sum: a pure state's entropy is +0, never -0
+    s_i = (0.0 - (_plogp(up) + _plogp(dn))) / LN2
+    s_ij = (0.0 - (_plogp(out_hi) + _plogp(out_lo) + _plogp(in_hi) + _plogp(in_lo))) / LN2
     diagonal = _weighted_g(q_uu, d) + _weighted_g(q_dd, d) + 2.0 * _weighted_g(q_ud, -d)
     mi = (diagonal + out_coh + in_coh) / LN2
     return s_i, s_ij, mi

@@ -96,6 +96,8 @@ def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
     one call per size over the rows that broke.
     """
     stack = np.atleast_2d(np.asarray(windows, dtype=float))
+    if stack.shape[1] % 2 == 0:
+        raise ValueError(f"window width {stack.shape[1]} is not odd (2 n_max + 1)")
     n_max = (stack.shape[1] - 1) // 2
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -104,6 +106,8 @@ def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
         raise ValueError(f"window covers [{-n_max}, {n_max}] but the "
                          f"{dim}x{dim} matrix needs [{lo}, {hi}]")
     ks = [dim] if sizes is None else [int(k) for k in sizes]
+    if not ks:
+        raise ValueError("sizes must name at least one minor")
     if not all(1 <= k <= dim for k in ks):
         raise ValueError(f"sizes must lie in [1, {dim}]")
     # the windows reversed, one column per row; a lone row is doubled: numpy
@@ -176,6 +180,6 @@ def hermitian_eigenvalues(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> n
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     residual = np.max(np.abs(matrix - matrix.conj().T))
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise ValueError(f"Hermiticity residual {residual:.3e} exceeds {tol}")
     return np.linalg.eigvalsh(matrix)

@@ -6,7 +6,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from critent import cli, exact, ising2d
+from critent import analysis, cli, exact, ising2d, tfim
+from critent.analysis import FitResult
+from critent.density import CorrelationSet
 
 try:
     from importlib import resources
@@ -147,6 +149,23 @@ class TestOracleCompare:
         assert "sites must be in [3, 12]" in err
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_threshold_it_cannot_check_against(self, capsys, monkeypatch, threshold, fmt):
+        # NaN never compares greater than the divergence, inf and a negative
+        # bound decide the check before it is run: all exit 1 up front
+        def block_eigh(*args, **kwargs):
+            raise AssertionError("the oracle diagonalized a block")
+
+        monkeypatch.setattr(np.linalg, "eigh", block_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", block_eigh)
+        code, out, err = run_cli(
+            ["oracle", "compare", "--n", "6", "--max-abs-diff", threshold, "--format", fmt],
+            capsys)
+        assert (code, out) == (1, "")
+        assert "--max-abs-diff must be a finite number >= 0" in err
+
+
 class TestFitCommand:
     def test_empty_input_exits_one(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -260,6 +279,19 @@ class TestPointCommandsAreOneRowOfTheSweep:
         assert point.splitlines() == grid.splitlines()[:2] + matching
 
 
+class TestPureStatesPrintZero:
+    @pytest.mark.parametrize("args", [
+        ["tfim", "sweep", "--lambda-count", "2", "--n", "12", "--r-max", "3"],  # lambda = 0
+        ["dimer", "--t-count", "1"],  # T = 0.1: the singlet
+    ])
+    def test_no_negative_zero_cells(self, capsys, args):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        cells = [c for line in out.splitlines()[2:] for c in line.split(",")]
+        assert "0" in cells
+        assert "-0" not in cells
+
+
 class TestChecks:
     def test_exponents_above_check_passes(self, capsys):
         code, out, _ = run_cli(
@@ -287,6 +319,166 @@ class TestChecks:
         code, out, _ = run_cli(["props", "--trials", "40", "--seed", "7"], capsys)
         assert code == 0
         assert "PASS klein-inequality" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_props_without_trials_exits_one(self, capsys, trials):
+        # no trial would leave every suite vacuously passing
+        code, out, err = run_cli(["props", "--trials", trials], capsys)
+        assert (code, out) == (1, "")
+        assert "--trials must be >= 1" in err
+
+
+def canned(monkeypatch, module, name, value):
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: value)
+
+
+def dumped(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestReportBytes:
+    """The exact stdout, stderr and exit code of each report, with its slow
+    producer replaced by canned values whose digits no platform changes."""
+
+    NN_FIT = FitResult("log_linear", (0.125, 0.5), None, 0.0078125, 4, (8.0, 64.0))
+    CUBIC_FIT = FitResult("log_cubic", (0.25, 0.0625), None, 0.001953125, 5, (32.0, 512.0))
+
+    def nn_payload(self, residual):
+        return {
+            "kind": "log_linear", "coefficients": [0.125, 0.5], "amplitude": None,
+            "residual_norm": 0.0078125, "n_points": 4, "x_range": [8.0, 64.0],
+            "kind_of_scaling": "nn", "sites": [8, 16, 32, 64],
+            "derivatives": [1.0, 1.25, 1.5, 1.75], "relative_residual": residual,
+        }
+
+    @pytest.mark.parametrize("flags, residual, passed, code", [
+        ([], 0.0625, None, 0),
+        (["--check"], 0.015625, True, 0),
+        (["--check"], 0.0625, False, 3),
+    ])
+    def test_tfim_nn_scaling(self, capsys, monkeypatch, flags, residual, passed, code):
+        canned(monkeypatch, analysis, "tfim_nn_scaling", {
+            "sites": [8, 16, 32, 64], "derivatives": [1.0, 1.25, 1.5, 1.75],
+            "fit": self.NN_FIT, "relative_residual": residual,
+        })
+        expected = self.nn_payload(residual)
+        if passed is not None:
+            expected["passed"] = passed
+        assert run_cli(["tfim", "scaling", "--kind", "nn", *flags], capsys) == (
+            code, dumped(expected), "check failed: tfim scaling --kind nn\n" if code else "")
+
+    @pytest.mark.parametrize("flags, linear_residual, passed, code", [
+        ([], 0.0009765625, None, 0),
+        (["--check"], 0.03125, True, 0),
+        (["--check"], 0.0009765625, False, 3),  # the ln N law fits better
+    ])
+    def test_tfim_far_scaling(self, capsys, monkeypatch, flags, linear_residual, passed, code):
+        linear = FitResult("log_linear", (0.5, 0.75), None, linear_residual, 5, (32.0, 512.0))
+        canned(monkeypatch, analysis, "tfim_far_scaling", {
+            "sites": [32, 64, 128, 256, 512], "peak_locations": [1.0, 1.0, 0.995, 0.995, 1.0],
+            "peaks": [0.5, 1.5, 2.5, 4.0, 6.0], "fit": self.CUBIC_FIT, "fit_linear": linear,
+            "relative_residual": 0.03125, "relative_residual_linear": 0.5,
+        })
+        expected = {
+            "kind": "log_cubic", "coefficients": [0.25, 0.0625], "amplitude": None,
+            "residual_norm": 0.001953125, "n_points": 5, "x_range": [32.0, 512.0],
+            "kind_of_scaling": "far", "sites": [32, 64, 128, 256, 512],
+            "peaks": [0.5, 1.5, 2.5, 4.0, 6.0], "peak_locations": [1.0, 1.0, 0.995, 0.995, 1.0],
+            "relative_residual": 0.03125, "relative_residual_linear": 0.5,
+        }
+        if passed is not None:
+            expected["passed"] = passed
+        assert run_cli(["tfim", "scaling", "--kind", "far", *flags], capsys) == (
+            code, dumped(expected), "check failed: tfim scaling --kind far\n" if code else "")
+
+    @pytest.mark.parametrize("exponent, passed", [(-0.5078125, True), (-0.4375, False)])
+    def test_ising2d_exponents_below(self, capsys, monkeypatch, exponent, passed):
+        fit = FitResult("power_law", (exponent,), 0.75, 0.0625, 12, (0.001, 0.1))
+        canned(monkeypatch, analysis, "ising2d_derivative_exponent",
+               {"fit": fit, "relative_residual": 0.03125})
+        expected = {
+            "kind": "power_law", "coefficients": [exponent], "amplitude": 0.75,
+            "residual_norm": 0.0625, "n_points": 12, "x_range": [0.001, 0.1],
+            "exponent": exponent, "side": "below", "separation": 30,
+            "relative_residual": 0.03125,
+            "check": {"target_exponent": -0.5, "tolerance": 0.05, "passed": passed},
+            "passed": passed,
+        }
+        code = 0 if passed else 3
+        assert run_cli(["ising2d", "exponents", "--side", "below", "--check"], capsys) == (
+            code, dumped(expected), "" if passed else "check failed: ising2d exponents --side below\n")
+
+    @pytest.mark.parametrize("residual, passed", [(0.03125, True), (0.0625, False)])
+    def test_ising2d_exponents_above(self, capsys, monkeypatch, residual, passed):
+        fit = FitResult("log_linear", (-0.25, -0.5), None, 0.125, 12, (0.001, 0.1))
+        canned(monkeypatch, analysis, "ising2d_derivative_exponent",
+               {"fit": fit, "relative_residual": residual})
+        expected = {
+            "kind": "log_linear", "coefficients": [-0.25, -0.5], "amplitude": None,
+            "residual_norm": 0.125, "n_points": 12, "x_range": [0.001, 0.1],
+            "side": "above", "separation": 40, "relative_residual": residual,
+            "check": {"max_relative_residual": 0.05, "passed": passed},
+            "passed": passed,
+        }
+        code = 0 if passed else 3
+        assert run_cli(["ising2d", "exponents", "--side", "above", "--n", "40", "--check"],
+                       capsys) == (
+            code, dumped(expected), "" if passed else "check failed: ising2d exponents --side above\n")
+
+    # free-fermion and ED values 2^-30 and (r = 2's MI) 2^-20 apart
+    FREE = (0.5, [0.25, 0.125, 0.0625], [-0.125, -0.0625, -0.03125],
+            [0.375, 0.3125, 0.28125], [0.5, 0.25, 0.125])
+    EXACT = [(0.5 + 2**-30, 0.25, -0.125, 0.375 - 2**-30, 0.5),
+             (0.5 + 2**-30, 0.125, -0.0625 + 2**-30, 0.3125, 0.25 + 2**-20),
+             (0.5 + 2**-30, 0.0625 - 2**-30, -0.03125, 0.28125, 0.125)]
+
+    def canned_oracle(self, monkeypatch):
+        reports = [
+            exact.OracleReport(6, 1.0, 0.0, r, CorrelationSet(mz, gxx, gyy, gzz), mi, -7.25 - r)
+            for r, (mz, gxx, gyy, gzz, mi) in enumerate(self.EXACT, start=1)
+        ]
+        canned(monkeypatch, exact, "reports", reports)
+        canned(monkeypatch, tfim, "correlations_and_mi",
+               (self.FREE[0], *(np.array(v) for v in self.FREE[1:])))
+
+    def test_oracle_csv(self, capsys, monkeypatch):
+        self.canned_oracle(monkeypatch)
+        assert run_cli(["oracle", "compare", "--n", "6", "--max-abs-diff", "1e-6"], capsys) == (
+            0,
+            "r,quantity,free_fermion,exact,abs_diff\n"
+            "1,mz,0.5,0.500000000931,9.31322574615e-10\n"
+            "1,gxx,0.25,0.25,0\n"
+            "1,gyy,-0.125,-0.125,0\n"
+            "1,gzz,0.375,0.374999999069,9.31322574615e-10\n"
+            "1,MI,0.5,0.5,0\n"
+            "2,mz,0.5,0.500000000931,9.31322574615e-10\n"
+            "2,gxx,0.125,0.125,0\n"
+            "2,gyy,-0.0625,-0.0624999990687,9.31322574615e-10\n"
+            "2,gzz,0.3125,0.3125,0\n"
+            "2,MI,0.25,0.250000953674,9.53674316406e-07\n"
+            "3,mz,0.5,0.500000000931,9.31322574615e-10\n"
+            "3,gxx,0.0625,0.0624999990687,9.31322574615e-10\n"
+            "3,gyy,-0.03125,-0.03125,0\n"
+            "3,gzz,0.28125,0.28125,0\n"
+            "3,MI,0.125,0.125,0\n"
+            "max,all,,,9.53674316406e-07\n",
+            "",
+        )
+
+    def test_oracle_json(self, capsys, monkeypatch):
+        self.canned_oracle(monkeypatch)
+        names = ("mz", "gxx", "gyy", "gzz", "MI")
+        rows = []
+        for r, ed in enumerate(self.EXACT, start=1):
+            free = (self.FREE[0], *(v[r - 1] for v in self.FREE[1:]))
+            diffs = [abs(f - e) for f, e in zip(free, ed)]
+            rows.append({"r": r, "free_fermion": dict(zip(names, free)),
+                         "exact": dict(zip(names, ed)), "abs_diff": dict(zip(names, diffs)),
+                         "max_abs_diff": max(diffs)})
+        expected = {"N": 6, "lambda": 1.0, "T": 0.0, "ground_energy": -10.25, "rows": rows,
+                    "max_abs_diff": 2**-20, "threshold": 1e-08, "passed": False}
+        assert run_cli(["oracle", "compare", "--n", "6", "--format", "json"], capsys) == (
+            3, dumped(expected), "check failed: oracle divergence 9.537e-07 exceeds 1.000e-08\n")
 
 
 class TestConfigAndErrors:

@@ -50,6 +50,14 @@ class TestConstructor:
         with pytest.raises(ValidationError, match="dims"):
             make_density_matrix(np.eye(4) / 4, (2, 3))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="unit trace"):
+            make_density_matrix(np.full((2, 2), np.nan), (2,))
+        m = np.eye(2) / 2
+        m[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="hermitian"):
+            make_density_matrix(m, (2,))
+
     def test_clips_numerical_dust(self):
         m = np.diag([1.0 + 5e-13, -5e-13, 0.0, 0.0])
         rho = make_density_matrix(m, (2, 2))
@@ -68,6 +76,11 @@ class TestEntropy:
         psi[0] = 1.0
         rho = make_density_matrix(np.outer(psi, psi), (2, 2))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        rho = make_density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
+        s = von_neumann_entropy(rho)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_maximally_mixed(self):
         rho = make_density_matrix(np.eye(4) / 4, (2, 2))

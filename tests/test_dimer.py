@@ -7,6 +7,13 @@ from critent import density, dimer
 from oracles import dimer_thermal_state
 
 
+def test_singlet_entropy_is_positive_zero():
+    # at T = 0.1 the dimer is the singlet to double precision: S_ij = +0
+    s_i, s_ij, mi = dimer.entropies(0.1)
+    assert s_ij[0] == 0.0 and not np.signbit(s_ij[0])
+    assert mi[0] == pytest.approx(2.0)
+
+
 def dimer_hamiltonian():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])

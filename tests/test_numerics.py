@@ -170,6 +170,15 @@ class TestToeplitzDeterminant:
         with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
             toeplitz_determinant(windows, 8, sizes=[9])
 
+    def test_even_window_width(self):
+        # a_n for |n| <= n_max takes 2 n_max + 1 entries; 4 cannot be read
+        with pytest.raises(ValueError, match="window width 4 is not odd"):
+            toeplitz_determinant([1.0, 2.0, 3.0, 4.0], 2)
+
+    def test_no_sizes(self):
+        with pytest.raises(ValueError, match="sizes must name at least one minor"):
+            toeplitz_determinant(np.random.default_rng(3).standard_normal((2, 9)), 4, sizes=[])
+
 
 class TestToeplitzDeterminants:
     @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -360,3 +369,7 @@ class TestHermitianEigenvalues:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             hermitian_eigenvalues(bad)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="Hermiticity residual nan"):
+            hermitian_eigenvalues(np.full((2, 2), np.nan))

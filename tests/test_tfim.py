@@ -17,6 +17,13 @@ from oracles import (
 )
 
 
+def test_product_ground_state_entropies_are_positive_zero():
+    # at lambda = 0 every spin is polarized along the field: a pure product
+    s_i, s_ij, mi = tfim.entropies(0.0, 0.0, 1000, range(1, 51))
+    for values in (s_i, s_ij, mi):
+        assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+
 def params(coupling, temperature, sites, separation, sector="even"):
     return TfimParams(
         coupling=coupling,
