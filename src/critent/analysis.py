@@ -326,26 +326,26 @@ def _format_number(value) -> str:
     return f"{value:.12g}"
 
 
+def _column_text(values) -> list:
+    """_format_number of each cell; a cell holding the very object of the
+    cell above reuses its text (by identity: -0.0 == 0.0 prints apart)."""
+    texts, above, text = [], None, ""
+    for value in values:
+        if value is not above:
+            above, text = value, _format_number(value)
+        texts.append(text)
+    return texts
+
+
 def records_to_csv(records) -> str:
-    """Stable CSV: units comment, fixed header, 12 significant digits."""
-    lines = []
-    for name in sorted({r.model for r in records}):
-        if name in UNITS_COMMENTS:
-            lines.append(UNITS_COMMENTS[name])
+    """Stable CSV: units comment, fixed header, 12 significant digits,
+    formatted column by column."""
+    lines = [UNITS_COMMENTS[name] for name in sorted({r.model for r in records})
+             if name in UNITS_COMMENTS]
     lines.append(CSV_HEADER)
-    for rec in records:
-        lines.append(",".join([
-            rec.model,
-            _format_number(rec.T),
-            _format_number(rec.lam),
-            _format_number(rec.N),
-            _format_number(rec.r),
-            _format_number(rec.s_i),
-            _format_number(rec.s_j),
-            _format_number(rec.s_ij),
-            _format_number(rec.mi),
-            rec.tag,
-        ]))
+    if records:
+        model, *numbers, tag = zip(*records)
+        lines += map(",".join, zip(model, *map(_column_text, numbers), tag))
     return "\n".join(lines) + "\n"
 
 

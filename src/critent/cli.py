@@ -61,6 +61,12 @@ def _grid(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
 
 
+def _separations(lo: int, hi: int, step: int, flag: str) -> list:
+    if step < 1:
+        raise ValueError(f"{flag} must be >= 1")
+    return list(range(lo, hi + 1, step))
+
+
 def _finite_temperatures(*temperatures) -> None:
     """The dimer, tfim and oracle commands take T = inf as a usage error:
     JSON has no infinity to print it with, and CSV follows suit."""
@@ -123,7 +129,7 @@ def _cmd_ising2d(args) -> int:
         one_t = args.action == "mi"
         return _sweep(args, "ising2d", {
             "T": [args.t] if one_t else _grid(args.t_min, args.t_max, args.t_count),
-            "N": list(range(args.n_min, args.n_max + 1, 1 if one_t else args.n_step)),
+            "N": _separations(args.n_min, args.n_max, 1 if one_t else args.n_step, "--n-step"),
         }, ensemble=args.ensemble)
     # exponents
     _json_only(args)
@@ -147,7 +153,7 @@ def _cmd_tfim(args) -> int:
         return _sweep(args, "tfim", {
             "lam": ([getattr(args, "lambda")] if args.action == "mi"
                     else _grid(args.lambda_min, args.lambda_max, args.lambda_count)),
-            "r": list(range(args.r_min, args.r_max + 1, args.r_step)),
+            "r": _separations(args.r_min, args.r_max, args.r_step, "--r-step"),
         }, T=args.t, N=args.n, sector=args.sector)
     # scaling
     _json_only(args)

@@ -94,23 +94,24 @@ def _side(x: float, sign: int, y0: float, y1, count: int, start) -> np.ndarray:
     """y_0 .. y_count of x (j + sign/2) y_j = [(1 + x^2)(j - 1) + sign x^2]
     y_{j-1} - x (j - 2 + sign/2) y_{j-2}, solved by y_j = F_{-sign j}: run up
     from y0, y1 if start is None, else by Miller's algorithm, ratios run down
-    from y_{start+1} = 0 and scaled to y0 (entries beyond start are 0)."""
-    def step(j):
-        return (x * (j + 0.5 * sign), (1.0 + x * x) * (j - 1) + sign * x * x,
-                x * (j - 2 + 0.5 * sign))
-
+    from y_{start+1} = 0 and scaled to y0 (entries beyond start are 0).
+    The step coefficients p_j, q_j, r_j are built as arrays, in the order
+    of the steps, with the floats of scalar arithmetic."""
+    j = np.arange(2, count + 1) if start is None else np.arange(start + 1, 1, -1)
+    steps = zip((x * (j + 0.5 * sign)).tolist(),
+                ((1.0 + x * x) * (j - 1) + sign * x * x).tolist(),
+                (x * (j - 2 + 0.5 * sign)).tolist())
     if start is None:
         ys = [y0, y1]
-        for j in range(2, count + 1):
-            p, q, r = step(j)
+        for p, q, r in steps:
             ys.append((q * ys[-1] - r * ys[-2]) / p)
         return np.array(ys)
     ratios, ratio = [], 0.0
-    for j in range(start + 1, 1, -1):
-        p, q, r = step(j)
+    for p, q, r in steps:
         ratio = r / (q - p * ratio)
         ratios.append(ratio)
-    ys = y0 * np.cumprod([1.0] + ratios[::-1] + [0.0] * (count - start))
+    # y_1 .. y_count need only the last `count` ratios (j = count + 1 .. 2)
+    ys = y0 * np.cumprod([1.0] + ratios[: -count - 1: -1] + [0.0] * (count - start))
     return ys[: count + 1]
 
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from critent import dimer, tfim
+from critent.analysis import CSV_HEADER, UNITS_COMMENTS
 from critent.density import DensityMatrix, make_density_matrix, two_site_entropies
 
 
@@ -177,6 +178,47 @@ def ising_symbol(temperature):
         return np.where(mag == 0.0, 0.0, z / np.where(mag == 0.0, 1.0, mag))
 
     return symbol
+
+
+def ising_side(x: float, sign: int, y0: float, y1, count: int, start) -> np.ndarray:
+    """ising2d._side one step at a time: each step's p_j, q_j, r_j from
+    scalar arithmetic, then the upward step or the Miller ratio."""
+    def step(j):
+        return (x * (j + 0.5 * sign), (1.0 + x * x) * (j - 1) + sign * x * x,
+                x * (j - 2 + 0.5 * sign))
+
+    if start is None:
+        ys = [y0, y1]
+        for j in range(2, count + 1):
+            p, q, r = step(j)
+            ys.append((q * ys[-1] - r * ys[-2]) / p)
+        return np.array(ys)
+    ratios, ratio = [], 0.0
+    for j in range(start + 1, 1, -1):
+        p, q, r = step(j)
+        ratio = r / (q - p * ratio)
+        ratios.append(ratio)
+    ys = y0 * np.cumprod([1.0] + ratios[::-1] + [0.0] * (count - start))
+    return ys[: count + 1]
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.12g}"
+
+
+def records_csv(records) -> str:
+    """analysis.records_to_csv one row and one cell at a time."""
+    lines = [UNITS_COMMENTS[name] for name in sorted({r.model for r in records})
+             if name in UNITS_COMMENTS]
+    lines.append(CSV_HEADER)
+    for rec in records:
+        cells = (rec.T, rec.lam, rec.N, rec.r, rec.s_i, rec.s_j, rec.s_ij, rec.mi)
+        lines.append(",".join([rec.model, *map(_cell, cells), rec.tag]))
+    return "\n".join(lines) + "\n"
 
 
 # |singlet> = (|ud> - |du>)/sqrt(2) in the basis uu, ud, du, dd

@@ -13,7 +13,7 @@ from critent.analysis import (
     sweep,
 )
 from critent.errors import ConvergenceError
-from oracles import derivative_at
+from oracles import derivative_at, records_csv
 
 
 def count_calls(monkeypatch, owner, name):
@@ -416,6 +416,48 @@ class TestSerialization:
             '{"model": "tfim", "T": null, "lambda": 0.5, "N": 12, "r": 7, "S_i": null, '
             '"S_j": null, "S_ij": null, "MI": null, "tag": "error: temperature must be >= 0"}',
         ]
+
+    @pytest.mark.parametrize("model, axes, fixed", [
+        ("dimer", {"T": np.linspace(0.1, 10.0, 100)}, None),
+        ("ising2d", {"T": np.linspace(1.5, 3.5, 21), "N": range(1, 51)}, None),
+        ("ising2d", {"T": np.linspace(1.5, 3.5, 21), "N": range(1, 51)},
+         {"ensemble": "broken"}),
+        ("tfim", {"lam": np.linspace(0.0, 2.0, 11), "r": range(1, 51)}, {"T": 0.0, "N": 1000}),
+    ])
+    def test_csv_matches_per_cell_reference_on_sweeps(self, model, axes, fixed):
+        records = sweep(model, axes=axes, fixed=fixed)
+        assert records_to_csv(records) == records_csv(records)
+
+    def test_csv_cells_follow_objects_not_values(self):
+        # -0.0 == 0.0, so only the very object of the cell above may lend
+        # its text; equal values in distinct objects are formatted apart
+        neg, pos, shared = float("-0.0"), float("0.0"), 1 / 3
+        nan_a, nan_b = float("nan"), float("nan")
+        records = [
+            SweepRecord("tfim", T=pos, lam=shared, N=12, r=1, s_i=neg, s_j=neg,
+                        s_ij=neg, mi=pos, tag="even"),
+            SweepRecord("tfim", T=pos, lam=shared, N=12, r=2, s_i=pos, s_j=neg,
+                        s_ij=pos, mi=neg, tag="even"),
+            SweepRecord("tfim", T=neg, lam=1 / 3, N=12.0, r=3, s_i=neg, s_j=pos,
+                        s_ij=shared, mi=shared, tag="even"),
+            SweepRecord("tfim", T=nan_a, lam=0.5, N=12, r=7, tag="error: temperature must be >= 0"),
+            SweepRecord("tfim", T=nan_b, lam=0.5, N=12, r=7, tag="error: temperature must be >= 0"),
+            SweepRecord("dimer", T=0.5, s_i=neg, s_j=neg, s_ij=neg, mi=neg),
+        ]
+        text = records_to_csv(records)
+        assert text == records_csv(records)
+        assert text.splitlines()[2:] == [
+            "model,T,lambda,N,r,S_i,S_j,S_ij,MI,tag",
+            "tfim,0,0.333333333333,12,1,-0,-0,-0,0,even",
+            "tfim,0,0.333333333333,12,2,0,-0,0,-0,even",
+            "tfim,-0,0.333333333333,12,3,-0,0,0.333333333333,0.333333333333,even",
+            "tfim,nan,0.5,12,7,,,,,error: temperature must be >= 0",
+            "tfim,nan,0.5,12,7,,,,,error: temperature must be >= 0",
+            "dimer,0.5,,,,-0,-0,-0,-0,",
+        ]
+
+    def test_csv_of_no_records_is_the_header(self):
+        assert records_to_csv([]) == records_csv([]) == analysis.CSV_HEADER + "\n"
 
     def test_csv_layout(self):
         records = sweep("dimer", axes={"T": [1.0, 2.0]})

@@ -536,6 +536,27 @@ class TestConfigAndErrors:
         code, _, err = run_cli(["ising2d", "corr", "--t", "-2.0"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args, flag", [
+        (["ising2d", "sweep", "--n-step", "0"], "--n-step"),
+        (["ising2d", "sweep", "--n-step", "-1"], "--n-step"),
+        (["tfim", "mi", "--r-step", "-2"], "--r-step"),
+        (["tfim", "sweep", "--r-step", "0", "--lambda-count", "2"], "--r-step"),
+        (["tfim", "sweep", "--r-step", "-2", "--lambda-count", "2"], "--r-step"),
+    ])
+    def test_separation_step_below_one_exits_one(self, capsys, args, flag, fmt):
+        # a zero step has no range, a negative one an empty grid
+        code, out, err = run_cli(args + ["--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert f"error: {flag} must be >= 1" in err
+
+    def test_ising_mi_takes_every_separation_whatever_the_step(self, capsys):
+        code, out, _ = run_cli(["ising2d", "mi", "--t", "3", "--n-max", "3", "--n-step", "0"],
+                               capsys)
+        assert code == 0
+        assert [l.split(",")[3] for l in out.splitlines() if l.startswith("ising2d,")] == [
+            "1", "2", "3"]
+
     def test_infinite_ising_temperature(self, capsys):
         code, _, err = run_cli(["ising2d", "corr", "--t", "inf"], capsys)
         assert code == 1

@@ -7,7 +7,7 @@ import pytest
 from critent import density, ising2d
 from critent.errors import ModelConsistencyError
 from critent.numerics import fourier_window
-from oracles import ising_symbol, site_state, x_state
+from oracles import ising_side, ising_symbol, site_state, x_state
 
 TC = ising2d.critical_temperature()
 
@@ -62,6 +62,10 @@ def mpmath_coefficient(temperature, n):
 
 NEAR_TC = [TC + sign * offset for offset in (1e-9, 1e-6, 5e-4, 1e-3, 2e-3)
            for sign in (1, -1)]
+# |ln x| = 0.9e-3 (outward recurrence) and 1.1e-3 (Miller), below and above
+# T_c: sinh(2/T) = e^(|ln x|/2) below and e^(-|ln x|/2) above
+MILLER_EDGE = [2.0 / math.asinh(math.exp(sign * log_x / 2))
+               for log_x in (0.9e-3, 1.1e-3) for sign in (1, -1)]
 
 
 class TestCoefficientWindow:
@@ -95,6 +99,21 @@ class TestCoefficientWindow:
         for n_max in (0, 1, 49, 1023):
             values = ising2d.coefficient_window(temperature, n_max)
             assert np.array_equal(values, widest[1500 - n_max:1501 + n_max]), n_max
+
+    def test_miller_edge_straddles_the_switch(self):
+        log_x = [-math.log(ising2d._modulus(t)[0]) for t in MILLER_EDGE]
+        assert [v < 1e-3 for v in log_x] == [True, True, False, False]
+        assert [t < TC for t in MILLER_EDGE] == [True, False, True, False]
+
+    @pytest.mark.parametrize("temperature",
+                             [0.002, 1.5, 2.0, TC, 2.5, 3.5, 1e6] + MILLER_EDGE)
+    def test_bit_identical_to_per_step_recurrence(self, temperature, monkeypatch):
+        widths = (0, 1, 49, 800)
+        windows = [ising2d.coefficient_window(temperature, n_max) for n_max in widths]
+        monkeypatch.setattr(ising2d, "_side", ising_side)
+        for n_max, window in zip(widths, windows):
+            reference = ising2d.coefficient_window(temperature, n_max)
+            assert window.tobytes() == reference.tobytes(), n_max
 
     def test_small_temperature_is_a_delta(self):
         # sinh(2/T) overflows a float at T = 0.002; the modulus underflows to 0
