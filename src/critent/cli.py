@@ -16,6 +16,7 @@ A JSON config file (--config) may supply any long option, underscored
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -447,12 +448,20 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv):
 
 
 def main(argv=None) -> int:
+    """The `critent` process entry point: parse argv, run the command and
+    return its exit code.  It freezes the heap (gc.freeze), so in-process
+    callers such as the tests keep the frozen objects: reference counting
+    still frees them, but cycles among them are never collected."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+    # O(1): everything alive now (modules, numpy's objects, the parser)
+    # leaves the cyclic GC, so neither the run's collections nor the one at
+    # interpreter exit walk or tear it down; the OS reclaims it at exit
+    gc.freeze()
     try:
         args = _apply_config(parser, args, argv)
         if args.command == "ising2d" and args.t is None:

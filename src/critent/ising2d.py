@@ -34,6 +34,7 @@ descriptions of the ordered phase are supported:
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -106,12 +107,16 @@ def _side(x: float, sign: int, y0: float, y1, count: int, start) -> np.ndarray:
         for p, q, r in steps:
             ys.append((q * ys[-1] - r * ys[-2]) / p)
         return np.array(ys)
-    ratios, ratio = [], 0.0
+    # y_1 .. y_count need only the ratios of j = count + 1 .. 2; those above
+    # are run without being stored
+    ratio = 0.0
+    for p, q, r in islice(steps, max(0, start - count)):
+        ratio = r / (q - p * ratio)
+    ratios = []
     for p, q, r in steps:
         ratio = r / (q - p * ratio)
         ratios.append(ratio)
-    # y_1 .. y_count need only the last `count` ratios (j = count + 1 .. 2)
-    ys = y0 * np.cumprod([1.0] + ratios[: -count - 1: -1] + [0.0] * (count - start))
+    ys = y0 * np.cumprod([1.0] + ratios[::-1] + [0.0] * (count - start))
     return ys[: count + 1]
 
 

@@ -92,8 +92,9 @@ def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
     exponentiation.  The k x k minor of a row is the same float whatever
     dim and whichever rows share the stack.  A row whose pivots are not all
     finite up to size k (a zero pivot makes the next one infinite or NaN)
-    has broken down there: its minors from k on are pivoted-LU slogdets,
-    one call per size over the rows that broke.
+    has broken down there: its minors from k on are exactly 0 where the
+    minor is triangular with a zero diagonal, and pivoted-LU slogdets
+    otherwise, one call per size over the rows that broke.
     """
     stack = np.atleast_2d(np.asarray(windows, dtype=float))
     if stack.shape[1] % 2 == 0:
@@ -158,6 +159,14 @@ def _leading_minors(stack, lags, centre, dim, sizes):
     intact = np.logical_and.accumulate(np.isfinite(pivots), axis=1)[:, at]
     for j in np.flatnonzero(~intact.all(axis=0)):
         broken, k = np.flatnonzero(~intact[:, j]), sizes[j]
+        # t_n = 0 for every n in [1 - k, 0] or in [0, k - 1]: a triangular
+        # minor with a zero diagonal, exactly 0 (every minor at lambda = 0)
+        triangular = (~stack[broken, centre + 1 - k:centre + 1].any(axis=1)
+                      | ~stack[broken, centre:centre + k].any(axis=1))
+        values[broken[triangular], j] = 0.0
+        broken = broken[~triangular]
+        if not broken.size:
+            continue
         rows = stack[broken]
         row, col = rows.strides
         view = np.lib.stride_tricks.as_strided(

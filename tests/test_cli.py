@@ -676,6 +676,31 @@ class TestImportCost:
             assert proc.stdout.splitlines()[-1] == "[]", run
 
 
+class TestFrozenHeap:
+    def test_main_freezes_the_import_time_heap(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = ("import gc; from critent import cli; before = gc.get_freeze_count(); "
+                f"code = cli.main(['ising2d', 'sweep', '--t-count', '2', '--output', {str(out)!r}]); "
+                "print(before, gc.get_freeze_count(), code)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        before, after, exit_code = map(int, proc.stdout.split())
+        assert (before, exit_code) == (0, 0)
+        assert after > 0
+
+    @pytest.mark.parametrize("args", [["ising2d", "sweep"],
+                                      ["tfim", "sweep", "--lambda-count", "3"]])
+    def test_repeated_in_process_runs_match_a_fresh_process(self, tmp_path, args):
+        # the second run starts with the first run's heap frozen
+        paths = [tmp_path / f"{name}.csv" for name in ("first", "second", "fresh")]
+        for path in paths[:2]:
+            assert cli.main(args + ["--output", str(path)]) == 0
+        subprocess.run([sys.executable, "-m", "critent.cli", *args, "--output", str(paths[2])],
+                       check=True)
+        first, second, fresh = (path.read_bytes() for path in paths)
+        assert first == second == fresh
+
+
 class TestInstalledEntryPoint:
     def test_help_runs(self):
         proc = subprocess.run(

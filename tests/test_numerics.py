@@ -240,21 +240,40 @@ class TestToeplitzDeterminants:
 
     def test_breakdown_rows_take_one_slogdet_per_size(self, monkeypatch):
         # at lambda = 0 the TFIM window is -delta_n0: both shifted matrices
-        # have a zero diagonal, so the first pivot is 0 and every minor
-        # from size 2 on goes to pivoted LU, for that row alone
+        # have a zero diagonal, so the first pivot is 0 and the row breaks
+        # down at size 2; each of its minors is triangular with a zero
+        # diagonal, exactly 0, and takes no slogdet call
         couplings = [0.0, 0.5, 1.0]
         windows = np.array([tfim.coefficient_window(lam, 0.0, 1000, 50) for lam in couplings])
         calls, slogdet = [], np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
         minors = [toeplitz_determinant(windows, 50, row_shift=shift, sizes=range(1, 51))
                   for shift in (-1, 1)]
-        assert calls == [(1, k, k) for k in range(2, 51)] * 2
+        assert calls == []
         monkeypatch.undo()
         for shift, shifted in zip((-1, 1), minors):
             assert shifted[0].tolist() == [lu_minor(windows[0], k, shift) for k in range(1, 51)]
             np.testing.assert_allclose(
                 shifted[1:], [[lu_minor(row, k, shift) for k in range(1, 51)]
                               for row in windows[1:]], rtol=1e-10, atol=1e-12)
+
+    def test_zero_pivot_off_triangular_goes_to_lu(self, monkeypatch):
+        # t_0 = 0 breaks both rows down at size 2.  With t_{+-1} != 0 no
+        # minor is triangular, so every size from 2 on is one slogdet; with
+        # t_{-1} = 0 too, only the 2 x 2 minor is triangular (exactly 0)
+        # and the larger ones go to LU as well
+        dim = 12
+        rng = np.random.default_rng(3)
+        windows = rng.uniform(0.5, 1.5, (2, 2 * dim - 1))  # t_n at index n + dim - 1
+        windows[:, dim - 1] = 0.0
+        windows[1, dim - 2] = 0.0
+        calls, slogdet = [], np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+        minors = toeplitz_determinant(windows, dim, sizes=range(1, dim + 1))
+        assert calls == [(1, 2, 2)] + [(2, k, k) for k in range(3, dim + 1)]
+        monkeypatch.undo()
+        assert minors[1, 1] == 0.0
+        assert minors.tolist() == lu_minors(windows, 0, range(1, dim + 1)).tolist()
 
     def test_ising_breakdown_above_tc_equals_slogdet(self, monkeypatch):
         # at T = 5 the forward vector grows like sinh^-2(2/T)^k and overflows
