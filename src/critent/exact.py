@@ -17,8 +17,11 @@ representative b, which adds -coupling e^{ikl} (R_a / R_b)^(1/2) to
 dense reference the tests compare against).  H is real, so block (P, -k)
 is the complex conjugate of block (P, k), with the same levels and real
 expectation values: only 0 <= k <= pi is diagonalized, and each k strictly
-between counts twice.  At N = 12 and T > 0 the 14 blocks take about 0.16 s
-on one BLAS thread, with a tracemalloc peak near 10 MB.
+between counts twice.  A block's columns come from a representative ->
+column array filled for the block, its phases from a table of e^{ikl} for
+l < N, and its diagonal and spin means from sums taken once per ring.  At
+N = 12 and T > 0 the 14 blocks take about 0.11 s on one BLAS thread, 0.085 s
+of it in eigh, with a tracemalloc peak near 10 MB.
 
 At T = 0 the state is the lowest level of the even blocks (their levels by
 eigvalsh, then eigh of the ground block only); at T > 0 it is exp(-H/T)/Z
@@ -41,6 +44,9 @@ from .density import CorrelationSet, make_density_matrix
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SZ = np.diag([1.0, -1.0])
+# the two-site Pauli products of rho_{0r}'s expansion
+_Z_EITHER = np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ)
+_XX, _YY, _ZZ = np.kron(_SX, _SX), np.kron(_SY, _SY), np.kron(_SZ, _SZ)
 
 
 @dataclass(frozen=True)
@@ -107,52 +113,59 @@ def _translation_averages(sites: int, coupling: float, temperature: float):
     # pairs[a, r - 1, j]: representative a with spins j and j + r flipped
     pairs = reps[:, None, None] ^ ((1 << site) | (1 << (site + seps) % sites))
     zz = spins[:, None, :] * spins[:, (site + seps) % sites]  # s_j s_{j+r}
+    # per-ring sums that every block indexes by its rows
+    energies, mean_z, mean_zz = -spins.sum(axis=1), spins.mean(axis=1), zz.mean(axis=2)
 
-    def targets(members, flipped, k):
+    def targets(rows, flipped, phases):
         # block column of each target's representative b and the factor
-        # e^{ikl} (R_a / R_b)^(1/2); a target whose orbit has no momentum-k
-        # state is not in the block and gets factor 0
-        b = rep[flipped]
-        col = np.minimum(np.searchsorted(members, b), members.size - 1)
+        # e^{ikl} (R_a / R_b)^(1/2), with e^{ikl} from the block's phases;
+        # a target whose orbit has no momentum-k state is not in the block
+        # and gets factor 0
+        members, b = reps[rows], rep[flipped]
+        # representative -> column; one outside the block reads column 0,
+        # whose member is not that representative
+        column = np.zeros(rep.size, dtype=np.intp)
+        column[members] = np.arange(members.size)
+        col = column[b]
         ratio = period[members].reshape((-1,) + (1,) * (b.ndim - 1)) / period[b]
-        phase = np.exp(1j * k * shift[flipped]) * np.sqrt(ratio)
-        return col, np.where(members[col] == b, phase, 0.0)
+        return col, np.where(members[col] == b, phases[shift[flipped]] * np.sqrt(ratio), 0.0)
 
     def block(p, m):
-        # rows, k = 2 pi m / N, multiplicity (k and -k) and H of block (p, k)
+        # rows, phases e^{ikl} for l < N with k = 2 pi m / N, multiplicity
+        # (k and -k) and H of block (p, k)
         rows = np.flatnonzero((parity == p) & (m * period[reps] % sites == 0))
-        k = 2 * np.pi * m / sites
-        col, factor = targets(reps[rows], bonds[rows], k)
-        ham = np.diag(-spins[rows].sum(axis=1).astype(complex))
+        phases = np.exp(1j * (2 * np.pi * m / sites) * site)
+        col, factor = targets(rows, bonds[rows], phases)
+        ham = np.diag(energies[rows].astype(complex))
         np.add.at(ham, (col, np.arange(rows.size)[:, None]), -coupling * factor)
-        return rows, k, 1 if 2 * m % sites == 0 else 2, ham
+        return rows, phases, 1 if 2 * m % sites == 0 else 2, ham
 
     momenta = range(sites // 2 + 1)
     if temperature == 0:
         even = [block(1, m) for m in momenta]
-        rows, k, _, ham = even[np.argmin([np.linalg.eigvalsh(h)[0] for *_, h in even])]
+        rows, phases, _, ham = even[np.argmin([np.linalg.eigvalsh(h)[0] for *_, h in even])]
         vals, vecs = np.linalg.eigh(ham)
-        energy, states = vals[0], [(rows, k, vecs[:, :1], np.ones(1))]
+        energy, states = vals[0], [(rows, phases, vecs[:, :1], np.ones(1))]
     else:
-        spectra = []  # (parity, rows, k, multiplicity, levels, vectors) per block
+        spectra = []  # (parity, rows, phases, multiplicity, levels, vectors) per block
         for p in (1, -1):
             for m in momenta:
-                rows, k, mult, ham = block(p, m)
-                spectra.append((p, rows, k, mult, *np.linalg.eigh(ham)))
+                rows, phases, mult, ham = block(p, m)
+                spectra.append((p, rows, phases, mult, *np.linalg.eigh(ham)))
         energy = min(vals[0] for p, *_, vals, _ in spectra if p == 1)
         floor = min(vals[0] for *_, vals, _ in spectra)
-        states = [(rows, k, vecs, mult * np.exp(-(vals - floor) / temperature))
-                  for _, rows, k, mult, vals, vecs in spectra]
+        states = [(rows, phases, vecs, mult * np.exp(-(vals - floor) / temperature))
+                  for _, rows, phases, mult, vals, vecs in spectra]
     norm = sum(w.sum() for *_, w in states)
     mz, gxx, gyy, gzz = 0.0, 0.0, 0.0, 0.0
-    for rows, k, vecs, w in states:
+    for rows, phases, vecs, w in states:
         rho = (vecs * (w / norm)) @ vecs.conj().T  # the state on the block
         diagonal = rho.diagonal().real
-        mz = mz + diagonal @ spins[rows].mean(axis=1)
-        gzz = gzz + diagonal @ zz[rows].mean(axis=2)
+        mz = mz + diagonal @ mean_z[rows]
+        gzz = gzz + diagonal @ mean_zz[rows]
         # Tr(rho O) = sum over a, j of rho[a, b_j] <b_j(k)|O|a(k)>, where
         # sy sy carries the source's sign -s_j s_{j+r} on top of sx sx
-        col, factor = targets(reps[rows], pairs[rows], k)
+        col, factor = targets(rows, pairs[rows], phases)
         hop = rho[np.arange(rows.size)[:, None, None], col] * factor
         gxx = gxx + hop.sum(axis=(0, 2)).real / sites
         gyy = gyy - (hop * zz[rows]).sum(axis=(0, 2)).real / sites
@@ -171,14 +184,11 @@ def reports(
         raise ValueError("temperature must be >= 0")
     check_ring(sites, coupling)
     mz, gxx, gyy, gzz, energy = _translation_averages(sites, coupling, temperature)
-    eye = np.eye(2)
     out = []
     for r in separations:
         corr = CorrelationSet(mz, *(float(g[r - 1]) for g in (gxx, gyy, gzz)))
         rho = (
-            np.eye(4) + mz * (np.kron(_SZ, eye) + np.kron(eye, _SZ))
-            + corr.gxx * np.kron(_SX, _SX) + corr.gyy * np.kron(_SY, _SY)
-            + corr.gzz * np.kron(_SZ, _SZ)
+            np.eye(4) + mz * _Z_EITHER + corr.gxx * _XX + corr.gyy * _YY + corr.gzz * _ZZ
         ) / 4.0
         mi = density.mutual_information(make_density_matrix(rho, (2, 2)))
         out.append(OracleReport(sites, coupling, temperature, r, corr, mi, energy))

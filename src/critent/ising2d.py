@@ -96,19 +96,20 @@ def _side(x: float, sign: int, y0: float, y1, count: int, start) -> np.ndarray:
     y_{j-1} - x (j - 2 + sign/2) y_{j-2}, solved by y_j = F_{-sign j}: run up
     from y0, y1 if start is None, else by Miller's algorithm, ratios run down
     from y_{start+1} = 0 and scaled to y0 (entries beyond start are 0).
-    The step coefficients p_j, q_j, r_j are built as arrays, in the order
-    of the steps, with the floats of scalar arithmetic."""
-    j = np.arange(2, count + 1) if start is None else np.arange(start + 1, 1, -1)
-    steps = zip((x * (j + 0.5 * sign)).tolist(),
-                ((1.0 + x * x) * (j - 1) + sign * x * x).tolist(),
-                (x * (j - 2 + 0.5 * sign)).tolist())
+    The step coefficients p_j and q_j are built as arrays over j down to 0,
+    in the order of the steps, with the floats of scalar arithmetic; r_j is
+    p_{j-2} float for float, so the list of p serves for r too."""
+    j = np.arange(count + 1) if start is None else np.arange(start + 1, -1, -1)
+    p_list = (x * (j + 0.5 * sign)).tolist()
+    q_list = ((1.0 + x * x) * (j - 1) + sign * x * x).tolist()
     if start is None:
         ys = [y0, y1]
-        for p, q, r in steps:
+        for p, q, r in zip(islice(p_list, 2, None), islice(q_list, 2, None), p_list):
             ys.append((q * ys[-1] - r * ys[-2]) / p)
         return np.array(ys)
     # y_1 .. y_count need only the ratios of j = count + 1 .. 2; those above
     # are run without being stored
+    steps = zip(p_list, q_list, islice(p_list, 2, None))
     ratio = 0.0
     for p, q, r in islice(steps, max(0, start - count)):
         ratio = r / (q - p * ratio)

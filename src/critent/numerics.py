@@ -156,23 +156,25 @@ def _leading_minors(stack, lags, centre, dim, sizes):
         at = np.asarray(sizes) - 1
         logabs = np.cumsum(np.log(np.abs(pivots)), axis=1)[:, at]
         values = np.cumprod(np.sign(pivots), axis=1)[:, at] * np.exp(logabs)
-    intact = np.logical_and.accumulate(np.isfinite(pivots), axis=1)[:, at]
-    for j in np.flatnonzero(~intact.all(axis=0)):
-        broken, k = np.flatnonzero(~intact[:, j]), sizes[j]
-        # t_n = 0 for every n in [1 - k, 0] or in [0, k - 1]: a triangular
-        # minor with a zero diagonal, exactly 0 (every minor at lambda = 0)
-        triangular = (~stack[broken, centre + 1 - k:centre + 1].any(axis=1)
-                      | ~stack[broken, centre:centre + k].any(axis=1))
-        values[broken[triangular], j] = 0.0
-        broken = broken[~triangular]
-        if not broken.size:
-            continue
-        rows = stack[broken]
+    broken = ~np.logical_and.accumulate(np.isfinite(pivots), axis=1)[:, at]
+    # t_n = 0 for every n in [1 - k, 0] or in [0, k - 1]: a triangular minor
+    # with a zero diagonal, exactly 0 (every minor at lambda = 0); the k x k
+    # minors of a row are so up to the longer run of zero t_n out from t_0
+    hit = np.flatnonzero(broken.any(axis=1))
+    runs = [np.logical_and.accumulate(side == 0, axis=1).sum(axis=1) for side in
+            (stack[hit, centre:centre + dim], stack[hit, centre + 1 - dim:centre + 1][:, ::-1])]
+    triangular = np.zeros_like(broken)
+    triangular[hit] = at < np.maximum(*runs)[:, None]
+    values[broken & triangular] = 0.0
+    broken &= ~triangular
+    for j in np.flatnonzero(broken.any(axis=0)):
+        broken_j, k = np.flatnonzero(broken[:, j]), sizes[j]
+        rows = stack[broken_j]
         row, col = rows.strides
         view = np.lib.stride_tricks.as_strided(
-            rows[:, centre:], shape=(broken.size, k, k), strides=(row, col, -col))
+            rows[:, centre:], shape=(broken_j.size, k, k), strides=(row, col, -col))
         sign, logabs_k = np.linalg.slogdet(view)
-        values[broken, j] = sign * np.exp(logabs_k)
+        values[broken_j, j] = sign * np.exp(logabs_k)
     return values
 
 

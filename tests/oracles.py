@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from critent import dimer, tfim
+from critent import dimer, exact, tfim
 from critent.analysis import CSV_HEADER, UNITS_COMMENTS
 from critent.density import DensityMatrix, make_density_matrix, two_site_entropies
 
@@ -154,6 +154,73 @@ def parity_diagonal(sites: int) -> np.ndarray:
     idx = np.arange(1 << sites)
     counts = ((idx[:, None] >> np.arange(sites)) & 1).sum(axis=1)
     return np.where(counts % 2, -1.0, 1.0)
+
+
+def ed_translation_averages(sites: int, coupling: float, temperature: float):
+    """exact._translation_averages with every block's work done per block:
+    each target's column by np.searchsorted over the block's members, its
+    phase by np.exp, the spin means and diagonal energies from the block's
+    rows, k carried as a float.  The bit-for-bit reference for the
+    library's per-ring tables."""
+    rep, shift, period = exact._orbits(sites)
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    spins = 1 - 2 * ((reps[:, None] >> np.arange(sites)) & 1)
+    parity = spins.prod(axis=1)
+    site, seps = np.arange(sites), np.arange(1, sites // 2 + 1)[:, None]
+    bonds = reps[:, None] ^ ((1 << site) | (1 << (site + 1) % sites))
+    # pairs[a, r - 1, j]: representative a with spins j and j + r flipped
+    pairs = reps[:, None, None] ^ ((1 << site) | (1 << (site + seps) % sites))
+    zz = spins[:, None, :] * spins[:, (site + seps) % sites]  # s_j s_{j+r}
+
+    def targets(members, flipped, k):
+        # block column of each target's representative b and the factor
+        # e^{ikl} (R_a / R_b)^(1/2); a target whose orbit has no momentum-k
+        # state is not in the block and gets factor 0
+        b = rep[flipped]
+        col = np.minimum(np.searchsorted(members, b), members.size - 1)
+        ratio = period[members].reshape((-1,) + (1,) * (b.ndim - 1)) / period[b]
+        phase = np.exp(1j * k * shift[flipped]) * np.sqrt(ratio)
+        return col, np.where(members[col] == b, phase, 0.0)
+
+    def block(p, m):
+        # rows, k = 2 pi m / N, multiplicity (k and -k) and H of block (p, k)
+        rows = np.flatnonzero((parity == p) & (m * period[reps] % sites == 0))
+        k = 2 * np.pi * m / sites
+        col, factor = targets(reps[rows], bonds[rows], k)
+        ham = np.diag(-spins[rows].sum(axis=1).astype(complex))
+        np.add.at(ham, (col, np.arange(rows.size)[:, None]), -coupling * factor)
+        return rows, k, 1 if 2 * m % sites == 0 else 2, ham
+
+    momenta = range(sites // 2 + 1)
+    if temperature == 0:
+        even = [block(1, m) for m in momenta]
+        rows, k, _, ham = even[np.argmin([np.linalg.eigvalsh(h)[0] for *_, h in even])]
+        vals, vecs = np.linalg.eigh(ham)
+        energy, states = vals[0], [(rows, k, vecs[:, :1], np.ones(1))]
+    else:
+        spectra = []  # (parity, rows, k, multiplicity, levels, vectors) per block
+        for p in (1, -1):
+            for m in momenta:
+                rows, k, mult, ham = block(p, m)
+                spectra.append((p, rows, k, mult, *np.linalg.eigh(ham)))
+        energy = min(vals[0] for p, *_, vals, _ in spectra if p == 1)
+        floor = min(vals[0] for *_, vals, _ in spectra)
+        states = [(rows, k, vecs, mult * np.exp(-(vals - floor) / temperature))
+                  for _, rows, k, mult, vals, vecs in spectra]
+    norm = sum(w.sum() for *_, w in states)
+    mz, gxx, gyy, gzz = 0.0, 0.0, 0.0, 0.0
+    for rows, k, vecs, w in states:
+        rho = (vecs * (w / norm)) @ vecs.conj().T  # the state on the block
+        diagonal = rho.diagonal().real
+        mz = mz + diagonal @ spins[rows].mean(axis=1)
+        gzz = gzz + diagonal @ zz[rows].mean(axis=2)
+        # Tr(rho O) = sum over a, j of rho[a, b_j] <b_j(k)|O|a(k)>, where
+        # sy sy carries the source's sign -s_j s_{j+r} on top of sx sx
+        col, factor = targets(reps[rows], pairs[rows], k)
+        hop = rho[np.arange(rows.size)[:, None, None], col] * factor
+        gxx = gxx + hop.sum(axis=(0, 2)).real / sites
+        gyy = gyy - (hop * zz[rows]).sum(axis=(0, 2)).real / sites
+    return float(mz), gxx, gyy, gzz, float(energy)
 
 
 def derivative_at(f, x: float, step: float) -> float:

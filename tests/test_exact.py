@@ -6,7 +6,7 @@ import pytest
 
 from critent import density, exact, tfim
 from critent.density import DensityMatrix, make_density_matrix
-from oracles import parity_diagonal
+from oracles import ed_translation_averages, parity_diagonal
 
 
 class TestBuildHamiltonian:
@@ -103,6 +103,18 @@ class TestObservables:
     def test_separation_validation(self):
         with pytest.raises(ValueError):
             exact.observables(8, 1.0, 0.0, 5)
+
+    @pytest.mark.parametrize("sites,coupling,temperature", [
+        *itertools.product((4, 6, 8, 10), (0.3, 1.0, 1.7), (0.0, 0.5, 2.0)),
+        (12, 1.0, 0.5),
+    ])
+    def test_per_ring_tables_keep_every_float(self, sites, coupling, temperature):
+        # mz, gxx, gyy, gzz and the energy bit for bit those of the route
+        # that builds every block's columns, phases and spin sums per block
+        ours = exact._translation_averages(sites, coupling, temperature)
+        reference = ed_translation_averages(sites, coupling, temperature)
+        for value, expected in zip(ours, reference, strict=True):
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestGibbsState:

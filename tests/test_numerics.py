@@ -274,6 +274,21 @@ class TestToeplitzDeterminants:
         monkeypatch.undo()
         assert minors[1, 1] == 0.0
         assert minors.tolist() == lu_minors(windows, 0, range(1, dim + 1)).tolist()
+        # one stack of a triangular row (t_n = 0 for every n <= 0), a row
+        # with t_0 = 0 alone and an intact row: only the middle row takes
+        # slogdet calls, one per size from 2 on
+        windows = rng.uniform(0.5, 1.5, (3, 2 * dim - 1))
+        windows[0, :dim] = 0.0
+        windows[1, dim - 1] = 0.0
+        calls = []
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+        minors = toeplitz_determinant(windows, dim, sizes=range(1, dim + 1))
+        assert calls == [(1, k, k) for k in range(2, dim + 1)]
+        monkeypatch.undo()
+        lu = lu_minors(windows, 0, range(1, dim + 1))
+        assert minors[0].tolist() == [0.0] * dim == lu[0].tolist()
+        assert minors[1].tolist() == lu[1].tolist()
+        np.testing.assert_allclose(minors[2], lu[2], rtol=1e-10)
 
     def test_ising_breakdown_above_tc_equals_slogdet(self, monkeypatch):
         # at T = 5 the forward vector grows like sinh^-2(2/T)^k and overflows
