@@ -20,7 +20,6 @@ import gc
 import json
 import math
 import sys
-from dataclasses import astuple
 
 import numpy as np
 
@@ -191,7 +190,8 @@ def _cmd_oracle(args) -> int:
     # (separations, quantities) arrays, columns in ORACLE_QUANTITIES order
     free = np.column_stack(np.broadcast_arrays(
         *tfim.correlations_and_mi(lam, args.t, args.n, seps)))
-    ed = np.array([(*astuple(report.correlations), report.mi) for report in oracle])
+    ed = np.array([(rep.correlations.mz, rep.correlations.gxx, rep.correlations.gyy,
+                    rep.correlations.gzz, rep.mi) for rep in oracle])
     table = list(zip(seps, free.tolist(), ed.tolist(), np.abs(free - ed).tolist()))
     worst = max(0.0, *(max(d) for *_, d in table))
     if args.format == "json":

@@ -28,8 +28,10 @@ eigvalsh, then eigh of the ground block only); at T > 0 it is exp(-H/T)/Z
 over all blocks.  Both commute with T, so <s^a_0 s^a_r> is the translation
 average (1/N) sum_j <s^a_j s^a_{j+r}>, which is block diagonal in momentum
 and is read off each block's density matrix U W U^dagger for every r in
-one pass.  rho_{0r} follows from (mz, gxx, gyy, gzz) by the Pauli
-expansion; the reduction uses nothing from the free-fermion code.
+one pass.  rho_{0r} is the X-state fixed by (mz, gxx, gyy, gzz), and the
+MI of every requested r comes from one two_site_entropies call over the
+separations, with the connected part gzz - mz^2; the reduction uses nothing
+from the free-fermion code.
 """
 
 from __future__ import annotations
@@ -38,15 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import density
-from .density import CorrelationSet, make_density_matrix
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SZ = np.diag([1.0, -1.0])
-# the two-site Pauli products of rho_{0r}'s expansion
-_Z_EITHER = np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ)
-_XX, _YY, _ZZ = np.kron(_SX, _SX), np.kron(_SY, _SY), np.kron(_SZ, _SZ)
+from .density import CorrelationSet, two_site_entropies
 
 
 @dataclass(frozen=True)
@@ -175,8 +169,9 @@ def _translation_averages(sites: int, coupling: float, temperature: float):
 def reports(
     sites: int, coupling: float, temperature: float, separations
 ) -> list[OracleReport]:
-    """Correlations, reduced states and MI for spins (0, r), one report per
-    r in separations, all from one diagonalization of the symmetry blocks."""
+    """Correlations and MI for spins (0, r), one report per r in
+    separations, all from one diagonalization of the symmetry blocks and
+    one two_site_entropies call."""
     separations = [int(r) for r in separations]
     if not all(1 <= r <= sites // 2 for r in separations):
         raise ValueError("separation must be in [1, sites/2]")
@@ -184,15 +179,11 @@ def reports(
         raise ValueError("temperature must be >= 0")
     check_ring(sites, coupling)
     mz, gxx, gyy, gzz, energy = _translation_averages(sites, coupling, temperature)
-    out = []
-    for r in separations:
-        corr = CorrelationSet(mz, *(float(g[r - 1]) for g in (gxx, gyy, gzz)))
-        rho = (
-            np.eye(4) + mz * _Z_EITHER + corr.gxx * _XX + corr.gyy * _YY + corr.gzz * _ZZ
-        ) / 4.0
-        mi = density.mutual_information(make_density_matrix(rho, (2, 2)))
-        out.append(OracleReport(sites, coupling, temperature, r, corr, mi, energy))
-    return out
+    rows = np.array(separations, dtype=np.intp) - 1
+    xx, yy, zz = gxx[rows], gyy[rows], gzz[rows]
+    mi = two_site_entropies(mz, xx, yy, zz, zz - mz * mz)[2]
+    return [OracleReport(sites, coupling, temperature, r, CorrelationSet(mz, *c), m, energy)
+            for r, *c, m in zip(separations, *(v.tolist() for v in (xx, yy, zz, mi)))]
 
 
 def observables(sites: int, coupling: float, temperature: float, separation: int) -> OracleReport:

@@ -6,6 +6,7 @@ library computes in closed form or batched form, the slow direct way.
 
 import math
 
+import mpmath
 import numpy as np
 
 from critent import dimer, exact, tfim
@@ -27,6 +28,32 @@ def x_state(mz, gxx, gyy, gzz) -> DensityMatrix:
         [z_minus, 0.0, 0.0, u_minus],
     ])
     return make_density_matrix(rho, (2, 2))
+
+
+def mpmath_mi(mz, gxx, gyy, czz):
+    """S_i + S_j - S_ij of the X-state with the inputs of x_state_entropies,
+    each a float64 taken exactly or a 40-digit mpf, with the working
+    precision raised until the difference keeps 40 significant digits."""
+    with mpmath.workdps(40):
+        mz, gxx, gyy, czz = (mpmath.mpf(v if isinstance(v, mpmath.mpf) else float(v))
+                             for v in (mz, gxx, gyy, czz))
+    magnitude = 0
+    while True:
+        with mpmath.workdps(40 + magnitude):
+            up, dn = (1 + mz) / 2, (1 - mz) / 2
+            a, b = up * up + czz / 4, dn * dn + czz / 4
+            w = up * dn - czz / 4
+            radius = mpmath.sqrt(((a - b) / 2) ** 2 + ((gxx - gyy) / 4) ** 2)
+            spectrum = [(a + b) / 2 + radius, (a + b) / 2 - radius,
+                        w + abs(gxx + gyy) / 4, w - abs(gxx + gyy) / 4]
+
+            def entropy(ps):
+                return -sum(p * mpmath.log(p) for p in ps if p > 0)
+
+            mi = (2 * entropy([up, dn]) - entropy(spectrum)) / mpmath.log(2)
+        if mi != 0 and 40 + magnitude + mpmath.log10(abs(mi)) > 45:
+            return mi
+        magnitude += 40
 
 
 def site_state(mz) -> DensityMatrix:

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +16,7 @@ from critent.density import (
     x_state_entropies,
 )
 from critent.errors import ModelConsistencyError, ValidationError
-from oracles import dimer_thermal_state
+from oracles import dimer_thermal_state, mpmath_mi
 
 
 def singlet():
@@ -253,30 +252,6 @@ def x_state_matrix(mz, gxx, gyy, czz):
         [0, z_plus, w, 0],
         [z_minus, 0, 0, u_minus],
     ])
-
-
-def mpmath_mi(mz, gxx, gyy, czz):
-    """S_i + S_j - S_ij of the same float64 inputs, with the working
-    precision raised until the difference keeps 40 significant digits."""
-    with mpmath.workdps(40):
-        mz, gxx, gyy, czz = (mpmath.mpf(float(v)) for v in (mz, gxx, gyy, czz))
-    magnitude = 0
-    while True:
-        with mpmath.workdps(40 + magnitude):
-            up, dn = (1 + mz) / 2, (1 - mz) / 2
-            a, b = up * up + czz / 4, dn * dn + czz / 4
-            w = up * dn - czz / 4
-            radius = mpmath.sqrt(((a - b) / 2) ** 2 + ((gxx - gyy) / 4) ** 2)
-            spectrum = [(a + b) / 2 + radius, (a + b) / 2 - radius,
-                        w + abs(gxx + gyy) / 4, w - abs(gxx + gyy) / 4]
-
-            def entropy(ps):
-                return -sum(p * mpmath.log(p) for p in ps if p > 0)
-
-            mi = (2 * entropy([up, dn]) - entropy(spectrum)) / mpmath.log(2)
-        if mi != 0 and 40 + magnitude + mpmath.log10(abs(mi)) > 45:
-            return mi
-        magnitude += 40
 
 
 class TestXStateKernel:

@@ -1,12 +1,14 @@
 import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from critent import density, exact, tfim
 from critent.density import DensityMatrix, make_density_matrix
-from oracles import ed_translation_averages, parity_diagonal
+from oracles import ed_translation_averages, mpmath_mi, parity_diagonal, x_state
+from test_analysis import count_calls
 
 
 class TestBuildHamiltonian:
@@ -93,6 +95,42 @@ class TestObservables:
             batch = exact.reports(8, 1.3, temperature, [4, 1, 3, 2])
             singles = [exact.observables(8, 1.3, temperature, r) for r in (4, 1, 3, 2)]
             assert batch == singles  # bit-identical dataclasses
+
+    def test_ring_is_one_kernel_call(self, monkeypatch):
+        entropies = count_calls(monkeypatch, exact, "two_site_entropies")
+        kernel = count_calls(monkeypatch, density, "x_state_entropies")
+        matrices = count_calls(monkeypatch, density, "make_density_matrix")
+        general = count_calls(monkeypatch, density, "mutual_information")
+        assert len(exact.reports(8, 1.3, 0.5, [4, 1, 3, 2])) == 4
+        assert len(entropies) == 1 and len(kernel) == 1
+        assert len(matrices) == 0 and len(general) == 0
+
+    @pytest.mark.parametrize("sites", (4, 6, 8, 10, 12))
+    def test_mi_matches_the_density_matrix_route(self, sites):
+        # the dense X-state of each report's correlations, by eigenvalue
+        # entropies of its reductions
+        for coupling, temperature in itertools.product(
+            (0.0, 0.3, 1.0, 1.7, 1e4), (0.0, 0.5, 2.0, float("inf"))
+        ):
+            for report in exact.reports(sites, coupling, temperature, range(1, sites // 2 + 1)):
+                c = report.correlations
+                expected = density.mutual_information(x_state(c.mz, c.gxx, c.gyy, c.gzz))
+                where = (sites, coupling, temperature, report.separation)
+                assert abs(report.mi - expected) <= 1e-12, where
+
+    @pytest.mark.parametrize("sites,temperature,separations", [
+        (10, 2.0, (4, 5)), (12, 0.5, (5, 6)), (12, 2.0, (4, 5, 6)),
+    ])
+    def test_weak_pairs_keep_relative_precision(self, sites, temperature, separations):
+        # MI of 1.4e-10 .. 4e-6 here, where a difference of order-1
+        # entropies keeps only about 1e-10 of it in absolute terms
+        for report in exact.reports(sites, 0.3, temperature, separations):
+            c = report.correlations
+            with mpmath.workdps(40):
+                # exact: 40 digits hold gzz - mz^2 of two doubles
+                connected = mpmath.mpf(c.gzz) - mpmath.mpf(c.mz) ** 2
+            reference = mpmath_mi(c.mz, c.gxx, c.gyy, connected)
+            assert abs((report.mi - reference) / reference) <= 1e-14, report.separation
 
     def test_mi_nonnegative(self):
         for coupling in (0.25, 1.0, 2.0):
