@@ -58,17 +58,38 @@ class FitResult:
         return d
 
 
+def _fit_coordinates(xs, ys):
+    """xs and ys as float arrays; ValueError at the first non-finite
+    coordinate."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    for name, values in (("x", xs), ("y", ys)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"fit needs finite coordinates: {name}[{bad[0]}] = {values[bad[0]]}")
+    return xs, ys
+
+
+def _least_squares(design, values):
+    """Coefficients of the least-squares fit; ValueError when the design's
+    columns are dependent (all x equal, say), where lstsq would return
+    its min-norm solution as if it were a fit."""
+    coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < design.shape[1]:
+        raise ValueError(f"fit design has rank {rank} < {design.shape[1]} columns: "
+                         "the x values do not fix the law")
+    return coeffs
+
+
 def power_law_fit(xs, ys) -> FitResult:
     """Least squares of ln y on ln x: y = amplitude * x^exponent."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = _fit_coordinates(xs, ys)
     if len(xs) < 4:
         raise ValueError("power-law fit needs >= 4 points")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("power-law fit needs positive coordinates")
     lx, ly = np.log(xs), np.log(ys)
     design = np.column_stack([np.ones_like(lx), lx])
-    (intercept, slope), *_ = np.linalg.lstsq(design, ly, rcond=None)
+    intercept, slope = _least_squares(design, ly)
     resid = ly - design @ (intercept, slope)
     return FitResult(
         kind="power_law",
@@ -88,8 +109,7 @@ def log_poly_fit(xs, ys, degree: int, full: bool = False) -> FitResult:
     """
     if degree not in (1, 3):
         raise ValueError("degree must be 1 or 3")
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = _fit_coordinates(xs, ys)
     if len(xs) < degree + 2:
         raise ValueError(f"log fit of degree {degree} needs >= {degree + 2} points")
     if np.any(xs <= 0):
@@ -99,7 +119,7 @@ def log_poly_fit(xs, ys, degree: int, full: bool = False) -> FitResult:
         design = np.column_stack([lx**k for k in range(degree + 1)])
     else:
         design = np.column_stack([np.ones_like(lx), lx**degree])
-    coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    coeffs = _least_squares(design, ys)
     resid = ys - design @ coeffs
     return FitResult(
         kind="log_linear" if degree == 1 else "log_cubic",
@@ -131,7 +151,7 @@ def _check_mi_identity(s_i, s_ij, mi, rows) -> None:
         raise AssertionError(f"MI identity violated by {gap[bad[0]]:.3e} at {rows[bad[0]]}")
 
 
-def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
+def sweep(model: str, axes: dict, fixed: dict | None = None):
     """Evaluate `model` over the grid of its axes, rows x columns (a
     dimer grid is one column).
 
@@ -142,14 +162,14 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
     call (dimer.entropies, ising2d.entropies, tfim.entropies): one kernel
     call for all its points.  Its rows are one map(SweepRecord, ...) over
     its columns, and the MI identity is checked once per evaluated grid: a
-    violation is an AssertionError, never an error row.  With workers > 1
-    the batch runs on a pool thread; the output is identical and no
-    faster.  A point that fails with a domain error (ValueError,
-    ConvergenceError) becomes an error row (tag = "error: ...") instead of
-    aborting the sweep: a grid that raises one is evaluated again one row
-    (one temperature or coupling) at a time, and a row that raises one
-    point by point, so each error row carries its own point's message.
-    Any other exception propagates.
+    violation is an AssertionError, never an error row.  A point that
+    fails with a domain error (ValueError, ConvergenceError) becomes an
+    error row (tag = "error: ...") instead of aborting the sweep: a grid
+    that raises one is evaluated again one row (one temperature or
+    coupling) at a time, and a row that raises one point by point, so each
+    error row carries its own point's message.  Any other exception
+    propagates.  A sweep shares no mutable state, so calls running at once
+    on several threads give the bytes of serial calls.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -184,13 +204,6 @@ def sweep(model: str, axes: dict, fixed: dict | None = None, workers: int = 1):
     cols = list(axes[col_axis]) if col_axis else [None]
     if not rows or not cols:
         return []
-    if workers > 1:
-        # imported here: its import chain (logging among it) costs every
-        # single-worker start several milliseconds
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            return pool.submit(run, rows, cols).result()
     return run(rows, cols)
 
 

@@ -84,7 +84,7 @@ def _fit_payload(fit: FitResult, **extra) -> dict:
 
 def _sweep(args, model: str, axes: dict, **fixed) -> int:
     """Every sweep command: the model's grid, written as CSV or JSON."""
-    records = analysis.sweep(model, axes=axes, fixed=fixed, workers=args.workers)
+    records = analysis.sweep(model, axes=axes, fixed=fixed)
     if args.format == "json":
         _emit_json(analysis.records_to_json(records), args.output)
     else:
@@ -186,12 +186,10 @@ def _cmd_oracle(args) -> int:
     # range first, then the free-fermion side's (an even ring, N >= 4)
     exact.check_ring(args.n, lam)
     tfim.TfimParams(lam, args.t, args.n, seps[0])
-    oracle = exact.reports(args.n, lam, args.t, seps)
+    *oracle, ground_energy = exact.reports(args.n, lam, args.t, seps)
     # (separations, quantities) arrays, columns in ORACLE_QUANTITIES order
-    free = np.column_stack(np.broadcast_arrays(
-        *tfim.correlations_and_mi(lam, args.t, args.n, seps)))
-    ed = np.array([(rep.correlations.mz, rep.correlations.gxx, rep.correlations.gyy,
-                    rep.correlations.gzz, rep.mi) for rep in oracle])
+    free, ed = (np.column_stack(np.broadcast_arrays(*values)) for values in
+                (tfim.correlations_and_mi(lam, args.t, args.n, seps), oracle))
     table = list(zip(seps, free.tolist(), ed.tolist(), np.abs(free - ed).tolist()))
     worst = max(0.0, *(max(d) for *_, d in table))
     if args.format == "json":
@@ -200,7 +198,7 @@ def _cmd_oracle(args) -> int:
                  "abs_diff": dict(zip(ORACLE_QUANTITIES, d)), "max_abs_diff": max(d)}
                 for r, f, e, d in table]
         _emit_json({"N": args.n, "lambda": lam, "T": args.t,
-                    "ground_energy": oracle[-1].ground_energy, "rows": rows,
+                    "ground_energy": ground_energy, "rows": rows,
                     "max_abs_diff": worst, "threshold": args.max_abs_diff,
                     "passed": worst <= args.max_abs_diff}, args.output)
     else:
@@ -309,7 +307,7 @@ PHYSICS_DEFAULTS = (
 )
 
 
-def _add_common(parser, *, output=True, fmt=True, workers=True):
+def _add_common(parser, *, output=True, fmt=True):
     parser.epilog = PHYSICS_DEFAULTS
     parser.add_argument("--config", help="JSON file of option defaults")
     if output:
@@ -318,11 +316,6 @@ def _add_common(parser, *, output=True, fmt=True, workers=True):
         parser.add_argument("--format", choices=("csv", "json"),
                             help="default csv; ising2d exponents and tfim scaling "
                             "write JSON only, ising2d corr CSV only")
-    if workers:
-        parser.add_argument("--workers", type=int, default=1,
-                            help="above 1, run the sweep's one batch on a pool "
-                            "thread; output is identical to a serial run and no "
-                            "faster (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None,
                    help="single separation (default: all r <= N/2)")
     p.add_argument("--max-abs-diff", type=float, default=1e-8)
-    _add_common(p, workers=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("fit", help="fit a CSV's (x, y) columns")
@@ -401,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-col", default=None)
     p.add_argument("--full", action="store_true",
                    help="log fits: carry every power of ln x (diagnostic)")
-    _add_common(p, fmt=False, workers=False)
+    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("props", help="random-state property suites")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=12345)
-    _add_common(p, output=False, fmt=False, workers=False)
+    _add_common(p, output=False, fmt=False)
     p.set_defaults(func=_cmd_props)
 
     return parser

@@ -7,11 +7,11 @@ size.
 
 Every two-site state of the models here is an X-state: a qubit pair whose
 only nonzero entries sit on the diagonal and the anti-diagonal, fixed by
-the correlations of a CorrelationSet.  x_state_entropies evaluates such
-states in closed form, vectorized over rows, without building matrices;
-two_site_entropies is the models' one way in: it checks the correlations,
-makes that kernel call and turns a non-positive state into
-ModelConsistencyError.
+the correlations <sz>, <sx sx>, <sy sy> and <sz sz>.  x_state_entropies
+evaluates such states in closed form, vectorized over rows, without
+building matrices; two_site_entropies is the models' one way in: it checks
+the correlations, makes that kernel call and turns a non-positive state
+into ModelConsistencyError.
 """
 
 from __future__ import annotations
@@ -253,19 +253,6 @@ def _check_correlations(mz, gxx, gyy, gzz) -> None:
         bad = np.flatnonzero(~(np.abs(v) <= 1.0 + CORRELATION_TOL))
         if bad.size:
             raise ModelConsistencyError(f"{name} = {v[bad[0]]:.6g} outside [-1, 1]")
-
-
-@dataclass(frozen=True)
-class CorrelationSet:
-    """<sz>, <sx sx>, <sy sy>, <sz sz> at one parameter point."""
-
-    mz: float
-    gxx: float
-    gyy: float
-    gzz: float
-
-    def __post_init__(self):
-        _check_correlations(self.mz, self.gxx, self.gyy, self.gzz)
 
 
 def two_site_entropies(mz, gxx, gyy, gzz, czz):

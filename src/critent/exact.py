@@ -36,22 +36,9 @@ from the free-fermion code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .density import CorrelationSet, two_site_entropies
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    sites: int
-    coupling: float
-    temperature: float
-    separation: int
-    correlations: CorrelationSet
-    mi: float
-    ground_energy: float
+from .density import two_site_entropies
 
 
 def check_ring(sites: int, coupling: float) -> None:
@@ -166,12 +153,11 @@ def _translation_averages(sites: int, coupling: float, temperature: float):
     return float(mz), gxx, gyy, gzz, float(energy)
 
 
-def reports(
-    sites: int, coupling: float, temperature: float, separations
-) -> list[OracleReport]:
-    """Correlations and MI for spins (0, r), one report per r in
-    separations, all from one diagonalization of the symmetry blocks and
-    one two_site_entropies call."""
+def reports(sites: int, coupling: float, temperature: float, separations):
+    """(mz, gxx, gyy, gzz, MI, ground_energy) for spins (0, r), with gxx,
+    gyy, gzz and MI as arrays over the separations (the layout of
+    tfim.correlations_and_mi), all from one diagonalization of the symmetry
+    blocks and one two_site_entropies call."""
     separations = [int(r) for r in separations]
     if not all(1 <= r <= sites // 2 for r in separations):
         raise ValueError("separation must be in [1, sites/2]")
@@ -182,10 +168,10 @@ def reports(
     rows = np.array(separations, dtype=np.intp) - 1
     xx, yy, zz = gxx[rows], gyy[rows], gzz[rows]
     mi = two_site_entropies(mz, xx, yy, zz, zz - mz * mz)[2]
-    return [OracleReport(sites, coupling, temperature, r, CorrelationSet(mz, *c), m, energy)
-            for r, *c, m in zip(separations, *(v.tolist() for v in (xx, yy, zz, mi)))]
+    return mz, xx, yy, zz, mi, energy
 
 
-def observables(sites: int, coupling: float, temperature: float, separation: int) -> OracleReport:
-    """reports() for the single separation."""
-    return reports(sites, coupling, temperature, [separation])[0]
+def observables(sites: int, coupling: float, temperature: float, separation: int):
+    """reports() for the single separation, as floats."""
+    mz, *values, energy = reports(sites, coupling, temperature, [separation])
+    return (mz, *(float(v[0]) for v in values), energy)

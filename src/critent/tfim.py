@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CorrelationSet, two_site_entropies
+from .density import two_site_entropies
 from .numerics import toeplitz_determinant
 
 SECTORS = ("even", "odd", "gibbs")
@@ -308,13 +308,13 @@ def _correlation_arrays(couplings, temperature, sites, separations, sector):
     return mz, gxx, gyy, (mz * mz)[:, None] + czz, czz
 
 
-def correlations(params: TfimParams) -> CorrelationSet:
-    """All four correlation entries at one parameter point: the one-point
-    grid."""
-    mz, gxx, gyy, gzz, _ = _correlation_arrays(
-        [params.coupling], params.temperature, params.sites, [params.separation], params.sector
+def correlations(params: TfimParams):
+    """(mz, gxx, gyy, gzz) at one parameter point: the one-point case of
+    correlations_and_mi, with its range and positivity check."""
+    mz, *values, _ = correlations_and_mi(
+        params.coupling, params.temperature, params.sites, [params.separation], params.sector
     )
-    return CorrelationSet(float(mz[0]), *(float(v[0, 0]) for v in (gxx, gyy, gzz)))
+    return (mz, *(float(v[0]) for v in values))
 
 
 def entropies(coupling, temperature, sites, separations, sector="even"):

@@ -13,6 +13,8 @@ sector="gibbs" (see the README's design notes).
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -166,19 +168,12 @@ def _oracle_gap(sites, coupling, temperature):
     sector = "gibbs" if temperature > 0 else "even"
     worst = 0.0
     seps = range(1, sites // 2 + 1)
-    for sep, ed in zip(seps, exact.reports(sites, coupling, temperature, seps)):
+    mz, *arrays, _ = exact.reports(sites, coupling, temperature, seps)
+    for sep, *ed in zip(seps, *arrays):
         params = tfim.TfimParams(coupling=coupling, temperature=temperature,
                                  sites=sites, separation=sep, sector=sector)
-        free = tfim.correlations(params)
-        free_mi = tfim.correlation_mi(params)
-        worst = max(
-            worst,
-            abs(free.mz - ed.correlations.mz),
-            abs(free.gxx - ed.correlations.gxx),
-            abs(free.gyy - ed.correlations.gyy),
-            abs(free.gzz - ed.correlations.gzz),
-            abs(free_mi - ed.mi),
-        )
+        free = (*tfim.correlations(params), tfim.correlation_mi(params))
+        worst = max(worst, *(abs(f - e) for f, e in zip(free, (mz, *ed), strict=True)))
     return worst
 
 
@@ -303,24 +298,43 @@ class TestCriterion10ThermalSuppression:
 
 
 class TestCriterion11Determinism:
-    def test_serial_and_concurrent_outputs_identical(self, tmp_path):
-        axes = {"T": [1.9, 2.1, 2.5], "N": [2, 5, 9]}
-        serial = analysis.records_to_csv(
-            analysis.sweep("ising2d", axes=axes, workers=1)
-        )
-        threaded = analysis.records_to_csv(
-            analysis.sweep("ising2d", axes=axes, workers=4)
-        )
-        again = analysis.records_to_csv(
-            analysis.sweep("ising2d", axes=axes, workers=4)
-        )
-        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
-        a.write_text(serial)
-        b.write_text(threaded)
-        c.write_text(again)
+    # every sweep twice, so that the same grid also runs on two threads at once
+    SWEEPS = [
+        ("ising2d", {"T": np.linspace(1.5, 3.5, 21), "N": range(1, 51)}, None),
+        ("tfim", {"lam": np.linspace(0.5, 1.5, 11), "r": range(1, 31)},
+         {"T": 0.5, "N": 200, "sector": "gibbs"}),
+        ("dimer", {"T": np.linspace(0.1, 10.0, 100)}, None),
+    ] * 2
+
+    def test_serial_and_concurrent_outputs_identical(self):
+        def csv(model, axes, fixed):
+            return analysis.records_to_csv(analysis.sweep(model, axes=axes, fixed=fixed))
+
+        serial = [csv(*case) for case in self.SWEEPS]
+        concurrent = [None] * len(self.SWEEPS)
+        # every thread starts its sweep when the last one is ready
+        start = threading.Barrier(len(self.SWEEPS), timeout=60)
+
+        def run(k):
+            start.wait()
+            concurrent[k] = csv(*self.SWEEPS[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(self.SWEEPS))]
+        # more threads than cores, and thread switches far more often than
+        # the default 5 ms, so the sweeps' Python steps interleave too
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         ok = report(
             11,
-            a.read_bytes() == b.read_bytes() == c.read_bytes(),
-            "serial, concurrent and repeated sweeps are byte-identical",
+            concurrent == serial,
+            f"{len(threads)} sweeps started at once on their own threads match serial runs",
         )
         assert ok

@@ -92,6 +92,34 @@ class TestLogPolyFit:
             log_poly_fit([1, 2], [1, 2], degree=1)
 
 
+class TestFitInputs:
+    FITS = [
+        lambda xs, ys: power_law_fit(xs, ys),
+        lambda xs, ys: log_poly_fit(xs, ys, degree=1),
+        lambda xs, ys: log_poly_fit(xs, ys, degree=3),
+        lambda xs, ys: log_poly_fit(xs, ys, degree=3, full=True),
+    ]
+
+    NAMES = ["power", "log", "logcube", "logcube-full"]
+
+    @pytest.mark.parametrize("fit", FITS, ids=NAMES)
+    @pytest.mark.parametrize("x", [1.0, 7.0])
+    def test_equal_x_values_do_not_fix_a_law(self, fit, x):
+        # lstsq's min-norm answer to a rank-1 design would report slope 0
+        with pytest.raises(ValueError, match="rank 1 < [24] columns"):
+            fit([x] * 6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+    @pytest.mark.parametrize("fit", FITS, ids=NAMES)
+    @pytest.mark.parametrize("axis, value", [
+        ("x", float("nan")), ("x", float("inf")), ("y", float("nan")), ("y", -float("inf")),
+    ])
+    def test_non_finite_coordinate_is_named(self, fit, axis, value):
+        xs, ys = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        (xs if axis == "x" else ys)[3] = value
+        with pytest.raises(ValueError, match=rf"finite coordinates: {axis}\[3\] = {value}"):
+            fit(xs, ys)
+
+
 def predict(fit, xs):
     """The fitted law evaluated at xs."""
     if fit.kind == "power_law":
@@ -243,12 +271,6 @@ class TestSweep:
             assert rec.tag == ""
             assert rec.mi == dimer.mutual_information(rec.T)
 
-    def test_concurrent_equals_serial(self):
-        axes = {"T": np.linspace(0.5, 5.0, 8)}
-        serial = records_to_csv(sweep("dimer", axes=axes, workers=1))
-        threaded = records_to_csv(sweep("dimer", axes=axes, workers=4))
-        assert serial == threaded
-
     @pytest.mark.parametrize("sector, temperature", [
         ("even", 0.0), ("even", 0.6), ("odd", 0.6), ("gibbs", 0.6), ("gibbs", 1.5),
     ])
@@ -262,8 +284,6 @@ class TestSweep:
             s_i, s_ij, mi = tfim.entropies(rec.lam, temperature, 12, [rec.r], sector)
             assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0], s_ij[0], mi[0])
             assert rec.mi == tfim.correlation_mi(p)
-        threaded = sweep("tfim", axes=axes, fixed=fixed, workers=2)
-        assert records_to_csv(threaded) == records_to_csv(records)
 
     @pytest.mark.parametrize("ensemble", ["symmetric", "broken"])
     def test_ising_batches_equal_single_points(self, ensemble):
@@ -274,8 +294,6 @@ class TestSweep:
             s_i, s_ij, mi = ising2d.entropies(rec.T, [rec.N], ensemble)
             assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0], s_ij[0], mi[0])
             assert rec.mi == ising2d.correlation_mi(rec.T, rec.N, ensemble)
-        threaded = sweep("ising2d", axes=axes, fixed={"ensemble": ensemble}, workers=2)
-        assert records_to_csv(threaded) == records_to_csv(records)
 
     def test_failing_batch_is_redone_point_by_point(self, monkeypatch):
         records = sweep("tfim", axes={"lam": [0.5], "r": [2, 7]},

@@ -8,7 +8,6 @@ import pytest
 
 from critent import analysis, cli, exact, ising2d, tfim
 from critent.analysis import FitResult
-from critent.density import CorrelationSet
 
 try:
     from importlib import resources
@@ -43,7 +42,7 @@ class TestDimerCommand:
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["dimer", "--t-count", "20"]
         assert cli.main(base + ["--output", str(out_a)]) == 0
-        assert cli.main(base + ["--output", str(out_b), "--workers", "4"]) == 0
+        assert cli.main(base + ["--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
@@ -196,6 +195,19 @@ class TestFitCommand:
         )
         assert code == 0
         assert json.loads(out)["exponent"] == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("action", ["power", "log", "logcube"])
+    @pytest.mark.parametrize("rows, message", [
+        (["3,1", "3,2", "3,4", "3,8", "3,16"], "rank 1 < "),
+        (["2,1", "4,2", "nan,4", "16,8", "32,16"], "finite coordinates: x[2] = nan"),
+    ])
+    def test_degenerate_or_non_finite_data_exits_one(self, tmp_path, capsys, action, rows,
+                                                      message):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["x,y", *rows]) + "\n")
+        code, out, err = run_cli(["fit", action, "--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert message in err
 
     @pytest.mark.parametrize("columns, message", [
         (["--x-col", "N"], "--x-col and --y-col go together"),
@@ -433,11 +445,10 @@ class TestReportBytes:
              (0.5 + 2**-30, 0.0625 - 2**-30, -0.03125, 0.28125, 0.125)]
 
     def canned_oracle(self, monkeypatch):
-        reports = [
-            exact.OracleReport(6, 1.0, 0.0, r, CorrelationSet(mz, gxx, gyy, gzz), mi, -7.25 - r)
-            for r, (mz, gxx, gyy, gzz, mi) in enumerate(self.EXACT, start=1)
-        ]
-        canned(monkeypatch, exact, "reports", reports)
+        # one mz for the ring, arrays over r, then the ground energy
+        mz, *columns = zip(*self.EXACT)
+        canned(monkeypatch, exact, "reports",
+               (mz[0], *(np.array(c) for c in columns), -10.25))
         canned(monkeypatch, tfim, "correlations_and_mi",
                (self.FREE[0], *(np.array(v) for v in self.FREE[1:])))
 
@@ -531,6 +542,15 @@ class TestConfigAndErrors:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert cli.main(["dimer", "--frobnicate"]) == 1
+
+    def test_workers_is_not_an_option(self, tmp_path, capsys):
+        # every sweep is one batch: there is nothing to split among workers
+        assert cli.main(["dimer", "--workers", "2"]) == 1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"workers": 2}))
+        code, out, err = run_cli(["dimer", "--config", str(config)], capsys)
+        assert (code, out) == (1, "")
+        assert "config key 'workers' is not an option here" in err
 
     def test_invalid_value_exits_one(self, capsys):
         code, _, err = run_cli(["ising2d", "corr", "--t", "-2.0"], capsys)

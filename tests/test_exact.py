@@ -46,32 +46,33 @@ class TestObservables:
             exact.reports(6, 1.0, float("nan"), [1])
 
     def test_infinite_temperature_is_uncorrelated(self):
-        for report in exact.reports(6, 1.0, float("inf"), [1, 2, 3]):
-            assert report.mi == pytest.approx(0.0, abs=1e-12)
-            assert report.correlations.gxx == pytest.approx(0.0, abs=1e-12)
+        _, gxx, _, _, mi, _ = exact.reports(6, 1.0, float("inf"), [1, 2, 3])
+        for xx, m in zip(gxx, mi):
+            assert m == pytest.approx(0.0, abs=1e-12)
+            assert xx == pytest.approx(0.0, abs=1e-12)
 
     def test_free_spin_point(self):
         for sep in (1, 2):
-            report = exact.observables(4, 0.0, 0.0, sep)
-            assert report.correlations.mz == pytest.approx(1.0, abs=1e-12)
-            assert report.correlations.gzz == pytest.approx(1.0, abs=1e-12)
-            assert abs(report.correlations.gxx) < 1e-12
-            assert report.mi == pytest.approx(0.0, abs=1e-12)
+            mz, gxx, _, gzz, mi, _ = exact.observables(4, 0.0, 0.0, sep)
+            assert mz == pytest.approx(1.0, abs=1e-12)
+            assert gzz == pytest.approx(1.0, abs=1e-12)
+            assert abs(gxx) < 1e-12
+            assert mi == pytest.approx(0.0, abs=1e-12)
 
     def test_ordered_side_plateau_with_regression_values(self):
-        report = exact.observables(10, 2.0, 0.0, 5)
-        assert 0.8 <= report.correlations.gxx <= 1.0
-        assert 0.8 <= report.mi <= 1.0
+        mz, gxx, _, _, mi, ground_energy = exact.observables(10, 2.0, 0.0, 5)
+        assert 0.8 <= gxx <= 1.0
+        assert 0.8 <= mi <= 1.0
         # frozen regression fixtures from this implementation
-        assert report.correlations.mz == pytest.approx(0.25896956823440204, abs=1e-9)
-        assert report.correlations.gxx == pytest.approx(0.9303421283204826, abs=1e-9)
-        assert report.mi == pytest.approx(0.8918326383229771, abs=1e-9)
-        assert report.ground_energy == pytest.approx(-21.271208818695936, abs=1e-9)
+        assert mz == pytest.approx(0.25896956823440204, abs=1e-9)
+        assert gxx == pytest.approx(0.9303421283204826, abs=1e-9)
+        assert mi == pytest.approx(0.8918326383229771, abs=1e-9)
+        assert ground_energy == pytest.approx(-21.271208818695936, abs=1e-9)
 
     def test_deterministic_reports(self):
         first = exact.observables(8, 1.0, 0.5, 2)
         second = exact.observables(8, 1.0, 0.5, 2)
-        assert first == second  # bit-identical dataclasses
+        assert first == second  # bit-identical floats
 
     def test_ground_parity_even_across_grid(self):
         # the T = 0 state is the even block's lowest level: the full
@@ -87,21 +88,22 @@ class TestObservables:
     def test_degenerate_pair_resolved_to_even(self):
         # at very strong coupling the ground doublet splits below 1e-10;
         # its even member is the cat state, one bit across the ring
-        report = exact.observables(8, 1e4, 0.0, 4)
-        assert report.mi == pytest.approx(1.0, abs=1e-3)
+        mi = exact.observables(8, 1e4, 0.0, 4)[4]
+        assert mi == pytest.approx(1.0, abs=1e-3)
 
     def test_batch_equals_single_separations(self):
         for temperature in (0.0, 0.7):
-            batch = exact.reports(8, 1.3, temperature, [4, 1, 3, 2])
+            mz, *arrays, energy = exact.reports(8, 1.3, temperature, [4, 1, 3, 2])
+            batch = [(mz, *row, energy) for row in zip(*(v.tolist() for v in arrays))]
             singles = [exact.observables(8, 1.3, temperature, r) for r in (4, 1, 3, 2)]
-            assert batch == singles  # bit-identical dataclasses
+            assert batch == singles  # bit-identical floats
 
     def test_ring_is_one_kernel_call(self, monkeypatch):
         entropies = count_calls(monkeypatch, exact, "two_site_entropies")
         kernel = count_calls(monkeypatch, density, "x_state_entropies")
         matrices = count_calls(monkeypatch, density, "make_density_matrix")
         general = count_calls(monkeypatch, density, "mutual_information")
-        assert len(exact.reports(8, 1.3, 0.5, [4, 1, 3, 2])) == 4
+        assert len(exact.reports(8, 1.3, 0.5, [4, 1, 3, 2])[4]) == 4
         assert len(entropies) == 1 and len(kernel) == 1
         assert len(matrices) == 0 and len(general) == 0
 
@@ -112,11 +114,12 @@ class TestObservables:
         for coupling, temperature in itertools.product(
             (0.0, 0.3, 1.0, 1.7, 1e4), (0.0, 0.5, 2.0, float("inf"))
         ):
-            for report in exact.reports(sites, coupling, temperature, range(1, sites // 2 + 1)):
-                c = report.correlations
-                expected = density.mutual_information(x_state(c.mz, c.gxx, c.gyy, c.gzz))
-                where = (sites, coupling, temperature, report.separation)
-                assert abs(report.mi - expected) <= 1e-12, where
+            seps = range(1, sites // 2 + 1)
+            mz, *arrays, _ = exact.reports(sites, coupling, temperature, seps)
+            for sep, gxx, gyy, gzz, mi in zip(seps, *arrays):
+                expected = density.mutual_information(x_state(mz, gxx, gyy, gzz))
+                where = (sites, coupling, temperature, sep)
+                assert abs(mi - expected) <= 1e-12, where
 
     @pytest.mark.parametrize("sites,temperature,separations", [
         (10, 2.0, (4, 5)), (12, 0.5, (5, 6)), (12, 2.0, (4, 5, 6)),
@@ -124,19 +127,19 @@ class TestObservables:
     def test_weak_pairs_keep_relative_precision(self, sites, temperature, separations):
         # MI of 1.4e-10 .. 4e-6 here, where a difference of order-1
         # entropies keeps only about 1e-10 of it in absolute terms
-        for report in exact.reports(sites, 0.3, temperature, separations):
-            c = report.correlations
+        mz, *arrays, _ = exact.reports(sites, 0.3, temperature, separations)
+        for sep, gxx, gyy, gzz, mi in zip(separations, *(v.tolist() for v in arrays)):
             with mpmath.workdps(40):
                 # exact: 40 digits hold gzz - mz^2 of two doubles
-                connected = mpmath.mpf(c.gzz) - mpmath.mpf(c.mz) ** 2
-            reference = mpmath_mi(c.mz, c.gxx, c.gyy, connected)
-            assert abs((report.mi - reference) / reference) <= 1e-14, report.separation
+                connected = mpmath.mpf(gzz) - mpmath.mpf(mz) ** 2
+            reference = mpmath_mi(mz, gxx, gyy, connected)
+            assert abs((mi - reference) / reference) <= 1e-14, sep
 
     def test_mi_nonnegative(self):
         for coupling in (0.25, 1.0, 2.0):
             for temperature in (0.0, 0.5):
-                report = exact.observables(6, coupling, temperature, 3)
-                assert report.mi >= -1e-9
+                mi = exact.observables(6, coupling, temperature, 3)[4]
+                assert mi >= -1e-9
 
     def test_separation_validation(self):
         with pytest.raises(ValueError):
@@ -204,15 +207,15 @@ def _expectation(rho, op_a, op_b):
 def _check_against_dense(sites, coupling, temperature, seps):
     """Every correlation and MI of exact.reports within 1e-12 of the dense
     full-space reduction."""
-    for report, sep in zip(exact.reports(sites, coupling, temperature, seps), seps):
+    mz, *arrays, _ = exact.reports(sites, coupling, temperature, seps)
+    for sep, gxx, gyy, gzz, mi in zip(seps, *arrays):
         rho = _dense_pair_state(sites, coupling, temperature, sep)
-        corr = report.correlations
         where = (sites, coupling, temperature, sep)
-        assert abs(corr.mz - _expectation(rho, _SZ, np.eye(2))) < 1e-12, where
-        assert abs(corr.gxx - _expectation(rho, _SX, _SX)) < 1e-12, where
-        assert abs(corr.gyy - _expectation(rho, _SY, _SY)) < 1e-12, where
-        assert abs(corr.gzz - _expectation(rho, _SZ, _SZ)) < 1e-12, where
-        assert abs(report.mi - density.mutual_information(rho)) < 1e-12, where
+        assert abs(mz - _expectation(rho, _SZ, np.eye(2))) < 1e-12, where
+        assert abs(gxx - _expectation(rho, _SX, _SX)) < 1e-12, where
+        assert abs(gyy - _expectation(rho, _SY, _SY)) < 1e-12, where
+        assert abs(gzz - _expectation(rho, _SZ, _SZ)) < 1e-12, where
+        assert abs(mi - density.mutual_information(rho)) < 1e-12, where
 
 
 def _dense_pair_state(sites, coupling, temperature, separation):

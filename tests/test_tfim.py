@@ -209,31 +209,28 @@ class TestCoefficients:
 
 class TestCorrelations:
     def test_free_spin_values(self):
-        c = tfim.correlations(params(0.0, 0.0, 10, 3))
-        assert c.mz == pytest.approx(1.0, abs=1e-12)
-        assert abs(c.gxx) < 1e-12
-        assert c.gzz == pytest.approx(1.0, abs=1e-12)
+        mz, gxx, _, gzz = tfim.correlations(params(0.0, 0.0, 10, 3))
+        assert mz == pytest.approx(1.0, abs=1e-12)
+        assert abs(gxx) < 1e-12
+        assert gzz == pytest.approx(1.0, abs=1e-12)
 
     def test_strong_coupling_values(self):
-        c = tfim.correlations(params(1e4, 0.0, 12, 3))
-        assert c.gxx == pytest.approx(1.0, abs=1e-3)
-        assert abs(c.gyy) < 1e-3
+        _, gxx, gyy, _ = tfim.correlations(params(1e4, 0.0, 12, 3))
+        assert gxx == pytest.approx(1.0, abs=1e-3)
+        assert abs(gyy) < 1e-3
 
     def test_matches_oracle_on_sample_grid(self):
         for lam in (0.5, 1.0, 2.0):
             for sep in (1, 3, 5):
                 free = tfim.correlations(params(lam, 0.0, 10, sep))
-                report = exact.observables(10, lam, 0.0, sep)
-                for field in ("mz", "gxx", "gyy", "gzz"):
-                    assert getattr(free, field) == pytest.approx(
-                        getattr(report.correlations, field), abs=1e-8
-                    )
+                ed = exact.observables(10, lam, 0.0, sep)[:4]
+                for value, expected in zip(free, ed, strict=True):
+                    assert value == pytest.approx(expected, abs=1e-8)
 
 
 def pair_state(p):
     """Dense two-site state built from the kernel's inputs."""
-    c = tfim.correlations(p)
-    return x_state(c.mz, c.gxx, c.gyy, c.gzz)
+    return x_state(*tfim.correlations(p))
 
 
 class TestTwoSiteState:
@@ -253,8 +250,7 @@ class TestTwoSiteState:
         p = params(1e4, 0.0, 12, 6)
         mi = tfim.correlation_mi(p)
         assert mi == pytest.approx(1.0, abs=1e-3)
-        report = exact.observables(12, 1e4, 0.0, 6)
-        assert mi == pytest.approx(report.mi, abs=1e-8)
+        assert mi == pytest.approx(exact.observables(12, 1e4, 0.0, 6)[4], abs=1e-8)
 
     def test_state_matches_oracle_entrywise(self):
         # independent reduction straight from the ground-state vector
@@ -268,9 +264,9 @@ class TestTwoSiteState:
         oracle_rho = front @ front.conj().T
         rho = pair_state(params(1.0, 0.0, sites, sep))
         assert np.max(np.abs(rho.matrix - oracle_rho)) < 1e-8
-        report = exact.observables(sites, 1.0, 0.0, sep)
+        ed_mi = exact.observables(sites, 1.0, 0.0, sep)[4]
         assert tfim.correlation_mi(params(1.0, 0.0, sites, sep)) == pytest.approx(
-            report.mi, abs=1e-8
+            ed_mi, abs=1e-8
         )
 
     def test_marginal_consistency(self):
@@ -319,7 +315,7 @@ class TestSuzukiEquivalence:
         # <sx_0 sx_r> equals <s_{0,0} s_{r,r}> at T = 2/asinh(sqrt(lambda))
         temperature = 2.0 / math.asinh(math.sqrt(coupling))
         for r in (1, 5, 10):
-            ring = tfim.correlations(params(coupling, 0.0, 4000, r)).gxx
+            ring = tfim.correlations(params(coupling, 0.0, 4000, r))[1]
             plane = ising2d.diagonal_correlation(temperature, r)
             assert abs(ring - plane) < 1e-13, r
 
@@ -366,8 +362,7 @@ class TestCorrelationMi:
             )
             for i, r in enumerate(seps):
                 p = params(lam, temperature, sites, r, sector)
-                c = tfim.correlations(p)
-                assert (c.mz, c.gxx, c.gyy, c.gzz) == (mz, gxx[i], gyy[i], gzz[i])
+                assert tfim.correlations(p) == (mz, gxx[i], gyy[i], gzz[i])
                 assert tfim.correlation_mi(p) == mi[i]
 
 
@@ -433,7 +428,7 @@ class TestGibbsSector:
             gibbs = tfim.correlations(params(lam, 0.0, 12, 4, "gibbs"))
             even = tfim.correlations(params(lam, 0.0, 12, 4, "even"))
             assert gibbs == even
-            assert tfim.magnetization_z(lam, 0.0, 12, "gibbs") == even.mz
+            assert tfim.magnetization_z(lam, 0.0, 12, "gibbs") == even[0]
 
     def test_bounded_batches_split_couplings_not_values(self, monkeypatch):
         # a bordered stack too large for one slogdet call is taken a few
@@ -462,12 +457,11 @@ class TestGibbsSector:
     def test_continuous_across_unit_coupling(self):
         # the R-sector phi = 0 mode has zero energy at lambda = 1, where
         # Z~_R = 0 and coth(omega_0/T)/omega_0 diverges; their product is finite
-        fields = ("mz", "gxx", "gyy", "gzz")
         for temperature, sites in ((0.5, 10), (1.0, 10), (0.2, 200)):
             at = tfim.correlations(params(1.0, temperature, sites, sites // 4, "gibbs"))
             for lam in (1.0 - 1e-6, 1.0 + 1e-6):
                 near = tfim.correlations(
                     params(lam, temperature, sites, sites // 4, "gibbs")
                 )
-                for field in fields:
-                    assert abs(getattr(near, field) - getattr(at, field)) < 2e-5
+                for value, expected in zip(near, at, strict=True):
+                    assert abs(value - expected) < 2e-5
