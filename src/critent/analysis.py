@@ -58,77 +58,68 @@ class FitResult:
         return d
 
 
-def _fit_coordinates(xs, ys):
-    """xs and ys as float arrays; ValueError at the first non-finite
-    coordinate."""
+def _log_law_fit(xs, ys, kind: str, powers) -> FitResult:
+    """Least squares of v = sum_k c_k (ln x)^powers[k], with v = ln y for
+    kind "power_law" (y = e^c_0 x^c_1) and v = y for the log laws.
+
+    A ValueError, in this order: at the first non-finite coordinate, for
+    too few points, for x <= 0 (or y <= 0, for a power law), and when the
+    design's columns are dependent (all x equal, say), where lstsq would
+    return its min-norm solution as if it were a fit.
+    """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     for name, values in (("x", xs), ("y", ys)):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValueError(f"fit needs finite coordinates: {name}[{bad[0]}] = {values[bad[0]]}")
-    return xs, ys
-
-
-def _least_squares(design, values):
-    """Coefficients of the least-squares fit; ValueError when the design's
-    columns are dependent (all x equal, say), where lstsq would return
-    its min-norm solution as if it were a fit."""
+    power_law, degree = kind == "power_law", powers[-1]
+    law, needed = ("power-law fit", 4) if power_law else (f"log fit of degree {degree}", degree + 2)
+    if len(xs) < needed:
+        raise ValueError(f"{law} needs >= {needed} points")
+    if np.any(xs <= 0) or power_law and np.any(ys <= 0):
+        raise ValueError("power-law fit needs positive coordinates" if power_law
+                         else "log fit needs positive x")
+    lx = np.log(xs)
+    values = np.log(ys) if power_law else ys
+    design = np.column_stack([lx**k for k in powers])
     coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < design.shape[1]:
         raise ValueError(f"fit design has rank {rank} < {design.shape[1]} columns: "
                          "the x values do not fix the law")
-    return coeffs
-
-
-def power_law_fit(xs, ys) -> FitResult:
-    """Least squares of ln y on ln x: y = amplitude * x^exponent."""
-    xs, ys = _fit_coordinates(xs, ys)
-    if len(xs) < 4:
-        raise ValueError("power-law fit needs >= 4 points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("power-law fit needs positive coordinates")
-    lx, ly = np.log(xs), np.log(ys)
-    design = np.column_stack([np.ones_like(lx), lx])
-    intercept, slope = _least_squares(design, ly)
-    resid = ly - design @ (intercept, slope)
+    resid = values - design @ coeffs
     return FitResult(
-        kind="power_law",
-        coefficients=(float(slope),),
-        amplitude=float(math.exp(intercept)),
+        kind=kind,
+        coefficients=(float(coeffs[1]),) if power_law else (float(coeffs[0]), float(coeffs[-1])),
+        amplitude=float(math.exp(coeffs[0])) if power_law else None,
         residual_norm=float(np.sqrt(np.mean(resid**2))),
         n_points=len(xs),
         x_range=(float(xs.min()), float(xs.max())),
     )
+
+
+def power_law_fit(xs, ys) -> FitResult:
+    """Least squares of ln y on ln x: y = amplitude * x^exponent."""
+    return _log_law_fit(xs, ys, "power_law", (0, 1))
 
 
 def log_poly_fit(xs, ys, degree: int, full: bool = False) -> FitResult:
     """Least squares of y = a + b (ln x)^degree, degree in {1, 3}.
 
     With full=True the design carries every power of ln x up to `degree`
-    (diagnostic); the reported coefficients are still (a, b_leading).
+    (diagnostic); the reported coefficients are still (a, b_leading).  It
+    changes only the cubic law: the full degree-1 design is the plain one.
     """
     if degree not in (1, 3):
         raise ValueError("degree must be 1 or 3")
-    xs, ys = _fit_coordinates(xs, ys)
-    if len(xs) < degree + 2:
-        raise ValueError(f"log fit of degree {degree} needs >= {degree + 2} points")
-    if np.any(xs <= 0):
-        raise ValueError("log fit needs positive x")
-    lx = np.log(xs)
-    if full:
-        design = np.column_stack([lx**k for k in range(degree + 1)])
-    else:
-        design = np.column_stack([np.ones_like(lx), lx**degree])
-    coeffs = _least_squares(design, ys)
-    resid = ys - design @ coeffs
-    return FitResult(
-        kind="log_linear" if degree == 1 else "log_cubic",
-        coefficients=(float(coeffs[0]), float(coeffs[-1])),
-        amplitude=None,
-        residual_norm=float(np.sqrt(np.mean(resid**2))),
-        n_points=len(xs),
-        x_range=(float(xs.min()), float(xs.max())),
-    )
+    powers = range(degree + 1) if full else (0, degree)
+    return _log_law_fit(xs, ys, "log_linear" if degree == 1 else "log_cubic", powers)
+
+
+def _relative_residual(fit: FitResult, values) -> float:
+    """The fit's rms residual over the range of the fitted values; inf
+    when they are all equal."""
+    spread = max(values) - min(values)
+    return float(fit.residual_norm / spread) if spread else math.inf
 
 
 # model -> (row axis, column axis or None, evaluator of the rows x columns
@@ -261,16 +252,13 @@ def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
         fit = power_law_fit(offsets, np.abs(derivs))
     else:
         fit = log_poly_fit(offsets, derivs, degree=1)
-    data_range = float(np.max(derivs) - np.min(derivs))
     return {
         "side": side,
         "separation": separation,
         "offsets": offsets.tolist(),
         "derivatives": derivs.tolist(),
         "fit": fit,
-        "relative_residual": (
-            fit.residual_norm / abs(data_range) if data_range else math.inf
-        ),
+        "relative_residual": _relative_residual(fit, derivs),
     }
 
 
@@ -287,12 +275,11 @@ def tfim_nn_scaling(sites_list=NN_SCALING_SITES, step: float = SCALING_STEP) -> 
     """dMI(0,1)/dlambda at lambda = 1 against ln N (log-linear fit)."""
     derivs = [float(_tfim_derivatives([1.0], n, 1, step)[0]) for n in sites_list]
     fit = log_poly_fit(np.array(sites_list, dtype=float), derivs, degree=1)
-    rng = max(derivs) - min(derivs)
     return {
         "sites": list(sites_list),
         "derivatives": derivs,
         "fit": fit,
-        "relative_residual": fit.residual_norm / rng if rng else math.inf,
+        "relative_residual": _relative_residual(fit, derivs),
     }
 
 
@@ -319,15 +306,14 @@ def tfim_far_scaling(sites_list=FAR_SCALING_SITES, step: float = SCALING_STEP) -
     xs = np.array(sites_list, dtype=float)
     fit_cubic = log_poly_fit(xs, peaks, degree=3)
     fit_linear = log_poly_fit(xs, peaks, degree=1)
-    rng = max(peaks) - min(peaks)
     return {
         "sites": list(sites_list),
         "peak_locations": locations,
         "peaks": peaks,
         "fit": fit_cubic,
         "fit_linear": fit_linear,
-        "relative_residual": fit_cubic.residual_norm / rng if rng else math.inf,
-        "relative_residual_linear": fit_linear.residual_norm / rng if rng else math.inf,
+        "relative_residual": _relative_residual(fit_cubic, peaks),
+        "relative_residual_linear": _relative_residual(fit_linear, peaks),
     }
 
 

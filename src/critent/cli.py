@@ -241,10 +241,8 @@ def _cmd_fit(args) -> int:
     xs, ys = _read_xy(args.input, args.x_col, args.y_col)
     if args.action == "power":
         fit = analysis.power_law_fit(xs, ys)
-    elif args.action == "log":
-        fit = analysis.log_poly_fit(xs, ys, degree=1, full=args.full)
     else:
-        fit = analysis.log_poly_fit(xs, ys, degree=3, full=args.full)
+        fit = analysis.log_poly_fit(xs, ys, degree=1 if args.action == "log" else 3, full=args.full)
     _emit_json(_fit_payload(fit), args.output)
     return EXIT_OK
 
@@ -393,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-col", default=None)
     p.add_argument("--y-col", default=None)
     p.add_argument("--full", action="store_true",
-                   help="log fits: carry every power of ln x (diagnostic)")
+                   help="log fits: carry every power of ln x (diagnostic); changes "
+                        "only logcube, as the full degree-1 design is the plain one")
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_fit)
 

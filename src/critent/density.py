@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from .errors import ModelConsistencyError, ValidationError
-from .numerics import hermitian_eigenvalues
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -87,7 +86,7 @@ def make_density_matrix(matrix, dims) -> DensityMatrix:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum p log2 p over the spectrum, with 0 log 0 = 0.  In bits."""
-    p = np.clip(hermitian_eigenvalues(rho.matrix), 0.0, None)
+    p = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
     return float((0.0 - np.sum(_plogp(p))) / LN2)
 
 
@@ -279,7 +278,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("states must have equal dimension")
-    p = np.clip(hermitian_eigenvalues(rho.matrix), 0.0, None)
+    p = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
     s, v = np.linalg.eigh(sigma.matrix)
     s = np.clip(s, 0.0, None)
     diag = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.matrix, v))

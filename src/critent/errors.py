@@ -14,8 +14,8 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to converge at the resolution cap, or a closed-form
-    coefficient window failed its health check.
+    """A closed-form coefficient window failed its health check, or the
+    tests' reference quadrature (numerics.fourier_window) did not converge.
 
     May carry the last two grid estimates so the caller can inspect them.
     """

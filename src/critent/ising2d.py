@@ -38,7 +38,7 @@ from itertools import islice
 
 import numpy as np
 
-from .density import two_site_entropies
+from .density import CORRELATION_TOL, two_site_entropies
 from .errors import ConvergenceError, ModelConsistencyError
 from .numerics import toeplitz_determinant
 
@@ -158,7 +158,9 @@ def diagonal_correlations(temperature, separations) -> np.ndarray:
     over (temperatures, separations) when `temperature` is a sequence, as
     N x N Toeplitz determinants of a_{i-j}: one coefficient window per
     temperature sized for the largest N, stacked, then one determinant
-    call for the leading minors of every N over every temperature."""
+    call for the leading minors of every N over every temperature.  A
+    value off [-1, 1] by more than density.CORRELATION_TOL raises
+    ModelConsistencyError naming its T and N."""
     temperatures = list(temperature) if np.ndim(temperature) else [temperature]
     separations = [int(n) for n in separations]
     if min(separations) < 1:
@@ -166,7 +168,7 @@ def diagonal_correlations(temperature, separations) -> np.ndarray:
     n_max = max(separations) - 1
     windows = np.array([coefficient_window(t, n_max) for t in temperatures])
     values = toeplitz_determinant(windows, n_max + 1, sizes=separations)
-    bad = np.argwhere(~((-1.0 - 1e-8 <= values) & (values <= 1.0 + 1e-8)))
+    bad = np.argwhere(~(np.abs(values) <= 1.0 + CORRELATION_TOL))
     if bad.size:
         i, j = bad[0]
         raise ModelConsistencyError(f"correlation {values[i, j]:.6g} outside [-1, 1] "

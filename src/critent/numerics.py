@@ -2,9 +2,9 @@
 
 Toeplitz determinants in sign/log-magnitude form (toeplitz_determinant,
 the one determinant function: one window or a stack of them at one shift,
-with every leading minor from one Levinson recursion), Hermitian eigenvalues, and
-trapezoidal quadrature for the Fourier coefficients of a symbol, which no
-model calls: the tests' reference for closed forms.
+with every leading minor from one Levinson recursion), and trapezoidal
+quadrature for the Fourier coefficients of a symbol, which no model calls:
+the tests' reference for closed forms.
 Everything here is a pure function of its inputs; identical inputs give
 bit-identical outputs within one build.
 
@@ -177,20 +177,3 @@ def _leading_minors(stack, lags, centre, dim, sizes):
         values[broken_j, j] = sign * np.exp(logabs_k)
     return values
 
-
-HERMITICITY_TOL = 1e-10
-
-
-def hermitian_eigenvalues(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Rejects inputs whose Hermiticity residual max|M - M^dagger| exceeds
-    `tol`.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    residual = np.max(np.abs(matrix - matrix.conj().T))
-    if not residual <= tol:  # a NaN residual fails too
-        raise ValueError(f"Hermiticity residual {residual:.3e} exceeds {tol}")
-    return np.linalg.eigvalsh(matrix)

@@ -56,6 +56,20 @@ def mpmath_mi(mz, gxx, gyy, czz):
         magnitude += 40
 
 
+#: the 2D Ising class's critical amplitude, e^(1/4) 2^(1/12) A_G^(-3) with A_G
+#: Glaisher's constant (McCoy, Phys. Rev. 173, 531 (1968); Pfeuty, Ann. Phys.
+#: 57, 79 (1970)): the diagonal G(N) ~ A N^(-1/4), and gxx(r) ~ A r^(-1/4) on
+#: the critical ring
+CRITICAL_AMPLITUDE = math.exp(0.25) * 2.0 ** (1.0 / 12.0) * float(mpmath.glaisher) ** -3
+
+
+def weak_pair_factor(m: float) -> float:
+    """K(m) = [atanh(m)/m + 1/(1 - m^2)]/2, with K(0) = 1: a pair with
+    <sz> = m on both sites and only a weak gxx = g has MI = g^2 K(m)/(2 ln 2)
+    (1 + O(g^2)) bits, the second order of its relative entropy."""
+    return ((math.atanh(m) / m if m else 1.0) + 1.0 / (1.0 - m * m)) / 2.0
+
+
 def site_state(mz) -> DensityMatrix:
     """diag((1 + mz)/2, (1 - mz)/2)."""
     return make_density_matrix(np.diag([(1 + mz) / 2, (1 - mz) / 2]), (2,))

@@ -16,7 +16,7 @@ from critent.density import (
     x_state_entropies,
 )
 from critent.errors import ModelConsistencyError, ValidationError
-from oracles import dimer_thermal_state, mpmath_mi
+from oracles import dimer_thermal_state, mpmath_mi, weak_pair_factor
 
 
 def singlet():
@@ -313,6 +313,53 @@ class TestXStateKernel:
         reference = mpmath_mi(*inputs)
         assert reference > 0
         assert abs((mi[0] - reference) / reference) <= 1e-12
+
+
+    @pytest.mark.parametrize("mz", [0.0, 0.3, 2.0 / math.pi])
+    @pytest.mark.parametrize("gxx", [1e-2, 1e-4, 1e-6])
+    def test_weak_gxx_gives_the_second_order_law(self, mz, gxx):
+        # MI = gxx^2 K(mz)/(2 ln 2) (1 + O(gxx^2)), pinned here apart from
+        # the models; the O(gxx^2) term was measured at 0.17-0.43 gxx^2
+        _, _, mi = x_state_entropies(mz, gxx, 0.0, 0.0)
+        excess = mi[0] * 2.0 * math.log(2.0) / (gxx**2 * weak_pair_factor(mz)) - 1.0
+        assert 0.0 <= excess <= gxx**2
+        reference = mpmath_mi(mz, gxx, 0.0, 0.0)
+        assert abs((mi[0] - reference) / reference) <= 1e-14
+
+
+class TestMutualInformationLowerBound:
+    """MI >= <A B>_c^2 / (2 ||A||^2 ||B||^2) nats for every connected
+    correlation of unit-norm site operators (Wolf, Verstraete, Hastings and
+    Cirac, PRL 100, 070502 (2008)), on the default sweep grids, up to 4 ulps
+    of the bound; a bound below the least normal float is not checked."""
+
+    @staticmethod
+    def assert_bounded(mi, connected):
+        bound = np.max(np.square(connected), axis=0) / (2.0 * math.log(2.0))
+        checked = bound >= np.finfo(float).tiny
+        short = bound - mi > 4 * np.spacing(bound)
+        assert checked.sum() > 0.9 * bound.size
+        assert not np.any(checked & short), np.argwhere(checked & short)[:5]
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    def test_tfim_grid(self, temperature):
+        # measured MI / bound >= 1.10
+        couplings, separations = np.linspace(0.0, 2.0, 41), range(1, 51)
+        mz, gxx, gyy, _, czz = tfim._correlation_arrays(
+            couplings, temperature, 1000, separations, "even")
+        mi = tfim.entropies(couplings, temperature, 1000, separations)[2]
+        self.assert_bounded(mi, [gxx, gyy, czz])
+
+    @pytest.mark.parametrize("ensemble", ising2d.ENSEMBLES)
+    def test_ising_grid(self, ensemble):
+        # G - m^2 is the only correlation, and the bound is tight where it
+        # is small: MI / bound - 1 was -3.3e-16 at worst
+        temperatures, separations = np.linspace(1.5, 3.5, 21), range(1, 51)
+        m = np.array([[ising2d.magnetization(t) if ensemble == "broken" else 0.0]
+                      for t in temperatures])
+        g = ising2d.diagonal_correlations(temperatures, separations)
+        mi = ising2d.entropies(temperatures, separations, ensemble)[2]
+        self.assert_bounded(mi, [g - m * m])
 
 
 class TestTwoSiteEntropies:

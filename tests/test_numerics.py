@@ -8,7 +8,6 @@ from critent import ising2d, tfim
 from critent.errors import ConvergenceError
 from critent.numerics import (
     fourier_window,
-    hermitian_eigenvalues,
     toeplitz_determinant,
 )
 from oracles import ising_symbol, levinson_minors
@@ -372,38 +371,3 @@ class TestLevinsonAgainstReferences:
             value = toeplitz_determinant(window, 64, row_shift=shift)
             assert abs(value - exact) <= 1e-12 * abs(exact)
 
-
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(3)), [1, 1, 1])
-
-    def test_pauli_x(self):
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(hermitian_eigenvalues(sx), [-1.0, 1.0])
-
-    def test_known_spectrum_roundtrip(self):
-        rng = np.random.default_rng(11)
-        spectrum = np.sort(rng.standard_normal(8))
-        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        q, _ = np.linalg.qr(z)
-        matrix = (q * spectrum) @ q.conj().T
-        eig = hermitian_eigenvalues(matrix)
-        assert np.allclose(eig, spectrum, atol=1e-10)
-
-    def test_trace_and_frobenius_identities(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            matrix = (a + a.conj().T) / 2
-            eig = hermitian_eigenvalues(matrix)
-            assert abs(eig.sum() - np.trace(matrix).real) < 1e-10
-            assert abs((eig**2).sum() - np.linalg.norm(matrix, "fro") ** 2) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(bad)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="Hermiticity residual nan"):
-            hermitian_eigenvalues(np.full((2, 2), np.nan))

@@ -8,11 +8,13 @@ import pytest
 from critent import density, exact, ising2d, tfim
 from critent.tfim import TfimParams
 from oracles import (
+    CRITICAL_AMPLITUDE,
     site_state,
     tfim_coefficient,
     tfim_gibbs_reference,
     tfim_mi_reference,
     tfim_windows,
+    weak_pair_factor,
     x_state,
 )
 
@@ -318,6 +320,32 @@ class TestSuzukiEquivalence:
             ring = tfim.correlations(params(coupling, 0.0, 4000, r))[1]
             plane = ising2d.diagonal_correlation(temperature, r)
             assert abs(ring - plane) < 1e-13, r
+
+
+class TestCriticalAmplitude:
+    """The critical ring shares the 2D Ising diagonal's amplitude and
+    exponent 1/4: gxx ~ A c^(-1/4) in the conformal chord c = (N/pi)
+    sin(pi r/N) (Cardy, J. Phys. A 17, L385 (1984)), and MI ~ gxx^2
+    K(mz)/(2 ln 2), A^2 K(mz) c^(-1/2)/(2 ln 2) at leading order."""
+
+    SITES, SEPARATIONS = 1000, (100, 200, 400)
+
+    def critical_point(self):
+        mz, gxx, _, _, mi = tfim.correlations_and_mi(1.0, 0.0, self.SITES, self.SEPARATIONS)
+        return mz, gxx, mi
+
+    def test_gxx_carries_the_ising_amplitude(self):
+        _, gxx, _ = self.critical_point()
+        chord = self.SITES / math.pi * np.sin(math.pi * np.array(self.SEPARATIONS) / self.SITES)
+        # measured within 1.01e-6 (r = 100)
+        assert np.all(np.abs(gxx * chord**0.25 - CRITICAL_AMPLITUDE) <= 1e-5)
+
+    def test_mi_is_the_weak_pair_law_of_gxx(self):
+        mz, gxx, mi = self.critical_point()
+        leading = gxx**2 * weak_pair_factor(mz) / (2.0 * math.log(2.0))
+        # the next order is positive, measured at about 0.44 gxx^2
+        excess = mi / leading - 1.0
+        assert np.all((0.0 <= excess) & (excess <= 0.5 * gxx**2)), excess / gxx**2
 
 
 class TestCorrelationMi:
