@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +14,9 @@ from .errors import ConvergenceError
 
 MI_IDENTITY_TOL = 1e-9
 
-CSV_HEADER = "model,T,lambda,N,r,S_i,S_j,S_ij,MI,tag"
+#: the sweep's columns, in SweepRecord order: the CSV header and the JSON keys
+COLUMNS = ("model", "T", "lambda", "N", "r", "S_i", "S_j", "S_ij", "MI", "tag")
+CSV_HEADER = ",".join(COLUMNS)
 
 UNITS_COMMENTS = {
     "dimer": "# T in units of the Heisenberg coupling",
@@ -50,12 +52,6 @@ class FitResult:
     residual_norm: float
     n_points: int
     x_range: tuple
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["coefficients"] = list(self.coefficients)
-        d["x_range"] = list(self.x_range)
-        return d
 
 
 def _log_law_fit(xs, ys, kind: str, powers) -> FitResult:
@@ -317,35 +313,28 @@ def tfim_far_scaling(sites_list=FAR_SCALING_SITES, step: float = SCALING_STEP) -
     }
 
 
-def _format_number(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
+# a cell's %-format by its type; any other type (float, numpy scalar) is
+# %.12g, and "%.0s" consumes a None and prints nothing
+_CELL_FORMATS = {type(None): "%.0s", int: "%d", str: "%s"}
 
 
-def _column_text(values) -> list:
-    """_format_number of each cell; a cell holding the very object of the
-    cell above reuses its text (by identity: -0.0 == 0.0 prints apart)."""
-    texts, above, text = [], None, ""
-    for value in values:
-        if value is not above:
-            above, text = value, _format_number(value)
-        texts.append(text)
-    return texts
+def csv_text(lines, rows) -> str:
+    """The given comment and header lines, then one line per row of cells:
+    None empty, int in decimal, str as is and any other number at 12
+    significant digits (-0.0 prints -0, NaN nan).  Each run of rows with
+    the same cell types is one template, applied by one %-format per row."""
+    out = list(lines)
+    for types, run in groupby(rows, lambda row: tuple(map(type, row))):
+        template = ",".join([_CELL_FORMATS.get(t, "%.12g") for t in types])
+        out += map(template.__mod__, run)
+    return "\n".join(out) + "\n"
 
 
 def records_to_csv(records) -> str:
-    """Stable CSV: units comment, fixed header, 12 significant digits,
-    formatted column by column."""
-    lines = [UNITS_COMMENTS[name] for name in sorted({r.model for r in records})
-             if name in UNITS_COMMENTS]
-    lines.append(CSV_HEADER)
-    if records:
-        model, *numbers, tag = zip(*records)
-        lines += map(",".join, zip(model, *map(_column_text, numbers), tag))
-    return "\n".join(lines) + "\n"
+    """The sweep CSV: the units comment of each model present, sorted by
+    model, the COLUMNS header, then one csv_text line per record."""
+    return csv_text([*(UNITS_COMMENTS[name] for name in sorted({r.model for r in records})
+                       if name in UNITS_COMMENTS), CSV_HEADER], records)
 
 
 def _finite_or_none(value):
@@ -354,10 +343,8 @@ def _finite_or_none(value):
 
 
 def records_to_json(records) -> dict:
-    """JSON payload matching schemas/sweep.schema.json; a non-finite T or
-    lambda (an error row's parameter) is null."""
-    return {"records": [{
-        "model": rec.model, "T": _finite_or_none(rec.T), "lambda": _finite_or_none(rec.lam),
-        "N": rec.N, "r": rec.r, "S_i": rec.s_i, "S_j": rec.s_j, "S_ij": rec.s_ij,
-        "MI": rec.mi, "tag": rec.tag,
-    } for rec in records]}
+    """JSON payload matching schemas/sweep.schema.json: one object per
+    record, keyed by COLUMNS in their order; a non-finite T or lambda (an
+    error row's parameter) is null."""
+    return {"records": [dict(zip(COLUMNS, rec._replace(
+        T=_finite_or_none(rec.T), lam=_finite_or_none(rec.lam)))) for rec in records]}

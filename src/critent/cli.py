@@ -20,6 +20,8 @@ import gc
 import json
 import math
 import sys
+from dataclasses import asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -75,7 +77,7 @@ def _finite_temperatures(*temperatures) -> None:
 
 
 def _fit_payload(fit: FitResult, **extra) -> dict:
-    payload = fit.to_dict()
+    payload = asdict(fit)
     if fit.kind == "power_law":
         payload["exponent"] = fit.coefficients[0]
     payload.update(extra)
@@ -117,12 +119,10 @@ def _cmd_ising2d(args) -> int:
     if args.action == "corr":
         if args.format == "json":
             raise ValueError("ising2d corr writes CSV only")
-        lines = ["# T in units of Ising coupling", "model,T,N,correlation"]
         seps = range(args.n_min, args.n_max + 1)
-        values = ising2d.diagonal_correlations(args.t, seps) if seps else []
-        for n, g in zip(seps, values):
-            lines.append(f"ising2d,{args.t:.12g},{n},{g:.12g}")
-        _emit("\n".join(lines) + "\n", args.output)
+        values = ising2d.diagonal_correlations(args.t, seps).tolist() if seps else []
+        _emit(analysis.csv_text(["# T in units of Ising coupling", "model,T,N,correlation"],
+                                zip(repeat("ising2d"), repeat(args.t), seps, values)), args.output)
         return EXIT_OK
     if args.action in ("mi", "sweep"):
         # mi is the one-temperature grid, every N from --n-min to --n-max
@@ -202,12 +202,10 @@ def _cmd_oracle(args) -> int:
                     "max_abs_diff": worst, "threshold": args.max_abs_diff,
                     "passed": worst <= args.max_abs_diff}, args.output)
     else:
-        lines = ["r,quantity,free_fermion,exact,abs_diff"]
-        for r, *values in table:
-            lines += [f"{r},{q},{f:.12g},{e:.12g},{d:.12g}"
-                      for q, f, e, d in zip(ORACLE_QUANTITIES, *values)]
-        lines.append(f"max,all,,,{worst:.12g}")
-        _emit("\n".join(lines) + "\n", args.output)
+        rows = [(r, *cells) for r, *values in table
+                for cells in zip(ORACLE_QUANTITIES, *values)]
+        _emit(analysis.csv_text(["r,quantity,free_fermion,exact,abs_diff"],
+                                [*rows, ("max", "all", None, None, worst)]), args.output)
     if worst > args.max_abs_diff:
         raise CheckFailure(f"oracle divergence {worst:.3e} exceeds {args.max_abs_diff:.3e}")
     return EXIT_OK

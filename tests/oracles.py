@@ -70,6 +70,20 @@ def weak_pair_factor(m: float) -> float:
     return ((math.atanh(m) / m if m else 1.0) + 1.0 / (1.0 - m * m)) / 2.0
 
 
+def tfim_ordered_limits(coupling: float) -> tuple[float, float]:
+    """(mz_inf, m_x^2) of the infinite chain's ground state at lambda > 1:
+    mz_inf = (1/pi) int_0^pi (1 - lambda cos phi)/omega dphi, the N -> inf
+    limit of the momentum sum, by mpmath.quad at 30 digits, and the squared
+    spontaneous magnetization m_x^2 = (1 - lambda^-2)^(1/4) (Pfeuty, Ann.
+    Phys. 57, 79 (1970)), the limit of gxx(r) as r -> inf."""
+    lam = mpmath.mpf(coupling)
+    with mpmath.workdps(30):
+        mz = mpmath.quad(lambda phi: (1 - lam * mpmath.cos(phi))
+                         / mpmath.sqrt(1 + lam**2 - 2 * lam * mpmath.cos(phi)),
+                         [0, mpmath.pi]) / mpmath.pi
+        return float(mz), float((1 - lam**-2) ** mpmath.mpf(0.25))
+
+
 def site_state(mz) -> DensityMatrix:
     """diag((1 + mz)/2, (1 - mz)/2)."""
     return make_density_matrix(np.diag([(1 + mz) / 2, (1 - mz) / 2]), (2,))

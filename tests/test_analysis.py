@@ -447,8 +447,9 @@ class TestSerialization:
         assert records_to_csv(records) == records_csv(records)
 
     def test_csv_cells_follow_objects_not_values(self):
-        # -0.0 == 0.0, so only the very object of the cell above may lend
-        # its text; equal values in distinct objects are formatted apart
+        # each cell is formatted from its own object: -0.0 == 0.0 still
+        # prints apart, shared objects print alike, and the float N = 12.0
+        # breaks the run of int-N rows into a template of its own
         neg, pos, shared = float("-0.0"), float("0.0"), 1 / 3
         nan_a, nan_b = float("nan"), float("nan")
         records = [
@@ -473,6 +474,27 @@ class TestSerialization:
             "tfim,nan,0.5,12,7,,,,,error: temperature must be >= 0",
             "dimer,0.5,,,,-0,-0,-0,-0,",
         ]
+
+    def test_csv_text_formats_cells_by_type(self):
+        rows = [
+            (None, 3, "a", 0.1, -0.0, float("nan"), float("-inf")),
+            (None, 3, "a", 2.0, 1e-20, 123456789012345.0, 1 / 3),
+            (1.0, None, 7, np.float64(-0.0), np.float64(2.5), np.int64(12), "b"),
+            (None, 3, "a", 0.1, 0.0, float("inf"), 5),
+        ]
+        assert analysis.csv_text(["# comment", "h"], rows) == (
+            "# comment\nh\n"
+            ",3,a,0.1,-0,nan,-inf\n"
+            ",3,a,2,1e-20,1.23456789012e+14,0.333333333333\n"
+            "1,,7,-0,2.5,12,b\n"
+            ",3,a,0.1,0,inf,5\n"
+        )
+        assert analysis.csv_text(["h"], []) == "h\n"
+
+    def test_json_keys_are_the_csv_columns(self):
+        (row,) = records_to_json(self.RECORDS[:1])["records"]
+        assert tuple(row) == analysis.COLUMNS
+        assert ",".join(analysis.COLUMNS) == analysis.CSV_HEADER
 
     def test_csv_of_no_records_is_the_header(self):
         assert records_to_csv([]) == records_csv([]) == analysis.CSV_HEADER + "\n"

@@ -237,14 +237,15 @@ class TestSweepJsonSchema:
         assert len(payload["records"]) == 3
 
     def test_ising_corr_table(self, capsys):
-        code, out, _ = run_cli(
-            ["ising2d", "corr", "--t", "3.0", "--n-min", "1", "--n-max", "4"],
-            capsys,
-        )
-        assert code == 0
-        lines = [l for l in out.splitlines() if not l.startswith("#")]
-        assert lines[0] == "model,T,N,correlation"
-        assert len(lines) == 5
+        head = "# T in units of Ising coupling\nmodel,T,N,correlation\n"
+        assert run_cli(["ising2d", "corr", "--t", "3", "--n-max", "4"], capsys) == (0, head + (
+            "ising2d,3,1,0.266643752905\n"
+            "ising2d,3,2,0.104188294941\n"
+            "ising2d,3,3,0.0449515640014\n"
+            "ising2d,3,4,0.0203114564323\n"), "")
+        # an empty separation range prints the comment and the header only
+        assert run_cli(["ising2d", "corr", "--n-min", "3", "--n-max", "2"], capsys) == (
+            0, head, "")
 
     def test_ising_corr_refuses_json(self, capsys):
         code, out, err = run_cli(

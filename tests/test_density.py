@@ -326,6 +326,32 @@ class TestXStateKernel:
         reference = mpmath_mi(mz, gxx, 0.0, 0.0)
         assert abs((mi[0] - reference) / reference) <= 1e-14
 
+    @pytest.mark.parametrize("mz, czz", [
+        (mz, czz) for mz in (0.0, 0.3, 0.9) for czz in (1e-2, -1e-2, 1e-4, -1e-4, 1e-6, -1e-6)
+        if abs(czz) <= 0.02 * (1.0 - mz * mz) ** 2])
+    def test_weak_czz_gives_the_classical_law(self, mz, czz):
+        """With gxx = gyy = 0 the state is diagonal, a classical pair whose
+        joint law moves from the product q = (up^2, up dn, dn up, dn^2), with
+        up, dn = (1 +- m)/2, by d = (c, -c, -c, c)/4.  MI = sum_k q_k g(d_k/q_k)
+        nats with g(e) = e^2/2 - e^3/6 + O(e^4), so
+
+            second order: (c^2/32) [4/(1+m)^2 + 4/(1-m)^2 + 8/(1-m^2)]
+                          = c^2 / (2 (1 - m^2)^2),
+            third order:  -(c^3/384) 16 [1/(1+m)^4 + 1/(1-m)^4 - 2/(1-m^2)^2]
+                          = -(c^3/24) 16 m^2 / (1 - m^2)^4
+                          = -(2/3) c^3 m^2 / (1 - m^2)^4,
+
+        since (1-m)^4 + (1+m)^4 - 2 (1-m^2)^2 = 16 m^2.  With u = c/(1 - m^2)^2
+        the ratio of the two is -(4/3) m^2 u: MI 2 ln 2 (1 - m^2)^2 / c^2 =
+        1 - (4/3) m^2 u + O(u^2), in bits."""
+        u = czz / (1.0 - mz * mz) ** 2
+        _, _, mi = x_state_entropies(mz, 0.0, 0.0, czz)
+        scaled = mi[0] * 2.0 * math.log(2.0) * (1.0 - mz * mz) ** 2 / czz**2
+        # the O(u^2) term was measured at 0.17-1.97 u^2
+        assert abs(scaled - (1.0 - 4.0 / 3.0 * mz * mz * u)) <= 3.0 * u * u
+        reference = mpmath_mi(mz, 0.0, 0.0, czz)
+        assert abs((mi[0] - reference) / reference) <= 1e-14
+
 
 class TestMutualInformationLowerBound:
     """MI >= <A B>_c^2 / (2 ||A||^2 ||B||^2) nats for every connected

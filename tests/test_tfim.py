@@ -13,6 +13,7 @@ from oracles import (
     tfim_coefficient,
     tfim_gibbs_reference,
     tfim_mi_reference,
+    tfim_ordered_limits,
     tfim_windows,
     weak_pair_factor,
     x_state,
@@ -346,6 +347,30 @@ class TestCriticalAmplitude:
         # the next order is positive, measured at about 0.44 gxx^2
         excess = mi / leading - 1.0
         assert np.all((0.0 <= excess) & (excess <= 0.5 * gxx**2)), excess / gxx**2
+
+
+class TestOrderedFarPair:
+    """Deep in the ordered phase the far pair decouples into the product of
+    its long-range order: gxx -> m_x^2, mz -> mz_inf, gyy and czz -> 0, so
+    MI reaches the plateau MI_inf(lambda) of the X-state (mz_inf, m_x^2, 0,
+    0), the closed forms of tfim_ordered_limits.  At N = 2000 the ring's
+    corrections are exponentially small in r/xi and (N - r)/xi."""
+
+    SITES, SEPARATIONS = 2000, (100, 1000)
+
+    @pytest.mark.parametrize("coupling", [1.2, 1.5, 2.0])
+    def test_correlations_and_mi_reach_the_closed_forms(self, coupling):
+        mz, gxx, gyy, gzz, mi = tfim.correlations_and_mi(
+            coupling, 0.0, self.SITES, self.SEPARATIONS)
+        mz_inf, mx2 = tfim_ordered_limits(coupling)
+        mi_inf = density.x_state_entropies(mz_inf, mx2, 0.0, 0.0)[2][0]
+        # measured within 3.8e-13 (gxx), 5.6e-17 (mz) and 1.3e-12 (MI), the
+        # worst at lambda = 1.5, r = 1000
+        assert np.all(np.abs(gxx - mx2) <= 1e-12)
+        assert abs(mz - mz_inf) <= 1e-14
+        assert np.all(np.abs(gyy) <= 1e-12)
+        assert np.all(np.abs(gzz - mz * mz) <= 1e-12)
+        assert np.all(np.abs(mi - mi_inf) <= 5e-12)
 
 
 class TestCorrelationMi:
