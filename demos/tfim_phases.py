@@ -10,23 +10,17 @@ farthest-pair one like ln^3 N.
 
 from critent import analysis, tfim
 
-
-def mi(coupling, separation, sites=1000, temperature=0.0):
-    return tfim.correlation_mi(tfim.TfimParams(
-        coupling=coupling, temperature=temperature,
-        sites=sites, separation=separation,
-    ))
-
-
 print("MI(r) at N = 1000, T = 0")
 print("lambda   r=1       r=5       r=20      r=50")
 for lam in (0.2, 0.8, 1.0, 1.5, 2.0):
-    row = "  ".join(f"{mi(lam, r):.6f}" for r in (1, 5, 20, 50))
+    mis = tfim.entropies(lam, 0.0, 1000, (1, 5, 20, 50))[2]
+    row = "  ".join(f"{mi:.6f}" for mi in mis)
     print(f"{lam:<9g}{row}")
 
 print("\nthermal suppression at lambda = 2, r = 20, N = 400")
 for t in (0.0, 0.2, 0.5, 1.0):
-    print(f"T = {t:<5g} MI = {mi(2.0, 20, sites=400, temperature=t):.6f}")
+    (mi,) = tfim.entropies(2.0, t, 400, [20])[2]
+    print(f"T = {t:<5g} MI = {mi:.6f}")
 
 # nearest-neighbour scaling at the critical coupling
 nn = analysis.tfim_nn_scaling(sites_list=(64, 128, 256, 512, 1024))

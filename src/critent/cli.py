@@ -314,23 +314,14 @@ def _add_common(parser, *, output=True, fmt=True):
                             "write JSON only, ising2d corr CSV only")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="critent",
-        description="Two-site mutual information in exactly solvable spin models. "
-        "Defaults: ensemble=symmetric, sector=even, derivative steps "
-        "min(1e-3, |T-Tc|/10) in T and 1e-4 in lambda for scaling fits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dimer", help="dimer MI against temperature")
+def _dimer_options(p):
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--t-count", type=int, default=100)
     _add_common(p)
-    p.set_defaults(func=_cmd_dimer)
 
-    p = sub.add_parser("ising2d", help="2D Ising correlations and MI")
+
+def _ising2d_options(p):
     p.add_argument("action", choices=("corr", "mi", "sweep", "exponents"))
     p.add_argument("--t", type=float, default=None,
                    help="temperature (default: critical)")
@@ -349,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "window in the scaling regime, N (Tc - T) >> 1), relative "
                    "residual < 0.05 of the ln(T - Tc) law above")
     _add_common(p)
-    p.set_defaults(func=_cmd_ising2d)
 
-    p = sub.add_parser("tfim", help="transverse-field Ising chain MI")
+
+def _tfim_options(p):
     p.add_argument("action", choices=("mi", "sweep", "scaling"))
     p.add_argument("--lambda", type=float, default=1.0)
     p.add_argument("--lambda-min", type=float, default=0.0)
@@ -370,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scaling: nearest-neighbour (ln N) or farthest pair (ln^3 N)")
     p.add_argument("--check", action="store_true")
     _add_common(p)
-    p.set_defaults(func=_cmd_tfim)
 
-    p = sub.add_parser("oracle", help="exact-diagonalization comparison")
+
+def _oracle_options(p):
     p.add_argument("action", choices=("compare",))
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--lambda", type=float, default=1.0)
@@ -381,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single separation (default: all r <= N/2)")
     p.add_argument("--max-abs-diff", type=float, default=1e-8)
     _add_common(p)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("fit", help="fit a CSV's (x, y) columns")
+
+def _fit_options(p):
     p.add_argument("action", choices=("power", "log", "logcube"))
     p.add_argument("--input", required=True)
     p.add_argument("--x-col", default=None)
@@ -392,14 +383,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log fits: carry every power of ln x (diagnostic); changes "
                         "only logcube, as the full degree-1 design is the plain one")
     _add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("props", help="random-state property suites")
+
+def _props_options(p):
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=12345)
     _add_common(p, output=False, fmt=False)
-    p.set_defaults(func=_cmd_props)
 
+
+# name: (help, options, handler), in the order `critent --help` lists them
+SUBCOMMANDS = {
+    "dimer": ("dimer MI against temperature", _dimer_options, _cmd_dimer),
+    "ising2d": ("2D Ising correlations and MI", _ising2d_options, _cmd_ising2d),
+    "tfim": ("transverse-field Ising chain MI", _tfim_options, _cmd_tfim),
+    "oracle": ("exact-diagonalization comparison", _oracle_options, _cmd_oracle),
+    "fit": ("fit a CSV's (x, y) columns", _fit_options, _cmd_fit),
+    "props": ("random-state property suites", _props_options, _cmd_props),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `critent` parser.  Every subcommand is registered, so the top
+    level's usage, help and errors are the same either way; with a
+    command name only that subcommand gets its options, which is all a
+    parse of that command reads."""
+    parser = argparse.ArgumentParser(
+        prog="critent",
+        description="Two-site mutual information in exactly solvable spin models. "
+        "Defaults: ensemble=symmetric, sector=even, derivative steps "
+        "min(1e-3, |T-Tc|/10) in T and 1e-4 in lambda for scaling fits.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, handler) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_options(p)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -443,7 +462,9 @@ def main(argv=None) -> int:
     callers such as the tests keep the frozen objects: reference counting
     still frees them, but cycles among them are never collected."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # a new parser per call, since _apply_config writes into it; only the
+    # command argv names gets its options (any other argv[0]: every command)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

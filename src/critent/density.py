@@ -8,10 +8,12 @@ size.
 Every two-site state of the models here is an X-state: a qubit pair whose
 only nonzero entries sit on the diagonal and the anti-diagonal, fixed by
 the correlations <sz>, <sx sx>, <sy sy> and <sz sz>.  x_state_entropies
-evaluates such states in closed form, vectorized over rows, without
-building matrices; two_site_entropies is the models' one way in: it checks
-the correlations, makes that kernel call and turns a non-positive state
-into ModelConsistencyError.
+evaluates a batch of such states in closed form, without building
+matrices, as three elementwise passes over stacked rows (the two blocks,
+the entropy terms, the relative-entropy terms), so its numpy call count
+does not grow with the batch.  two_site_entropies is the models' one way
+in: it checks the correlations, makes that kernel call and turns a
+non-positive state into ModelConsistencyError.
 """
 
 from __future__ import annotations
@@ -166,12 +168,15 @@ def _weighted_g(q, d):
 
 
 def _block(hi, lo, delta, c):
-    """Eigenvalues and coherence (nats) of the 2x2 block [[hi, c], [c, lo]].
+    """Eigenvalues and coherence terms of 2x2 blocks [[hi, c], [c, lo]],
+    elementwise over stacked blocks.
 
     hi >= lo and delta = (hi - lo)/2 is passed exactly.  The diagonal moves
     by e = c^2 / (hypot(delta, c) + delta) to the eigenvalues hi + e and
-    lo - e, and the block's relative entropy to its own diagonal is
-    hi g(e/hi) + lo g(-e/lo) + e ln(hi/lo), three non-negative terms.
+    lo - e, and the block's relative entropy to its own diagonal (its
+    coherence, in nats) is hi g(e/hi) + lo g(-e/lo) + e ln(hi/lo), three
+    non-negative terms.  Returns hi + e, lo - e, e and the last term; the
+    caller takes the two g terms in its one _weighted_g pass.
     """
     denom = np.hypot(delta, c) + delta
     e = c * c / np.where(denom > 0, denom, 1.0)
@@ -184,11 +189,7 @@ def _block(hi, lo, delta, c):
         2.0 * np.arctanh(np.minimum(ratio, 0.5)),
         np.log(safe_hi) - np.log(safe_lo),
     )
-    coherence = (
-        _weighted_g(hi, e) + _weighted_g(lo, -e)
-        + np.where(positive, e * ln_ratio, 0.0)
-    )
-    return hi + e, lo - e, coherence
+    return hi + e, lo - e, e, np.where(positive, e * ln_ratio, 0.0)
 
 
 def _reject_negative(values) -> None:
@@ -217,6 +218,12 @@ def x_state_entropies(mz, gxx, gyy, czz):
     non-negative, so MI keeps its relative precision for weakly correlated
     pairs instead of being a difference of entropies of order 1.
 
+    The work is three elementwise passes over C-contiguous stacks: _block
+    over both blocks (2 rows), p ln p over the two marginal and four pair
+    eigenvalues (6 rows), _weighted_g over the four block and three
+    diagonal terms (7 rows).  The rows are then summed in a fixed order,
+    so each state's floats do not depend on the batch around it.
+
     Inputs broadcast to common 1-d shape.  An eigenvalue of the pair or of
     a marginal below -1e-10 raises ValidationError; smaller negative dust
     counts as 0 in the entropies.
@@ -224,23 +231,31 @@ def x_state_entropies(mz, gxx, gyy, czz):
     mz, gxx, gyy, czz = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (mz, gxx, gyy, czz))
     )
-    up, dn = (1.0 + mz) / 2.0, (1.0 - mz) / 2.0
-    q_uu, q_ud, q_dd = up * up, up * dn, dn * dn
-    d = czz / 4.0
-    u_plus, u_minus, w = q_uu + d, q_dd + d, q_ud - d
-    out_hi, out_lo, out_coh = _block(
-        np.maximum(u_plus, u_minus), np.minimum(u_plus, u_minus),
-        np.abs(mz) / 2.0, (gxx - gyy) / 4.0,
+    up, dn = marginal = np.stack((1.0 + mz, 1.0 - mz)) / 2.0
+    # the product state's diagonal q on uu, dd, ud and the pair's shift from
+    # it (stacked, not fancy-indexed: numpy's indexing code adds resident pages)
+    q = np.stack((up * up, dn * dn, up * dn))
+    shift = np.stack((czz, czz, -czz)) / 4.0
+    u_plus, u_minus, w = q + shift
+    # row 0 the outer block, row 1 the inner one
+    hi = np.stack((np.maximum(u_plus, u_minus), w))
+    lo = np.stack((np.minimum(u_plus, u_minus), w))
+    eig_hi, eig_lo, e, cross = _block(
+        hi, lo, np.stack((np.abs(mz) / 2.0, np.zeros_like(mz))),
+        np.stack((gxx - gyy, gxx + gyy)) / 4.0,
     )
-    in_hi, in_lo, in_coh = _block(w, w, 0.0, (gxx + gyy) / 4.0)
-    spectrum = (out_hi, out_lo, in_hi, in_lo)
-    _reject_negative(spectrum)
-    _reject_negative((up, dn))
+    # rows: up, dn, then the outer and inner blocks' upper and lower eigenvalues
+    probabilities = np.concatenate((marginal, eig_hi, eig_lo))
+    _reject_negative(probabilities[2:])
+    _reject_negative(marginal)
+    plogp = _plogp(probabilities)
     # 0 - sum, not -sum: a pure state's entropy is +0, never -0
-    s_i = (0.0 - (_plogp(up) + _plogp(dn))) / LN2
-    s_ij = (0.0 - (_plogp(out_hi) + _plogp(out_lo) + _plogp(in_hi) + _plogp(in_lo))) / LN2
-    diagonal = _weighted_g(q_uu, d) + _weighted_g(q_dd, d) + 2.0 * _weighted_g(q_ud, -d)
-    mi = (diagonal + out_coh + in_coh) / LN2
+    s_i = (0.0 - (plogp[0] + plogp[1])) / LN2
+    s_ij = (0.0 - (plogp[2] + plogp[4] + plogp[3] + plogp[5])) / LN2
+    g = _weighted_g(np.concatenate((hi, lo, q)), np.concatenate((e, -e, shift)))
+    coherence = g[0:2] + g[2:4] + cross
+    diagonal = g[4] + g[5] + 2.0 * g[6]
+    mi = (diagonal + coherence[0] + coherence[1]) / LN2
     return s_i, s_ij, mi
 
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from critent import dimer, exact, tfim
 from critent.analysis import CSV_HEADER, UNITS_COMMENTS
-from critent.density import DensityMatrix, make_density_matrix, two_site_entropies
+from critent.density import (LN2, DensityMatrix, _plogp, _reject_negative, _weighted_g,
+                             make_density_matrix, two_site_entropies)
 
 
 def x_state(mz, gxx, gyy, gzz) -> DensityMatrix:
@@ -54,6 +55,80 @@ def mpmath_mi(mz, gxx, gyy, czz):
         if mi != 0 and 40 + magnitude + mpmath.log10(abs(mi)) > 45:
             return mi
         magnitude += 40
+
+
+# x_state_entropies as it was before its stacked pass, one numpy call per
+# block, entropy term and weighted g: the bit-for-bit reference the stacked
+# kernel is held to.  It shares only the elementwise leaves with the library.
+
+def _block(hi, lo, delta, c):
+    """Eigenvalues and coherence (nats) of the 2x2 block [[hi, c], [c, lo]].
+
+    hi >= lo and delta = (hi - lo)/2 is passed exactly.  The diagonal moves
+    by e = c^2 / (hypot(delta, c) + delta) to the eigenvalues hi + e and
+    lo - e, and the block's relative entropy to its own diagonal is
+    hi g(e/hi) + lo g(-e/lo) + e ln(hi/lo), three non-negative terms.
+    """
+    denom = np.hypot(delta, c) + delta
+    e = c * c / np.where(denom > 0, denom, 1.0)
+    ratio = 2.0 * delta / np.where(hi + lo > 0, hi + lo, 1.0)
+    positive = lo > 0
+    safe_hi = np.where(positive, hi, 1.0)
+    safe_lo = np.where(positive, lo, 1.0)
+    ln_ratio = np.where(
+        ratio < 0.5,
+        2.0 * np.arctanh(np.minimum(ratio, 0.5)),
+        np.log(safe_hi) - np.log(safe_lo),
+    )
+    coherence = (
+        _weighted_g(hi, e) + _weighted_g(lo, -e)
+        + np.where(positive, e * ln_ratio, 0.0)
+    )
+    return hi + e, lo - e, coherence
+
+
+def reference_x_state_entropies(mz, gxx, gyy, czz):
+    """S_i (= S_j), S_ij and MI, in bits, of two-site X-states, rowwise.
+
+    The state has the outer block [[u+, z-], [z-, u-]] on {uu, dd} and the
+    inner block [[w, z+], [z+, w]] on {ud, du}, with
+
+        u+- = ((1 +- mz)^2 + czz)/4,  w = (1 - mz^2 - czz)/4,
+        z+- = (gxx +- gyy)/4,
+
+    and both marginals diag((1 + mz)/2, (1 - mz)/2); czz is the connected
+    correlation <sz sz> - mz^2, passed as such so it is never recovered by
+    cancellation.  MI is the relative entropy D(rho_ij || rho_i x rho_j):
+    a diagonal part sum_k q_k g((rho_kk - q_k)/q_k) over the product
+    state's diagonal q, plus one coherence part per block, all terms
+    non-negative, so MI keeps its relative precision for weakly correlated
+    pairs instead of being a difference of entropies of order 1.
+
+    Inputs broadcast to common 1-d shape.  An eigenvalue of the pair or of
+    a marginal below -1e-10 raises ValidationError; smaller negative dust
+    counts as 0 in the entropies.
+    """
+    mz, gxx, gyy, czz = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (mz, gxx, gyy, czz))
+    )
+    up, dn = (1.0 + mz) / 2.0, (1.0 - mz) / 2.0
+    q_uu, q_ud, q_dd = up * up, up * dn, dn * dn
+    d = czz / 4.0
+    u_plus, u_minus, w = q_uu + d, q_dd + d, q_ud - d
+    out_hi, out_lo, out_coh = _block(
+        np.maximum(u_plus, u_minus), np.minimum(u_plus, u_minus),
+        np.abs(mz) / 2.0, (gxx - gyy) / 4.0,
+    )
+    in_hi, in_lo, in_coh = _block(w, w, 0.0, (gxx + gyy) / 4.0)
+    spectrum = (out_hi, out_lo, in_hi, in_lo)
+    _reject_negative(spectrum)
+    _reject_negative((up, dn))
+    # 0 - sum, not -sum: a pure state's entropy is +0, never -0
+    s_i = (0.0 - (_plogp(up) + _plogp(dn))) / LN2
+    s_ij = (0.0 - (_plogp(out_hi) + _plogp(out_lo) + _plogp(in_hi) + _plogp(in_lo))) / LN2
+    diagonal = _weighted_g(q_uu, d) + _weighted_g(q_dd, d) + 2.0 * _weighted_g(q_ud, -d)
+    mi = (diagonal + out_coh + in_coh) / LN2
+    return s_i, s_ij, mi
 
 
 #: the 2D Ising class's critical amplitude, e^(1/4) 2^(1/12) A_G^(-3) with A_G

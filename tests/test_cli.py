@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -684,6 +685,61 @@ class TestConfigAndErrors:
         for line in out.splitlines():
             if line.startswith("ising2d,"):
                 assert float(line.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestParserPerCommand:
+    """main builds only the named command's options; what argparse prints
+    must not show it.  Each case is a help text, an unknown option and a
+    bad value, at the top level and in each of the six commands, compared
+    with the parser that carries every command's options."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--bogus"], ["nonsense"], [],
+        ["dimer", "--help"], ["dimer", "--bogus"], ["dimer", "--format", "xml"],
+        ["ising2d", "--help"], ["ising2d", "sweep", "--bogus"], ["ising2d", "nonsense"],
+        ["tfim", "--help"], ["tfim", "sweep", "--bogus"], ["tfim", "sweep", "--sector", "xyz"],
+        ["oracle", "--help"], ["oracle", "compare", "--bogus"], ["oracle", "nonsense"],
+        ["fit", "--help"], ["fit", "power", "--input", "x.csv", "--bogus"], ["fit", "nonsense"],
+        ["props", "--help"], ["props", "--bogus"], ["props", "--trials", "x"],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_text_matches_the_full_parser(self, argv, capsys):
+        code = cli.main(argv)
+        via_main = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (via_main.out, via_main.err) == (full.out, full.err)
+        assert via_main.out or via_main.err
+        assert code == (cli.EXIT_OK if exc.value.code == 0 else cli.EXIT_VALIDATION)
+
+    def test_main_adds_only_the_invoked_commands_options(self, monkeypatch, tmp_path):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(parser, *names, **kwargs):
+            if names != ("-h", "--help"):  # every parser's own help option
+                added.append((parser.prog, names[0]))
+            return add_argument(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        argv = ["tfim", "sweep", "--lambda-count", "2", "--r-max", "2",
+                "--output", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        assert {prog for prog, _ in added} == {"critent tfim"}
+        options = [name for _, name in added]
+        assert options[-3:] == ["--config", "--output", "--format"]
+        added.clear()
+        cli.build_parser()
+        assert options == [name for prog, name in added if prog == "critent tfim"]
+        assert len(added) > len(options)  # the full parser builds every command
+
+    def test_config_does_not_carry_into_the_next_run(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t_count": 2}))
+        assert run_cli(["dimer", "--config", str(config)], capsys)[0] == 0
+        code, out, _ = run_cli(["dimer"], capsys)
+        rows = [l for l in out.splitlines() if l and not l.startswith(("#", "model"))]
+        assert (code, len(rows)) == (0, 100)
 
 
 class TestImportCost:

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from critent import ising2d, tfim
+from critent import cli, density, ising2d, tfim
 from critent.density import (
     make_density_matrix,
     mutual_information,
@@ -16,7 +17,8 @@ from critent.density import (
     x_state_entropies,
 )
 from critent.errors import ModelConsistencyError, ValidationError
-from oracles import dimer_thermal_state, mpmath_mi, weak_pair_factor
+from oracles import (dimer_thermal_state, mpmath_mi, reference_x_state_entropies,
+                     weak_pair_factor)
 
 
 def singlet():
@@ -351,6 +353,97 @@ class TestXStateKernel:
         assert abs(scaled - (1.0 - 4.0 / 3.0 * mz * mz * u)) <= 3.0 * u * u
         reference = mpmath_mi(mz, 0.0, 0.0, czz)
         assert abs((mi[0] - reference) / reference) <= 1e-14
+
+
+def random_x_states(rng, count):
+    """(mz, gxx, gyy, czz) of `count` positive X-states: mz, the connected
+    czz and both coherences each a uniform fraction of their positive
+    range, scaled by one of 1, 1e-3, 1e-9, 1e-300 or 0 and pinned to the
+    range's edge (+-1) in about one row in ten, so weak pairs down to
+    subnormal czz, pure blocks and zero coherences all occur."""
+    def fractions():
+        f = rng.uniform(-1.0, 1.0, count) * rng.choice([1.0, 1e-3, 1e-9, 1e-300, 0.0], count)
+        edge = rng.random(count)
+        return np.where(edge < 0.05, 1.0, np.where(edge < 0.1, -1.0, f))
+
+    mz = fractions()
+    up, dn = (1.0 + mz) / 2.0, (1.0 - mz) / 2.0
+    f = fractions()
+    czz = np.where(f < 0, 4.0 * np.minimum(up * up, dn * dn), 4.0 * up * dn) * f
+    u_plus, u_minus, w = up * up + czz / 4.0, dn * dn + czz / 4.0, up * dn - czz / 4.0
+    z_minus = fractions() * np.sqrt(np.maximum(u_plus * u_minus, 0.0))
+    z_plus = fractions() * np.maximum(w, 0.0)
+    return mz, 2.0 * (z_plus + z_minus), 2.0 * (z_plus - z_minus), czz
+
+
+class TestStackedKernelMatchesReference:
+    """x_state_entropies evaluates both blocks, the six p ln p terms and
+    the seven weighted g terms as stacked passes; the reference makes one
+    numpy call per term.  Each state's (S_i, S_ij, MI) must be the same
+    bits, NaN payloads and signed zeros included."""
+
+    @staticmethod
+    def assert_same_bits(inputs):
+        stacked = x_state_entropies(*inputs)
+        reference = reference_x_state_entropies(*inputs)
+        for name, a, b in zip(("S_i", "S_ij", "MI"), stacked, reference):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 102, 1050, 20000])
+    def test_random_states(self, count):
+        self.assert_same_bits(random_x_states(np.random.default_rng(count), count))
+
+    def test_edge_states(self):
+        tiny = np.finfo(float).tiny
+        rows = [
+            (0.3, 0.0, 0.0, 5e-324), (0.3, 0.0, 0.0, -5e-324),   # subnormal czz
+            (0.0, 0.0, 0.0, tiny), (0.9, 1e-300, 0.0, 1e-310),
+            (0.0, -1.0, -1.0, -1.0), (0.0, 1.0, -1.0, 1.0),      # pure singlet, Bell
+            (1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),        # mz = +-1
+            (0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),         # no coherence
+            (0.0, 1.0 + 4e-12, 0.0, 0.0),                       # eigenvalue dust
+            (0.2, float("nan"), 0.0, 0.0), (float("nan"), 0.0, 0.0, 0.0),
+        ]
+        self.assert_same_bits(tuple(np.array(column) for column in zip(*rows)))
+        for row in rows:
+            self.assert_same_bits(row)
+
+    def test_same_error_for_a_non_positive_state(self):
+        inputs = ([0.0, 0.1, 0.0], [0.5, 0.2, 1.0 + 4e-9], 0.0, [0.0, -0.9, 0.0])
+        messages = []
+        for kernel in (x_state_entropies, reference_x_state_entropies):
+            with pytest.raises(ValidationError) as exc:
+                kernel(*inputs)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(ValidationError) as exc:
+            x_state_entropies(1.5, 0.0, 0.0, 0.0)  # a negative marginal
+        with pytest.raises(ValidationError, match=re.escape(str(exc.value))):
+            reference_x_state_entropies(1.5, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["ising2d", "sweep"],
+        ["tfim", "sweep", "--lambda-count", "11"],
+        ["tfim", "scaling", "--kind", "far"],
+        ["oracle", "compare", "--n", "10", "--lambda", "1.0", "--t", "0.5"],
+        ["tfim", "sweep", "--t", "0.5", "--sector", "gibbs"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_every_kernel_call_of_a_cli_run(self, argv, monkeypatch, tmp_path):
+        """The benchmark's four workloads at their defaults and the Gibbs
+        sweep: every batch they pass to the kernel, checked against the
+        reference on the same inputs."""
+        calls = []
+
+        def recorded(*inputs):
+            calls.append((inputs, x_state_entropies(*inputs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(density, "x_state_entropies", recorded)
+        cli.main(argv + ["--output", str(tmp_path / "out")])
+        assert calls
+        for inputs, stacked in calls:
+            reference = reference_x_state_entropies(*inputs)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, reference))
 
 
 class TestMutualInformationLowerBound:

@@ -372,6 +372,27 @@ class TestOrderedFarPair:
         assert np.all(np.abs(gzz - mz * mz) <= 1e-12)
         assert np.all(np.abs(mi - mi_inf) <= 5e-12)
 
+    @pytest.mark.parametrize("distance", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_plateau_slope_diverges_as_inverse_square_root(self, distance):
+        """Near lambda = 1+ the plateau is a weak gxx = m_x^2 pair, so
+        MI_inf = K(mz_inf) m_x^4/(2 ln 2) (1 + O(m_x^4)) with m_x^4 = (1 -
+        lambda^-2)^(1/2) = (2 (lambda - 1))^(1/2) (1 + O(lambda - 1)) and
+        mz_inf -> 2/pi.  Hence dMI_inf/dlambda ~ C (lambda - 1)^(-1/2) with
+        C = K(2/pi) sqrt(2)/(4 ln 2): the exponent is -1/2, not the -3/4 of
+        d(m_x^2)/dlambda.  The slope is a central difference with step
+        1e-3 (lambda - 1); the relative excess over C is bounded by m_x^4
+        (measured 0.27 to 0.84 m_x^4)."""
+        lam, step = 1.0 + distance, 1e-3 * distance
+
+        def plateau(coupling):
+            return density.x_state_entropies(*tfim_ordered_limits(coupling), 0.0, 0.0)[2][0]
+
+        slope = (plateau(lam + step) - plateau(lam - step)) / (2.0 * step)
+        c = weak_pair_factor(2.0 / math.pi) * math.sqrt(2.0) / (4.0 * math.log(2.0))
+        assert c == pytest.approx(0.730280, abs=1e-6)
+        mx4 = math.sqrt(1.0 - lam**-2)
+        assert abs(slope * math.sqrt(distance) / c - 1.0) <= mx4
+
 
 class TestCorrelationMi:
     def test_paramagnetic_decay(self):
