@@ -18,10 +18,12 @@ coefficient_window returns them as a plain real array, a_n at index
 n + n_max; the trapezoid quadrature of phi (tests/oracles.py) is the tests'
 reference.
 
-diagonal_correlations and entropies take one temperature or a sequence of
-them; a sequence gives a (temperatures, separations) grid from one window
-per temperature and one determinant call, whose Levinson recursion yields
-the N x N leading minor for every N at once.
+diagonal_correlations and entropies are the only routes to G and the MI:
+each takes one temperature or a sequence of them, and a list of
+separations.  A sequence gives a (temperatures, separations) grid from one
+window per temperature and one determinant call, whose Levinson recursion
+yields the N x N leading minor for every N at once; one point is the grid
+diagonal_correlations(T, [N])[0] or entropies(T, [N], ensemble)[2][0].
 
 Separations N are in units of sqrt(2) lattice constants.  Two statistical
 descriptions of the ordered phase are supported:
@@ -176,17 +178,6 @@ def diagonal_correlations(temperature, separations) -> np.ndarray:
     return values if np.ndim(temperature) else values[0]
 
 
-def diagonal_correlation(temperature: float, separation: int) -> float:
-    """<s_{0,0} s_{N,N}> as the N x N Toeplitz determinant of a_{i-j}."""
-    return float(diagonal_correlations(temperature, [separation])[0])
-
-
-def _magnetization(temperature: float, ensemble: str) -> float:
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"ensemble must be one of {ENSEMBLES}")
-    return magnetization(temperature) if ensemble == "broken" else 0.0
-
-
 def entropies(temperature, separations, ensemble: str = "symmetric"):
     """(S_i, S_ij, MI) in bits as arrays over the separations at one
     temperature, or over (temperatures, separations) when `temperature` is
@@ -194,16 +185,12 @@ def entropies(temperature, separations, ensemble: str = "symmetric"):
     density.two_site_entropies call for the whole grid.  The state is
     diagonal (no xx or yy correlation), so the kernel's eigenvalue check
     is a check of its diagonal; it is fed the connected correlation
-    G - m^2."""
-    m = np.array([[_magnetization(t, ensemble)] for t in np.atleast_1d(temperature)])
+    G - m^2, with m the magnetization in the broken ensemble and 0 in the
+    symmetric one."""
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"ensemble must be one of {ENSEMBLES}")
+    m = np.array([[magnetization(t) if ensemble == "broken" else 0.0]
+                  for t in np.atleast_1d(temperature)])
     g = np.atleast_2d(diagonal_correlations(temperature, separations))
     values = two_site_entropies(m, 0.0, 0.0, g, g - m * m)
     return values if np.ndim(temperature) else tuple(v[0] for v in values)
-
-
-def correlation_mi(
-    temperature: float, separation: int, ensemble: str = "symmetric"
-) -> float:
-    """Two-site mutual information, in bits."""
-    _, _, mi = entropies(temperature, [separation], ensemble)
-    return float(mi[0])

@@ -9,7 +9,7 @@ import math
 import mpmath
 import numpy as np
 
-from critent import dimer, exact, tfim
+from critent import exact, tfim
 from critent.analysis import CSV_HEADER, UNITS_COMMENTS
 from critent.density import (LN2, DensityMatrix, _plogp, _reject_negative, _weighted_g,
                              make_density_matrix, two_site_entropies)
@@ -185,6 +185,22 @@ def tfim_coefficient(coupling, temperature, sites, n, sector="even") -> float:
     cos_sum = np.sum(np.cos(phi * n) * (coupling * np.cos(phi) - 1.0) * f)
     sin_sum = np.sum(np.sin(phi * n) * np.sin(phi) * f)
     return float((cos_sum - coupling * sin_sum) / sites)
+
+
+def tfim_window_reference(coupling, sites, ns) -> list:
+    """T = 0 even-sector Wick coefficients a_n, one 40-digit mpf per n in
+    ns, as the momentum sum over the half-odd grid phi = 2 pi (k + 1/2)/N
+
+        a_n = (1/N) sum_phi [lambda cos phi (n + 1) - cos phi n] / omega,
+
+    omega = sqrt(1 + lambda^2 - 2 lambda cos phi), every term in mpmath."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(coupling)
+        phis = [2 * mpmath.pi * (k - sites // 2 + mpmath.mpf(1) / 2) / sites
+                for k in range(sites)]
+        omegas = [mpmath.sqrt(1 + lam * lam - 2 * lam * mpmath.cos(phi)) for phi in phis]
+        return [mpmath.fsum((lam * mpmath.cos(phi * (n + 1)) - mpmath.cos(phi * n)) / omega
+                            for phi, omega in zip(phis, omegas)) / sites for n in ns]
 
 
 def tfim_windows(couplings, temperature, sites, n_max, sector="even") -> np.ndarray:
@@ -423,8 +439,10 @@ _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
 def dimer_thermal_state(temperature) -> DensityMatrix:
-    """Gibbs state of the dimer from its eigenprojectors and Boltzmann
-    weights; dims (2, 2)."""
-    p_s, p_t = dimer.boltzmann_weights(temperature)
+    """Gibbs state of the dimer from its eigenprojectors and the Boltzmann
+    weights of its spectrum, the singlet at -3 and the triplet at +1,
+    counted from the singlet so that T = 0 is the pure singlet; dims (2, 2)."""
+    triplet = 0.0 if temperature == 0 else math.exp(-(1.0 - -3.0) / temperature)
+    p_s, p_t = 1.0 / (1.0 + 3.0 * triplet), triplet / (1.0 + 3.0 * triplet)
     singlet = np.outer(_SINGLET, _SINGLET)
     return make_density_matrix(p_s * singlet + p_t * (np.eye(4) - singlet), (2, 2))

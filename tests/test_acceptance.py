@@ -71,12 +71,12 @@ class TestCriterion2KleinPositivity:
 
 class TestCriterion3Dimer:
     def test_cold_value_monotonicity_and_high_t_slope(self):
-        cold = dimer.mutual_information(0.01)
+        (cold,) = dimer.entropies(0.01)[2]
         grid = np.arange(0.1, 10.0001, 0.1)
-        values = [dimer.mutual_information(t) for t in grid]
-        monotone = all(a > b for a, b in zip(values, values[1:]))
+        values = dimer.entropies(grid)[2]
+        monotone = bool(np.all(values[:-1] > values[1:]))
         ts = np.geomspace(50.0, 500.0, 12)
-        mis = np.array([dimer.mutual_information(t) for t in ts])
+        mis = dimer.entropies(ts)[2]
         oracle = 3.0 / (2.0 * math.log(2.0) * ts**2) * (1.0 + 4.0 / (3.0 * ts))
         slope = np.polyfit(np.log(ts), np.log(mis), 1)[0]
         slope_oracle = np.polyfit(np.log(ts), np.log(oracle), 1)[0]
@@ -97,12 +97,13 @@ class TestCriterion3Dimer:
 class TestCriterion4CriticalDecay:
     def test_exponent_amplitude_and_mi_window(self):
         seps = np.arange(10, 101)
-        corr = np.array([ising2d.diagonal_correlation(TC, int(n)) for n in seps])
+        corr = ising2d.diagonal_correlations(TC, seps)
         fit = analysis.power_law_fit(seps, corr)
         exponent, amplitude = fit.coefficients[0], fit.amplitude
+        window = range(50, 101)
         scaled = [
-            ising2d.correlation_mi(TC, int(n)) * 2.0 * math.sqrt(n) * math.log(2.0)
-            for n in range(50, 101)
+            mi * 2.0 * math.sqrt(n) * math.log(2.0)
+            for n, mi in zip(window, ising2d.entropies(TC, window)[2])
         ]
         window_ok = all(0.406 <= s <= 0.426 for s in scaled)
         ok = report(

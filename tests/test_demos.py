@@ -21,3 +21,13 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -310,7 +310,7 @@ class TestXStateKernel:
                 [lam], temperature, 1000, [300], "even")
             inputs = (mz[0], gxx[0, 0], gyy[0, 0], czz[0, 0])
         else:
-            inputs = (0.0, 0.0, 0.0, ising2d.diagonal_correlation(3.0, 30))
+            inputs = (0.0, 0.0, 0.0, ising2d.diagonal_correlations(3.0, [30])[0])
         _, _, mi = x_state_entropies(*inputs)
         reference = mpmath_mi(*inputs)
         assert reference > 0

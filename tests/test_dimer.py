@@ -61,37 +61,65 @@ class TestThermalState:
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            dimer.mutual_information(-0.1)
+            dimer.entropies(-0.1)
 
     def test_nan_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature must be >= 0"):
-            dimer.boltzmann_weights(math.nan)
+            dimer.spin_correlation(math.nan)
         with pytest.raises(ValueError, match="temperature must be >= 0"):
-            dimer.mutual_information(math.nan)
+            dimer.entropies(math.nan)
 
     def test_infinite_temperature_is_uncorrelated(self):
-        assert dimer.boltzmann_weights(math.inf) == (0.25, 0.25)
-        assert dimer.mutual_information(math.inf) == 0.0
+        assert dimer.spin_correlation(math.inf) == 0.0
+        assert dimer.entropies(math.inf)[2][0] == 0.0
+
+
+def weights_then_product(temperature):
+    """g(T) in two steps, the reference spin_correlation must equal float
+    for float: the checked singlet weight p_s = 1/(1 + 3 e^{-4/T}), then
+    p_s expm1(-4/T)."""
+    if temperature == 0:
+        return -1.0
+    if not temperature >= 0:
+        raise ValueError("temperature must be >= 0")
+    x = math.exp(-4.0 / temperature)
+    p_s = 1.0 / (1.0 + 3.0 * x)
+    return p_s * math.expm1(-4.0 / temperature)
+
+
+class TestSpinCorrelation:
+    @pytest.mark.parametrize("temperature",
+                             [0.0, 1e-3, 0.01, 0.3, 1.0, 4.0, 50.0, 1e6, 1e300, math.inf])
+    def test_equals_weights_then_product_bit_for_bit(self, temperature):
+        assert dimer.spin_correlation(temperature) == weights_then_product(temperature)
+
+    @pytest.mark.parametrize("temperature", [-0.1, math.nan])
+    def test_rejects_as_weights_then_product(self, temperature):
+        with pytest.raises(ValueError) as new:
+            dimer.spin_correlation(temperature)
+        with pytest.raises(ValueError) as old:
+            weights_then_product(temperature)
+        assert str(new.value) == str(old.value) == "temperature must be >= 0"
 
 
 class TestMutualInformation:
     def test_cold_limit_two_bits(self):
-        assert dimer.mutual_information(0.01) == pytest.approx(2.0, abs=1e-6)
+        assert dimer.entropies(0.01)[2][0] == pytest.approx(2.0, abs=1e-6)
 
     def test_hot_limit_vanishes(self):
-        assert dimer.mutual_information(1e6) < 1e-9
+        assert dimer.entropies(1e6)[2][0] < 1e-9
 
     def test_matches_generic_path(self):
         for temperature in (0.2, 1.0, 3.0):
             generic = density.mutual_information(dimer_thermal_state(temperature))
-            assert dimer.mutual_information(temperature) == pytest.approx(
+            assert dimer.entropies(temperature)[2][0] == pytest.approx(
                 generic, abs=1e-12
             )
 
     def test_strictly_decreasing(self):
         grid = np.arange(0.1, 10.0001, 0.1)
-        values = [dimer.mutual_information(t) for t in grid]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        values = dimer.entropies(grid)[2]
+        assert np.all(values[:-1] > values[1:])
 
     def test_marginals_maximally_mixed(self):
         for temperature in (0.05, 0.7, 5.0, 100.0):
@@ -124,7 +152,7 @@ class TestHighTemperatureTail:
         # independent series oracle for the stated thermal state:
         # MI(T) = 3/(2 ln2 T^2) (1 + 4/(3T)) + O(T^-4)
         grid = np.geomspace(50.0, 500.0, 12)
-        mis = np.array([dimer.mutual_information(t) for t in grid])
+        mis = dimer.entropies(grid)[2]
         oracle = 3.0 / (2.0 * math.log(2.0) * grid**2) * (1.0 + 4.0 / (3.0 * grid))
         slope_num = np.polyfit(np.log(grid), np.log(mis), 1)[0]
         slope_oracle = np.polyfit(np.log(grid), np.log(oracle), 1)[0]

@@ -84,7 +84,8 @@ class TestCoefficientWindow:
         with mpmath.workdps(40):
             exact = (2 / mpmath.pi) ** sites * mpmath.fprod(
                 (1 - mpmath.mpf(1) / (4 * l * l)) ** (l - sites) for l in range(1, sites))
-        assert ising2d.diagonal_correlation(TC, sites) == pytest.approx(float(exact), rel=1e-12)
+        assert ising2d.diagonal_correlations(TC, [sites])[0] == pytest.approx(float(exact),
+                                                                             rel=1e-12)
 
     def test_matches_quadrature_on_benchmark_grid(self):
         for temperature in np.linspace(1.5, 3.5, 21):
@@ -124,13 +125,13 @@ class TestCoefficientWindow:
 
 class TestDiagonalCorrelation:
     def test_nearest_at_criticality(self):
-        assert ising2d.diagonal_correlation(TC, 1) == pytest.approx(
+        assert ising2d.diagonal_correlations(TC, [1])[0] == pytest.approx(
             2.0 / math.pi, abs=1e-10
         )
 
     def test_deep_order_plateau(self):
         m2 = ising2d.magnetization(0.5) ** 2
-        g = ising2d.diagonal_correlation(0.5, 10)
+        (g,) = ising2d.diagonal_correlations(0.5, [10])
         assert m2 - 1e-12 <= g <= 1.0
         assert g == pytest.approx(m2, abs=1e-6)
 
@@ -139,25 +140,26 @@ class TestDiagonalCorrelation:
         # 2 tanh^2(1/T) (two two-bond paths); fixes sign and magnitude
         for temperature, rel_band in ((10.0, 0.03), (20.0, 0.008), (50.0, 0.0015)):
             lead = 2.0 * math.tanh(1.0 / temperature) ** 2
-            g = ising2d.diagonal_correlation(temperature, 1)
+            (g,) = ising2d.diagonal_correlations(temperature, [1])
             assert g > 0
             assert abs(g / lead - 1.0) < rel_band
 
     @pytest.mark.parametrize("temperature", [1.5, TC, 3.0])
     def test_monotone_nonincreasing_in_separation(self, temperature):
-        values = [ising2d.diagonal_correlation(temperature, n) for n in range(1, 61)]
+        values = ising2d.diagonal_correlations(temperature, range(1, 61))
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
         assert all(abs(v) <= 1 + 1e-8 for v in values)
 
     def test_separation_validation(self):
         with pytest.raises(ValueError):
-            ising2d.diagonal_correlation(2.0, 0)
+            ising2d.diagonal_correlations(2.0, [0])
 
 
 def pair_state(temperature, separation, ensemble="symmetric"):
     """Dense two-site state built from the kernel's inputs G and m."""
     m = ising2d.magnetization(temperature) if ensemble == "broken" else 0.0
-    return x_state(m, 0.0, 0.0, ising2d.diagonal_correlation(temperature, separation))
+    (g,) = ising2d.diagonal_correlations(temperature, [separation])
+    return x_state(m, 0.0, 0.0, g)
 
 
 class TestTwoSiteState:
@@ -166,16 +168,14 @@ class TestTwoSiteState:
     def test_symmetric_cold_limit(self):
         rho = pair_state(0.5, 12, "symmetric")
         assert np.max(np.abs(rho.matrix - np.diag([0.5, 0, 0, 0.5]))) < 1e-6
-        assert ising2d.correlation_mi(0.5, 12, "symmetric") == pytest.approx(
-            1.0, abs=1e-5
-        )
+        assert ising2d.entropies(0.5, [12], "symmetric")[2][0] == pytest.approx(1.0, abs=1e-5)
 
     def test_broken_cold_limit_is_polarized_product(self):
         rho = pair_state(0.5, 12, "broken")
         proj = np.zeros((4, 4))
         proj[0, 0] = 1.0
         assert np.max(np.abs(rho.matrix - proj)) < 1e-5
-        assert ising2d.correlation_mi(0.5, 12, "broken") < 1e-4
+        assert ising2d.entropies(0.5, [12], "broken")[2][0] < 1e-4
 
     def test_hot_side_is_product(self):
         rho = pair_state(3.0, 30)
@@ -199,30 +199,29 @@ class TestTwoSiteState:
 
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            ising2d.correlation_mi(2.0, 3, "tilted")
+            ising2d.entropies(2.0, [3], "tilted")
 
 
 class TestCorrelationMi:
     def test_critical_amplitude_window(self):
-        for sep in (50, 75, 100):
-            mi = ising2d.correlation_mi(TC, sep)
+        seps = (50, 75, 100)
+        for sep, mi in zip(seps, ising2d.entropies(TC, seps)[2]):
             scaled = mi * 2.0 * math.sqrt(sep) * math.log(2.0)
             assert 0.406 <= scaled <= 0.426
 
     def test_decays_above_tc(self):
-        assert ising2d.correlation_mi(3.0, 30) < 1e-6
+        assert ising2d.entropies(3.0, [30])[2][0] < 1e-6
 
     def test_ordered_plateau(self):
-        assert ising2d.correlation_mi(1.0, 50) > 0.5
+        assert ising2d.entropies(1.0, [50])[2][0] > 0.5
 
     def test_faster_than_power_decay_above_tc(self):
-        mi20 = ising2d.correlation_mi(2.5, 20)
-        mi40 = ising2d.correlation_mi(2.5, 40)
+        mi20, mi40 = ising2d.entropies(2.5, [20, 40])[2]
         assert mi40 / mi20 < (40 / 20) ** -2
 
     def test_critical_decay_slope(self):
         seps = np.arange(20, 101, 8)
-        mis = np.array([ising2d.correlation_mi(TC, int(n)) for n in seps])
+        mis = ising2d.entropies(TC, seps)[2]
         slope = np.polyfit(np.log(seps), np.log(mis), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.03)
 
@@ -230,7 +229,7 @@ class TestCorrelationMi:
 def expansion_mi(temperature, separation):
     """Small-correlation expansion (G^2/2 - G m^2)/ln 2 of the MI, in bits;
     agrees with the exact MI to relative O(G^2) near a product state."""
-    g = ising2d.diagonal_correlation(temperature, separation)
+    (g,) = ising2d.diagonal_correlations(temperature, [separation])
     m = ising2d.magnetization(temperature)
     return (0.5 * g * g - g * m * m) / math.log(2.0)
 
@@ -242,13 +241,13 @@ class TestExpansionDiagnostic:
 
     def test_matches_exact_in_small_correlation_regime(self):
         for temperature, sep in ((3.0, 20), (2.6, 10)):
-            exact = ising2d.correlation_mi(temperature, sep)
+            exact = ising2d.entropies(temperature, [sep])[2][0]
             approx = expansion_mi(temperature, sep)
             assert exact < 1e-3
             assert approx == pytest.approx(exact, rel=0.1)
 
     def test_critical_ratio_recorded(self):
-        exact = ising2d.correlation_mi(TC, 100)
+        exact = ising2d.entropies(TC, [100])[2][0]
         approx = expansion_mi(TC, 100)
         print(f"critical expansion/exact MI ratio at separation 100: "
               f"{approx / exact:.6f}")
