@@ -12,14 +12,14 @@ from critent import analysis, tfim
 
 print("MI(r) at N = 1000, T = 0")
 print("lambda   r=1       r=5       r=20      r=50")
-for lam in (0.2, 0.8, 1.0, 1.5, 2.0):
-    mis = tfim.entropies(lam, 0.0, 1000, (1, 5, 20, 50))[2]
+couplings = (0.2, 0.8, 1.0, 1.5, 2.0)
+for lam, mis in zip(couplings, tfim.entropies(couplings, 0.0, 1000, (1, 5, 20, 50))[2]):
     row = "  ".join(f"{mi:.6f}" for mi in mis)
     print(f"{lam:<9g}{row}")
 
 print("\nthermal suppression at lambda = 2, r = 20, N = 400")
 for t in (0.0, 0.2, 0.5, 1.0):
-    (mi,) = tfim.entropies(2.0, t, 400, [20])[2]
+    mi = tfim.entropies([2.0], t, 400, [20])[2][0, 0]
     print(f"T = {t:<5g} MI = {mi:.6f}")
 
 # nearest-neighbour scaling at the critical coupling

@@ -120,7 +120,7 @@ def _cmd_ising2d(args) -> int:
         if args.format == "json":
             raise ValueError("ising2d corr writes CSV only")
         seps = range(args.n_min, args.n_max + 1)
-        values = ising2d.diagonal_correlations(args.t, seps).tolist() if seps else []
+        values = ising2d.diagonal_correlations([args.t], seps)[0].tolist() if seps else []
         _emit(analysis.csv_text(["# T in units of Ising coupling", "model,T,N,correlation"],
                                 zip(repeat("ising2d"), repeat(args.t), seps, values)), args.output)
         return EXIT_OK
@@ -262,8 +262,8 @@ def _cmd_props(args) -> int:
 
     worst_klein = math.inf
     for _ in range(trials):
-        rho = density.random_density_matrix(4, rng)
-        sigma = density.random_density_matrix(4, rng)
+        rho = density.random_density_matrix((4,), rng)
+        sigma = density.random_density_matrix((4,), rng)
         worst_klein = min(worst_klein, density.relative_entropy(rho, sigma))
     check("klein-inequality", worst_klein >= -1e-9, f"min = {worst_klein:.3e}")
 
@@ -283,7 +283,7 @@ def _cmd_props(args) -> int:
     worst_prod = 0.0
     for _ in range(trials):
         rho = density.tensor_product(
-            density.random_density_matrix(2, rng), density.random_density_matrix(2, rng)
+            density.random_density_matrix((2,), rng), density.random_density_matrix((2,), rng)
         )
         worst_prod = max(worst_prod, density.mutual_information(rho))
     check("product-state-mi-zero", worst_prod < 1e-9, f"max = {worst_prod:.3e}")
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

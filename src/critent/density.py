@@ -306,12 +306,10 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def random_density_matrix(dims, rng: np.random.Generator) -> DensityMatrix:
-    """Random state: uniform-simplex spectrum conjugated by a Haar unitary.
-
-    `dims` may be an int (single subsystem) or a tuple of subsystem
-    dimensions.
-    """
-    dims = (int(dims),) if np.isscalar(dims) else tuple(int(d) for d in dims)
+    """Random state on subsystems of the dimensions in the sequence `dims`
+    ((4,) for one subsystem): uniform-simplex spectrum conjugated by a Haar
+    unitary."""
+    dims = tuple(int(d) for d in dims)
     dim = math.prod(dims)
     spectrum = rng.dirichlet(np.ones(dim))
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

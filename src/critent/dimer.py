@@ -4,7 +4,7 @@ Spectrum: a singlet at energy -3 and a threefold-degenerate triplet at +1.
 The thermal state is SU(2) invariant: <s^a_1> = 0 and <s^a_1 s^a_2> = g(T)
 on every axis a, so it is the X-state with mz = 0 and gxx = gyy = gzz = g,
 and every entropy comes from one density.two_site_entropies call for any
-number of temperatures: entropies(T)[2] is the MI.  spin_correlation
+sequence of temperatures: entropies(ts)[2] is the MI.  spin_correlation
 writes g from the singlet weight so that it stays well defined down to
 T = 0 (pure singlet) without large-argument overflow at small T.
 """
@@ -34,9 +34,9 @@ def spin_correlation(temperature: float) -> float:
 
 
 def entropies(temperatures):
-    """(S_i, S_ij, MI) in bits, one entry per temperature (one temperature
-    or a sequence), from one two_site_entropies call with mz = 0 and
-    gxx = gyy = gzz = czz = spin_correlation(T) at each T."""
-    ts = [temperatures] if np.ndim(temperatures) == 0 else temperatures
-    g = np.array([spin_correlation(t) for t in ts], dtype=float)
+    """(S_i, S_ij, MI) in bits, one entry per temperature of a sequence,
+    from one two_site_entropies call with mz = 0 and
+    gxx = gyy = gzz = czz = spin_correlation(T) at each T.  An empty
+    sequence gives three empty arrays."""
+    g = np.array([spin_correlation(t) for t in temperatures], dtype=float)
     return two_site_entropies(0.0, g, g, g, g)

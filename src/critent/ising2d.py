@@ -19,11 +19,11 @@ n + n_max; the trapezoid quadrature of phi (tests/oracles.py) is the tests'
 reference.
 
 diagonal_correlations and entropies are the only routes to G and the MI:
-each takes one temperature or a sequence of them, and a list of
-separations.  A sequence gives a (temperatures, separations) grid from one
-window per temperature and one determinant call, whose Levinson recursion
-yields the N x N leading minor for every N at once; one point is the grid
-diagonal_correlations(T, [N])[0] or entropies(T, [N], ensemble)[2][0].
+each takes a sequence of temperatures and one of separations and gives a
+(temperatures, separations) grid from one window per temperature and one
+determinant call, whose Levinson recursion yields the N x N leading minor
+for every N at once; one point is the grid
+diagonal_correlations([T], [N])[0, 0] or entropies([T], [N], ensemble)[2][0, 0].
 
 Separations N are in units of sqrt(2) lattice constants.  Two statistical
 descriptions of the ordered phase are supported:
@@ -155,16 +155,19 @@ def coefficient_window(temperature: float, n_max: int) -> np.ndarray:
     return values
 
 
-def diagonal_correlations(temperature, separations) -> np.ndarray:
-    """<s_{0,0} s_{N,N}> for each N in separations at one temperature, or
-    over (temperatures, separations) when `temperature` is a sequence, as
-    N x N Toeplitz determinants of a_{i-j}: one coefficient window per
+def diagonal_correlations(temperatures, separations) -> np.ndarray:
+    """<s_{0,0} s_{N,N}> over (temperatures, separations), as N x N
+    Toeplitz determinants of a_{i-j}: one coefficient window per
     temperature sized for the largest N, stacked, then one determinant
-    call for the leading minors of every N over every temperature.  A
+    call for the leading minors of every N over every temperature.  An
+    empty axis raises ValueError naming it, before any window is built; a
     value off [-1, 1] by more than density.CORRELATION_TOL raises
     ModelConsistencyError naming its T and N."""
-    temperatures = list(temperature) if np.ndim(temperature) else [temperature]
+    temperatures = list(temperatures)
     separations = [int(n) for n in separations]
+    for name, axis in (("temperatures", temperatures), ("separations", separations)):
+        if not axis:
+            raise ValueError(f"{name} must not be empty")
     if min(separations) < 1:
         raise ValueError("separation must be >= 1")
     n_max = max(separations) - 1
@@ -175,13 +178,12 @@ def diagonal_correlations(temperature, separations) -> np.ndarray:
         i, j = bad[0]
         raise ModelConsistencyError(f"correlation {values[i, j]:.6g} outside [-1, 1] "
                                     f"at T={temperatures[i]}, N={separations[j]}")
-    return values if np.ndim(temperature) else values[0]
+    return values
 
 
-def entropies(temperature, separations, ensemble: str = "symmetric"):
-    """(S_i, S_ij, MI) in bits as arrays over the separations at one
-    temperature, or over (temperatures, separations) when `temperature` is
-    a sequence: the leading minors of diagonal_correlations, then one
+def entropies(temperatures, separations, ensemble: str = "symmetric"):
+    """(S_i, S_ij, MI) in bits, each over (temperatures, separations): the
+    leading minors of diagonal_correlations, then one
     density.two_site_entropies call for the whole grid.  The state is
     diagonal (no xx or yy correlation), so the kernel's eigenvalue check
     is a check of its diagonal; it is fed the connected correlation
@@ -189,8 +191,6 @@ def entropies(temperature, separations, ensemble: str = "symmetric"):
     symmetric one."""
     if ensemble not in ENSEMBLES:
         raise ValueError(f"ensemble must be one of {ENSEMBLES}")
-    m = np.array([[magnetization(t) if ensemble == "broken" else 0.0]
-                  for t in np.atleast_1d(temperature)])
-    g = np.atleast_2d(diagonal_correlations(temperature, separations))
-    values = two_site_entropies(m, 0.0, 0.0, g, g - m * m)
-    return values if np.ndim(temperature) else tuple(v[0] for v in values)
+    m = np.array([[magnetization(t) if ensemble == "broken" else 0.0] for t in temperatures])
+    g = diagonal_correlations(temperatures, separations)
+    return two_site_entropies(m, 0.0, 0.0, g, g - m * m)

@@ -1,8 +1,8 @@
 """Scalar/matrix numerical kernels.
 
 Toeplitz determinants in sign/log-magnitude form (toeplitz_determinant,
-the one determinant function: one window or a stack of them at one shift,
-with every leading minor from one Levinson recursion), and trapezoidal
+the one determinant function: a stack of windows at one shift, with every
+requested leading minor from one Levinson recursion), and trapezoidal
 quadrature for the Fourier coefficients of a symbol, which no model calls:
 the tests' reference for closed forms.
 Everything here is a pure function of its inputs; identical inputs give
@@ -77,13 +77,14 @@ def fourier_window(
     )
 
 
-def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
-    """det of M[i, j] = a_{i-j+row_shift} for i, j in [0, dim), from a real
-    window of a_n for |n| <= n_max at index n + n_max (width 2 n_max + 1):
-    a float for one window, an array over the rows of a 2-D stack of
-    windows.  A sequence `sizes` of k in [1, dim] gives the result a
-    trailing axis of the k x k leading minors in place of the one
-    dim x dim determinant.
+def toeplitz_determinant(windows, dim: int, row_shift: int = 0, *, sizes):
+    """Leading minors of M[i, j] = a_{i-j+row_shift}, i, j in [0, dim), for
+    each row of a 2-D stack of real windows of a_n for |n| <= n_max at
+    index n + n_max (width 2 n_max + 1): a (rows, sizes) array whose
+    column j is the k x k minor for k = sizes[j], each k in [1, dim].
+    Every model passes dim = max(sizes); dim stays a parameter because
+    the benchmark's per-layer hook (perfbench/layers.py) counts work
+    from it.
 
     One nonsymmetric Levinson recursion over the whole stack
     (Trench, J. SIAM 12, 515 (1964)) gives every leading minor in
@@ -96,7 +97,9 @@ def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
     minor is triangular with a zero diagonal, and pivoted-LU slogdets
     otherwise, one call per size over the rows that broke.
     """
-    stack = np.atleast_2d(np.asarray(windows, dtype=float))
+    stack = np.asarray(windows, dtype=float)
+    if stack.ndim != 2:
+        raise ValueError("windows must be a 2-D stack, one window per row")
     if stack.shape[1] % 2 == 0:
         raise ValueError(f"window width {stack.shape[1]} is not odd (2 n_max + 1)")
     n_max = (stack.shape[1] - 1) // 2
@@ -106,7 +109,7 @@ def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
     if lo < -n_max or hi > n_max:
         raise ValueError(f"window covers [{-n_max}, {n_max}] but the "
                          f"{dim}x{dim} matrix needs [{lo}, {hi}]")
-    ks = [dim] if sizes is None else [int(k) for k in sizes]
+    ks = [int(k) for k in sizes]
     if not ks:
         raise ValueError("sizes must name at least one minor")
     if not all(1 <= k <= dim for k in ks):
@@ -116,12 +119,7 @@ def toeplitz_determinant(windows, dim: int, row_shift: int = 0, sizes=None):
     # columns, which it sums term by term, and one order keeps a row's
     # minors the same in any stack
     lags = np.ascontiguousarray(np.repeat(stack, 2 if len(stack) == 1 else 1, axis=0)[:, ::-1].T)
-    values = _leading_minors(stack, lags, n_max + row_shift, dim, ks)
-    if np.ndim(windows) == 1:
-        values = values[0]
-    if sizes is None:
-        values = values[..., 0]
-    return float(values) if values.ndim == 0 else values
+    return _leading_minors(stack, lags, n_max + row_shift, dim, ks)
 
 
 def _leading_minors(stack, lags, centre, dim, sizes):

@@ -287,9 +287,13 @@ def _correlation_arrays(couplings, temperature, sites, separations, sector):
     gives every separation's minor for every window (Gibbs: one bordered
     slogdet per separation for both); mz and czz by indexing (Gibbs: one
     call each).  Validates the parameters as TfimParams does, with its
-    messages.
+    messages; an empty axis raises ValueError naming it, before any
+    window is built.
     """
     couplings = np.asarray(couplings, dtype=float)
+    for name, axis in (("couplings", couplings), ("separations", separations)):
+        if not len(axis):
+            raise ValueError(f"{name} must not be empty")
     for r in (min(separations), max(separations)):
         TfimParams(float(couplings.min()), temperature, sites, r, sector)
     if sector == "gibbs" and temperature > 0:
@@ -317,14 +321,11 @@ def correlations(params: TfimParams):
     return (mz, *(float(v[0]) for v in values))
 
 
-def entropies(coupling, temperature, sites, separations, sector="even"):
-    """(S_i, S_ij, MI) in bits as arrays over the separations at one
-    coupling, or over (couplings, separations) when `coupling` is a
-    sequence: the grid path of _correlation_arrays, then one
-    two_site_entropies call for the whole grid."""
-    couplings = np.atleast_1d(coupling)
-    values = _entropy_grid(couplings, temperature, sites, separations, sector)[-1]
-    return values if np.ndim(coupling) else tuple(v[0] for v in values)
+def entropies(couplings, temperature, sites, separations, sector="even"):
+    """(S_i, S_ij, MI) in bits, each over (couplings, separations): the
+    grid path of _correlation_arrays, then one two_site_entropies call for
+    the whole grid."""
+    return _entropy_grid(couplings, temperature, sites, separations, sector)[-1]
 
 
 def correlations_and_mi(coupling, temperature, sites, separations, sector="even"):
@@ -352,8 +353,3 @@ def correlation_mi(params: TfimParams) -> float:
     return float(_entropy_grid(
         [params.coupling], params.temperature, params.sites, [params.separation], params.sector
     )[-1][2][0, 0])
-
-
-def ground_energy(coupling: float, sites: int, sector: str = "even") -> float:
-    """Sector vacuum energy -sum_phi omega_phi (exact for the even sector)."""
-    return float(-np.sum(dispersion(coupling, momenta(sites, sector))))

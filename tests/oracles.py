@@ -4,6 +4,7 @@ None of these is on a production path: each rebuilds a quantity the
 library computes in closed form or batched form, the slow direct way.
 """
 
+import functools
 import math
 
 import mpmath
@@ -203,6 +204,12 @@ def tfim_window_reference(coupling, sites, ns) -> list:
                             for phi, omega in zip(phis, omegas)) / sites for n in ns]
 
 
+def free_fermion_ground_energy(coupling, sites) -> float:
+    """Even-sector vacuum energy -sum_phi omega_phi over the half-odd
+    momentum grid, the ring's exact ground energy."""
+    return float(-np.sum(tfim.dispersion(coupling, tfim.momenta(sites))))
+
+
 def tfim_windows(couplings, temperature, sites, n_max, sector="even") -> np.ndarray:
     """(couplings, 2 n_max + 1) stack of TFIM coefficient windows built one
     coupling at a time, each from its own length-N inverse FFT of
@@ -391,6 +398,37 @@ def ising_symbol(temperature):
         return np.where(mag == 0.0, 0.0, z / np.where(mag == 0.0, 1.0, mag))
 
     return symbol
+
+
+@functools.lru_cache(maxsize=None)
+def ising_coefficient(temperature, n):
+    """a_n from the hypergeometric closed form, a 40-digit mpf: below T_c,
+    x = sinh^-2(2/T) and a_n = F_n(x); above, x = sinh^2(2/T) and
+    a_n = -F_{1-n}(x), with F_n = x^n (-1/2)_n/n! 2F1(1/2, n-1/2; n+1; x^2)
+    and F_{-k} = x^k (1/2)_k/k! 2F1(-1/2, k+1/2; k+1; x^2).  Cached, so a
+    temperature's coefficients are computed once per test run."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(temperature)
+        inv_s = (2 * mpmath.exp(-2 / t) / -mpmath.expm1(-4 / t)) ** 2
+        x, sign = (inv_s, 1) if inv_s <= 1 else (1 / inv_s, -1)
+        m = n if sign == 1 else 1 - n
+        if m >= 0:
+            f = x**m * mpmath.rf(-0.5, m) / mpmath.factorial(m) \
+                * mpmath.hyp2f1(0.5, m - 0.5, m + 1, x * x)
+        else:
+            f = x**-m * mpmath.rf(0.5, -m) / mpmath.factorial(-m) \
+                * mpmath.hyp2f1(-0.5, 0.5 - m, 1 - m, x * x)
+        return sign * f
+
+
+def ising_correlation_reference(temperature, separation):
+    """<s_{0,0} s_{N,N}> as a 40-digit mpf: mpmath.det of the N x N
+    Toeplitz matrix a_{i-j} of ising_coefficient's unrounded coefficients,
+    so neither the coefficients nor the determinant pass through float64."""
+    rows = range(separation)
+    with mpmath.workdps(40):
+        a = {n: ising_coefficient(temperature, n) for n in range(1 - separation, separation)}
+        return mpmath.det(mpmath.matrix([[a[i - j] for j in rows] for i in rows]))
 
 
 def ising_side(x: float, sign: int, y0: float, y1, count: int, start) -> np.ndarray:

@@ -57,8 +57,8 @@ class TestCriterion2KleinPositivity:
             )
         worst_klein = math.inf
         for _ in range(1000):
-            a = density.random_density_matrix(4, rng)
-            b = density.random_density_matrix(4, rng)
+            a = density.random_density_matrix((4,), rng)
+            b = density.random_density_matrix((4,), rng)
             worst_klein = min(worst_klein, density.relative_entropy(a, b))
         ok = report(
             2,
@@ -71,7 +71,7 @@ class TestCriterion2KleinPositivity:
 
 class TestCriterion3Dimer:
     def test_cold_value_monotonicity_and_high_t_slope(self):
-        (cold,) = dimer.entropies(0.01)[2]
+        (cold,) = dimer.entropies([0.01])[2]
         grid = np.arange(0.1, 10.0001, 0.1)
         values = dimer.entropies(grid)[2]
         monotone = bool(np.all(values[:-1] > values[1:]))
@@ -97,13 +97,13 @@ class TestCriterion3Dimer:
 class TestCriterion4CriticalDecay:
     def test_exponent_amplitude_and_mi_window(self):
         seps = np.arange(10, 101)
-        corr = ising2d.diagonal_correlations(TC, seps)
+        corr = ising2d.diagonal_correlations([TC], seps)[0]
         fit = analysis.power_law_fit(seps, corr)
         exponent, amplitude = fit.coefficients[0], fit.amplitude
         window = range(50, 101)
         scaled = [
             mi * 2.0 * math.sqrt(n) * math.log(2.0)
-            for n, mi in zip(window, ising2d.entropies(TC, window)[2])
+            for n, mi in zip(window, ising2d.entropies([TC], window)[2][0])
         ]
         window_ok = all(0.406 <= s <= 0.426 for s in scaled)
         ok = report(

@@ -257,7 +257,7 @@ class TestSweep:
         records = sweep("dimer", axes={"T": ts})
         assert len(kernel) == 1
         assert [rec.T for rec in records] == list(ts)
-        assert all(rec.mi == dimer.entropies(rec.T)[2][0] for rec in records)
+        assert all(rec.mi == dimer.entropies([rec.T])[2][0] for rec in records)
 
     def test_failing_dimer_grid_is_redone_point_by_point(self):
         ts = [0.0, 0.5, float("nan"), 2.0, 1e6]
@@ -269,7 +269,7 @@ class TestSweep:
         assert records[2].mi is None
         for rec in records[:2] + records[3:]:
             assert rec.tag == ""
-            assert rec.mi == dimer.entropies(rec.T)[2][0]
+            assert rec.mi == dimer.entropies([rec.T])[2][0]
 
     @pytest.mark.parametrize("sector, temperature", [
         ("even", 0.0), ("even", 0.6), ("odd", 0.6), ("gibbs", 0.6), ("gibbs", 1.5),
@@ -281,8 +281,8 @@ class TestSweep:
         assert len(records) == 18
         for rec in records:
             p = tfim.TfimParams(rec.lam, temperature, 12, rec.r, sector)
-            s_i, s_ij, mi = tfim.entropies(rec.lam, temperature, 12, [rec.r], sector)
-            assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0], s_ij[0], mi[0])
+            s_i, s_ij, mi = tfim.entropies([rec.lam], temperature, 12, [rec.r], sector)
+            assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0, 0], s_ij[0, 0], mi[0, 0])
             assert rec.mi == tfim.correlation_mi(p)
 
     @pytest.mark.parametrize("ensemble", ["symmetric", "broken"])
@@ -291,8 +291,8 @@ class TestSweep:
         records = sweep("ising2d", axes=axes, fixed={"ensemble": ensemble})
         assert len(records) == 15
         for rec in records:
-            s_i, s_ij, mi = ising2d.entropies(rec.T, [rec.N], ensemble)
-            assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0], s_ij[0], mi[0])
+            s_i, s_ij, mi = ising2d.entropies([rec.T], [rec.N], ensemble)
+            assert (rec.s_i, rec.s_ij, rec.mi) == (s_i[0, 0], s_ij[0, 0], mi[0, 0])
 
     def test_failing_batch_is_redone_point_by_point(self, monkeypatch):
         records = sweep("tfim", axes={"lam": [0.5], "r": [2, 7]},
@@ -308,7 +308,7 @@ class TestSweep:
         records = sweep("ising2d", axes={"T": [t], "N": [1, 2]})
         for rec in records:
             with pytest.raises(ConvergenceError) as failure:
-                ising2d.entropies(t, [rec.N])
+                ising2d.entropies([t], [rec.N])
             assert rec.tag == f"error: {failure.value}"
         assert records[0].tag != records[1].tag
 
@@ -378,10 +378,10 @@ class TestSweep:
         for rec in records:
             if rec.T == 2.3:
                 with pytest.raises(ConvergenceError) as failure:
-                    ising2d.entropies(rec.T, [rec.N])
+                    ising2d.entropies([rec.T], [rec.N])
                 assert rec.tag == f"error: {failure.value}"
             else:
-                assert rec.mi == ising2d.entropies(rec.T, [rec.N])[2][0]
+                assert rec.mi == ising2d.entropies([rec.T], [rec.N])[2][0, 0]
         assert len({rec.tag for rec in records if rec.T == 2.3}) == 3
 
     def test_programming_errors_propagate(self, monkeypatch):
@@ -581,7 +581,8 @@ class TestScalingDrivers:
         monkeypatch.undo()
         tc = ising2d.critical_temperature()
         assert result["derivatives"] == [
-            derivative_at(lambda T: ising2d.entropies(T, [10])[2][0], tc + t, min(1e-3, t / 10))
+            derivative_at(lambda T: ising2d.entropies([T], [10])[2][0, 0], tc + t,
+                          min(1e-3, t / 10))
             for t in result["offsets"]
         ]
 

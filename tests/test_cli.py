@@ -636,6 +636,17 @@ class TestConfigAndErrors:
         assert code == 1
         assert "temperature must be >= 0" in err
 
+    def test_key_error_is_a_bug_and_propagates(self, monkeypatch):
+        # config keys, model names and unit comments are checked before
+        # they are looked up, so a KeyError is a programming error
+        def lookup_bug(args):
+            raise KeyError("x")
+
+        help_text, options, _ = cli.SUBCOMMANDS["dimer"]
+        monkeypatch.setitem(cli.SUBCOMMANDS, "dimer", (help_text, options, lookup_bug))
+        with pytest.raises(KeyError, match="'x'"):
+            cli.main(["dimer"])
+
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
         # a corrupted F_0 seed breaks the window's Parseval check
         elliptic = ising2d._elliptic

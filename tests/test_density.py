@@ -95,15 +95,15 @@ class TestEntropy:
         rng = np.random.default_rng(0)
         for dim in (2, 3, 4, 6):
             for _ in range(50):
-                s = von_neumann_entropy(random_density_matrix(dim, rng))
+                s = von_neumann_entropy(random_density_matrix((dim,), rng))
                 assert -1e-9 <= s <= math.log2(dim) + 1e-9
 
 
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(1)
-        a = random_density_matrix(2, rng)
-        b = random_density_matrix(3, rng)
+        a = random_density_matrix((2,), rng)
+        b = random_density_matrix((3,), rng)
         joint = tensor_product(a, b)
         assert np.max(np.abs(partial_trace(joint, {0}).matrix - a.matrix)) < 1e-12
         assert np.max(np.abs(partial_trace(joint, {1}).matrix - b.matrix)) < 1e-12
@@ -145,8 +145,8 @@ class TestTensorProduct:
     def test_entropy_additive(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            a = random_density_matrix(2, rng)
-            b = random_density_matrix(3, rng)
+            a = random_density_matrix((2,), rng)
+            b = random_density_matrix((3,), rng)
             total = von_neumann_entropy(tensor_product(a, b))
             assert total == pytest.approx(
                 von_neumann_entropy(a) + von_neumann_entropy(b), abs=1e-10
@@ -161,7 +161,7 @@ class TestMutualInformation:
         rng = np.random.default_rng(5)
         for _ in range(100):
             rho = tensor_product(
-                random_density_matrix(2, rng), random_density_matrix(2, rng)
+                random_density_matrix((2,), rng), random_density_matrix((2,), rng)
             )
             assert 0 <= mutual_information(rho) < 1e-9
 
@@ -187,7 +187,7 @@ class TestMutualInformation:
         hits = 0
         for eps in np.geomspace(1e-9, 1e-3, 40):
             base = tensor_product(
-                random_density_matrix(2, rng), random_density_matrix(2, rng)
+                random_density_matrix((2,), rng), random_density_matrix((2,), rng)
             )
             perturb = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             perturb = (perturb + perturb.conj().T) / 2
@@ -209,7 +209,7 @@ class TestRelativeEntropy:
     def test_self_is_zero(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            rho = random_density_matrix(3, rng)
+            rho = random_density_matrix((3,), rng)
             assert abs(relative_entropy(rho, rho)) < 1e-10
 
     def test_equals_mutual_information(self):
@@ -231,15 +231,15 @@ class TestRelativeEntropy:
     def test_klein_inequality(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            rho = random_density_matrix(4, rng)
-            sigma = random_density_matrix(4, rng)
+            rho = random_density_matrix((4,), rng)
+            sigma = random_density_matrix((4,), rng)
             assert relative_entropy(rho, sigma) >= -1e-9
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError):
             relative_entropy(
-                random_density_matrix(2, rng), random_density_matrix(3, rng)
+                random_density_matrix((2,), rng), random_density_matrix((3,), rng)
             )
 
 
@@ -310,7 +310,7 @@ class TestXStateKernel:
                 [lam], temperature, 1000, [300], "even")
             inputs = (mz[0], gxx[0, 0], gyy[0, 0], czz[0, 0])
         else:
-            inputs = (0.0, 0.0, 0.0, ising2d.diagonal_correlations(3.0, [30])[0])
+            inputs = (0.0, 0.0, 0.0, ising2d.diagonal_correlations([3.0], [30])[0, 0])
         _, _, mi = x_state_entropies(*inputs)
         reference = mpmath_mi(*inputs)
         assert reference > 0

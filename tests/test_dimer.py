@@ -9,7 +9,7 @@ from oracles import dimer_thermal_state
 
 def test_singlet_entropy_is_positive_zero():
     # at T = 0.1 the dimer is the singlet to double precision: S_ij = +0
-    s_i, s_ij, mi = dimer.entropies(0.1)
+    s_i, s_ij, mi = dimer.entropies([0.1])
     assert s_ij[0] == 0.0 and not np.signbit(s_ij[0])
     assert mi[0] == pytest.approx(2.0)
 
@@ -61,17 +61,17 @@ class TestThermalState:
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            dimer.entropies(-0.1)
+            dimer.entropies([-0.1])
 
     def test_nan_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature must be >= 0"):
             dimer.spin_correlation(math.nan)
         with pytest.raises(ValueError, match="temperature must be >= 0"):
-            dimer.entropies(math.nan)
+            dimer.entropies([math.nan])
 
     def test_infinite_temperature_is_uncorrelated(self):
         assert dimer.spin_correlation(math.inf) == 0.0
-        assert dimer.entropies(math.inf)[2][0] == 0.0
+        assert dimer.entropies([math.inf])[2][0] == 0.0
 
 
 def weights_then_product(temperature):
@@ -104,15 +104,15 @@ class TestSpinCorrelation:
 
 class TestMutualInformation:
     def test_cold_limit_two_bits(self):
-        assert dimer.entropies(0.01)[2][0] == pytest.approx(2.0, abs=1e-6)
+        assert dimer.entropies([0.01])[2][0] == pytest.approx(2.0, abs=1e-6)
 
     def test_hot_limit_vanishes(self):
-        assert dimer.entropies(1e6)[2][0] < 1e-9
+        assert dimer.entropies([1e6])[2][0] < 1e-9
 
     def test_matches_generic_path(self):
         for temperature in (0.2, 1.0, 3.0):
             generic = density.mutual_information(dimer_thermal_state(temperature))
-            assert dimer.entropies(temperature)[2][0] == pytest.approx(
+            assert dimer.entropies([temperature])[2][0] == pytest.approx(
                 generic, abs=1e-12
             )
 
@@ -127,12 +127,12 @@ class TestMutualInformation:
             for site in (0, 1):
                 marg = density.partial_trace(rho, {site})
                 assert np.max(np.abs(marg.matrix - np.eye(2) / 2)) < 1e-12
-            (s_i,), _, _ = dimer.entropies(temperature)
+            (s_i,), _, _ = dimer.entropies([temperature])
             assert s_i == 1.0
 
     def test_closed_form_matches_generic_entropy(self):
         for temperature in (0.05, 0.5, 1.0, 2.0, 5.0, 50.0):
-            _, (closed,), _ = dimer.entropies(temperature)
+            _, (closed,), _ = dimer.entropies([temperature])
             generic = density.von_neumann_entropy(dimer_thermal_state(temperature))
             assert closed == pytest.approx(generic, abs=1e-12)
 
@@ -142,9 +142,12 @@ class TestBatch:
         ts = [0.0, 1e-3, 0.2, 1.0, 3.0, 47.5, 1e6]
         batch = dimer.entropies(ts)
         for k, t in enumerate(ts):
-            single = dimer.entropies(t)
+            single = dimer.entropies([t])
             assert all(v[k] == w[0] for v, w in zip(batch, single))
         assert dimer.entropies(np.array(ts))[2].tolist() == batch[2].tolist()
+
+    def test_empty_grid_gives_empty_arrays(self):
+        assert [v.shape for v in dimer.entropies([])] == [(0,)] * 3
 
 
 class TestHighTemperatureTail:

@@ -7,7 +7,8 @@ import pytest
 
 from critent import density, exact, tfim
 from critent.density import DensityMatrix, make_density_matrix
-from oracles import ed_translation_averages, mpmath_mi, parity_diagonal, x_state
+from oracles import (ed_translation_averages, free_fermion_ground_energy, mpmath_mi,
+                     parity_diagonal, x_state)
 from test_analysis import count_calls
 
 
@@ -37,7 +38,7 @@ class TestBuildHamiltonian:
     def test_ground_energy_matches_free_fermions(self):
         ham = exact.build_hamiltonian(4, 1.0)
         ground = np.linalg.eigvalsh(ham)[0]
-        assert ground == pytest.approx(tfim.ground_energy(1.0, 4), abs=1e-10)
+        assert ground == pytest.approx(free_fermion_ground_energy(1.0, 4), abs=1e-10)
 
 
 class TestObservables:

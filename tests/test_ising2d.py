@@ -7,7 +7,8 @@ import pytest
 from critent import density, ising2d
 from critent.errors import ModelConsistencyError
 from critent.numerics import fourier_window
-from oracles import ising_side, ising_symbol, site_state, x_state
+from oracles import (ising_coefficient, ising_correlation_reference, ising_side, ising_symbol,
+                     site_state, x_state)
 
 TC = ising2d.critical_temperature()
 
@@ -41,25 +42,6 @@ class TestMagnetization:
             ising2d.magnetization(0.0)
 
 
-def mpmath_coefficient(temperature, n):
-    """a_n from the hypergeometric closed form at 40 digits: below T_c,
-    x = sinh^-2(2/T) and a_n = F_n(x); above, x = sinh^2(2/T) and
-    a_n = -F_{1-n}(x), with F_n = x^n (-1/2)_n/n! 2F1(1/2, n-1/2; n+1; x^2)
-    and F_{-k} = x^k (1/2)_k/k! 2F1(-1/2, k+1/2; k+1; x^2)."""
-    with mpmath.workdps(40):
-        t = mpmath.mpf(temperature)
-        inv_s = (2 * mpmath.exp(-2 / t) / -mpmath.expm1(-4 / t)) ** 2
-        x, sign = (inv_s, 1) if inv_s <= 1 else (1 / inv_s, -1)
-        m = n if sign == 1 else 1 - n
-        if m >= 0:
-            f = x**m * mpmath.rf(-0.5, m) / mpmath.factorial(m) \
-                * mpmath.hyp2f1(0.5, m - 0.5, m + 1, x * x)
-        else:
-            f = x**-m * mpmath.rf(0.5, -m) / mpmath.factorial(-m) \
-                * mpmath.hyp2f1(-0.5, 0.5 - m, 1 - m, x * x)
-        return float(sign * f)
-
-
 NEAR_TC = [TC + sign * offset for offset in (1e-9, 1e-6, 5e-4, 1e-3, 2e-3)
            for sign in (1, -1)]
 # |ln x| = 0.9e-3 (outward recurrence) and 1.1e-3 (Miller), below and above
@@ -75,7 +57,7 @@ class TestCoefficientWindow:
         for n_max in (49, 800):
             window = ising2d.coefficient_window(temperature, n_max)
             for n in (0, 1, -1, n_max // 2, -(n_max // 2), n_max, -n_max):
-                exact = mpmath_coefficient(temperature, n)
+                exact = float(ising_coefficient(temperature, n))
                 assert abs(window[n + n_max] - exact) < 1e-13, (n_max, n)
 
     @pytest.mark.parametrize("sites", [50, 200])
@@ -84,7 +66,7 @@ class TestCoefficientWindow:
         with mpmath.workdps(40):
             exact = (2 / mpmath.pi) ** sites * mpmath.fprod(
                 (1 - mpmath.mpf(1) / (4 * l * l)) ** (l - sites) for l in range(1, sites))
-        assert ising2d.diagonal_correlations(TC, [sites])[0] == pytest.approx(float(exact),
+        assert ising2d.diagonal_correlations([TC], [sites])[0, 0] == pytest.approx(float(exact),
                                                                              rel=1e-12)
 
     def test_matches_quadrature_on_benchmark_grid(self):
@@ -125,13 +107,13 @@ class TestCoefficientWindow:
 
 class TestDiagonalCorrelation:
     def test_nearest_at_criticality(self):
-        assert ising2d.diagonal_correlations(TC, [1])[0] == pytest.approx(
+        assert ising2d.diagonal_correlations([TC], [1])[0, 0] == pytest.approx(
             2.0 / math.pi, abs=1e-10
         )
 
     def test_deep_order_plateau(self):
         m2 = ising2d.magnetization(0.5) ** 2
-        (g,) = ising2d.diagonal_correlations(0.5, [10])
+        g = ising2d.diagonal_correlations([0.5], [10])[0, 0]
         assert m2 - 1e-12 <= g <= 1.0
         assert g == pytest.approx(m2, abs=1e-6)
 
@@ -140,25 +122,57 @@ class TestDiagonalCorrelation:
         # 2 tanh^2(1/T) (two two-bond paths); fixes sign and magnitude
         for temperature, rel_band in ((10.0, 0.03), (20.0, 0.008), (50.0, 0.0015)):
             lead = 2.0 * math.tanh(1.0 / temperature) ** 2
-            (g,) = ising2d.diagonal_correlations(temperature, [1])
+            g = ising2d.diagonal_correlations([temperature], [1])[0, 0]
             assert g > 0
             assert abs(g / lead - 1.0) < rel_band
 
     @pytest.mark.parametrize("temperature", [1.5, TC, 3.0])
     def test_monotone_nonincreasing_in_separation(self, temperature):
-        values = ising2d.diagonal_correlations(temperature, range(1, 61))
+        values = ising2d.diagonal_correlations([temperature], range(1, 61))[0]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
         assert all(abs(v) <= 1 + 1e-8 for v in values)
 
     def test_separation_validation(self):
         with pytest.raises(ValueError):
-            ising2d.diagonal_correlations(2.0, [0])
+            ising2d.diagonal_correlations([2.0], [0])
+
+    def test_empty_axes_are_named(self, monkeypatch):
+        # rejected before any coefficient window is built
+        monkeypatch.setattr(ising2d, "coefficient_window", None)
+        with pytest.raises(ValueError, match="separations must not be empty"):
+            ising2d.diagonal_correlations([2.0], [])
+        with pytest.raises(ValueError, match="temperatures must not be empty"):
+            ising2d.diagonal_correlations([], [1])
+        with pytest.raises(ValueError, match="temperatures must not be empty"):
+            ising2d.entropies([], [1])
+        with pytest.raises(ValueError, match="separations must not be empty"):
+            ising2d.entropies([2.0], [], "broken")
+
+
+# G off the 40-digit reference by more than 1e-13 relative: the minors of
+# order 1e-24 and 1e-40 above T_c (measured 4.3e-7 and 0.15).  The float
+# windows carry the error (their exact determinants are off as much): the
+# tail a_n lose relative precision near Miller's start and are 0 past it
+# (at T = 5), red until that start follows n_max
+LOST_MINOR = pytest.mark.xfail(strict=True, reason="float window, ROADMAP direction 4(b)")
+MINOR_POINTS = [pytest.param(t, n, marks=LOST_MINOR if (t, n) in {(3.5, 50), (5.0, 50)} else ())
+                for t in (2.0, 2.5, 3.0, 3.5, 5.0) for n in (10, 30, 50)]
+
+
+class TestCorrelationAgainstFortyDigitDeterminant:
+    """G against mpmath.det of the 40-digit 2F1 coefficients (ROADMAP 4(a))."""
+
+    @pytest.mark.parametrize("temperature, separation", MINOR_POINTS)
+    def test_relative_precision(self, temperature, separation):
+        g = ising2d.diagonal_correlations([temperature], [separation])[0, 0]
+        exact = ising_correlation_reference(temperature, separation)
+        assert abs(g - exact) <= 1e-13 * abs(exact)
 
 
 def pair_state(temperature, separation, ensemble="symmetric"):
     """Dense two-site state built from the kernel's inputs G and m."""
     m = ising2d.magnetization(temperature) if ensemble == "broken" else 0.0
-    (g,) = ising2d.diagonal_correlations(temperature, [separation])
+    g = ising2d.diagonal_correlations([temperature], [separation])[0, 0]
     return x_state(m, 0.0, 0.0, g)
 
 
@@ -168,14 +182,14 @@ class TestTwoSiteState:
     def test_symmetric_cold_limit(self):
         rho = pair_state(0.5, 12, "symmetric")
         assert np.max(np.abs(rho.matrix - np.diag([0.5, 0, 0, 0.5]))) < 1e-6
-        assert ising2d.entropies(0.5, [12], "symmetric")[2][0] == pytest.approx(1.0, abs=1e-5)
+        assert ising2d.entropies([0.5], [12], "symmetric")[2][0, 0] == pytest.approx(1.0, abs=1e-5)
 
     def test_broken_cold_limit_is_polarized_product(self):
         rho = pair_state(0.5, 12, "broken")
         proj = np.zeros((4, 4))
         proj[0, 0] = 1.0
         assert np.max(np.abs(rho.matrix - proj)) < 1e-5
-        assert ising2d.entropies(0.5, [12], "broken")[2][0] < 1e-4
+        assert ising2d.entropies([0.5], [12], "broken")[2][0, 0] < 1e-4
 
     def test_hot_side_is_product(self):
         rho = pair_state(3.0, 30)
@@ -192,36 +206,36 @@ class TestTwoSiteState:
             for site in (0, 1):
                 marg = density.partial_trace(rho_ij, {site})
                 assert np.max(np.abs(marg.matrix - rho_i.matrix)) < 1e-12
-            (s_i,), (s_ij,), (mi,) = ising2d.entropies(temperature, [sep], ensemble)
+            s_i, s_ij, mi = (v[0, 0] for v in ising2d.entropies([temperature], [sep], ensemble))
             assert s_i == pytest.approx(density.von_neumann_entropy(rho_i), abs=1e-12)
             assert s_ij == pytest.approx(density.von_neumann_entropy(rho_ij), abs=1e-12)
             assert mi == pytest.approx(density.mutual_information(rho_ij), abs=1e-12)
 
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            ising2d.entropies(2.0, [3], "tilted")
+            ising2d.entropies([2.0], [3], "tilted")
 
 
 class TestCorrelationMi:
     def test_critical_amplitude_window(self):
         seps = (50, 75, 100)
-        for sep, mi in zip(seps, ising2d.entropies(TC, seps)[2]):
+        for sep, mi in zip(seps, ising2d.entropies([TC], seps)[2][0]):
             scaled = mi * 2.0 * math.sqrt(sep) * math.log(2.0)
             assert 0.406 <= scaled <= 0.426
 
     def test_decays_above_tc(self):
-        assert ising2d.entropies(3.0, [30])[2][0] < 1e-6
+        assert ising2d.entropies([3.0], [30])[2][0, 0] < 1e-6
 
     def test_ordered_plateau(self):
-        assert ising2d.entropies(1.0, [50])[2][0] > 0.5
+        assert ising2d.entropies([1.0], [50])[2][0, 0] > 0.5
 
     def test_faster_than_power_decay_above_tc(self):
-        mi20, mi40 = ising2d.entropies(2.5, [20, 40])[2]
+        mi20, mi40 = ising2d.entropies([2.5], [20, 40])[2][0]
         assert mi40 / mi20 < (40 / 20) ** -2
 
     def test_critical_decay_slope(self):
         seps = np.arange(20, 101, 8)
-        mis = ising2d.entropies(TC, seps)[2]
+        mis = ising2d.entropies([TC], seps)[2][0]
         slope = np.polyfit(np.log(seps), np.log(mis), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.03)
 
@@ -229,7 +243,7 @@ class TestCorrelationMi:
 def expansion_mi(temperature, separation):
     """Small-correlation expansion (G^2/2 - G m^2)/ln 2 of the MI, in bits;
     agrees with the exact MI to relative O(G^2) near a product state."""
-    (g,) = ising2d.diagonal_correlations(temperature, [separation])
+    g = ising2d.diagonal_correlations([temperature], [separation])[0, 0]
     m = ising2d.magnetization(temperature)
     return (0.5 * g * g - g * m * m) / math.log(2.0)
 
@@ -241,13 +255,13 @@ class TestExpansionDiagnostic:
 
     def test_matches_exact_in_small_correlation_regime(self):
         for temperature, sep in ((3.0, 20), (2.6, 10)):
-            exact = ising2d.entropies(temperature, [sep])[2][0]
+            exact = ising2d.entropies([temperature], [sep])[2][0, 0]
             approx = expansion_mi(temperature, sep)
             assert exact < 1e-3
             assert approx == pytest.approx(exact, rel=0.1)
 
     def test_critical_ratio_recorded(self):
-        exact = ising2d.entropies(TC, [100])[2][0]
+        exact = ising2d.entropies([TC], [100])[2][0, 0]
         approx = expansion_mi(TC, 100)
         print(f"critical expansion/exact MI ratio at separation 100: "
               f"{approx / exact:.6f}")
@@ -257,6 +271,6 @@ class TestElementGuards:
     def test_rejects_inconsistent_elements(self, monkeypatch):
         # drive the guard with an impossible correlation value
         monkeypatch.setattr(ising2d, "diagonal_correlations",
-                            lambda T, separations: np.array([1.5]))
+                            lambda T, separations: np.array([[1.5]]))
         with pytest.raises(ModelConsistencyError):
-            ising2d.entropies(2.0, [1])
+            ising2d.entropies([2.0], [1])

@@ -110,13 +110,14 @@ class TestIsingSymbol:
 
 class TestToeplitzDeterminant:
     def test_dim_one(self):
-        assert toeplitz_determinant(np.array([2.5]), 1) == pytest.approx(2.5)
+        assert toeplitz_determinant(np.array([[2.5]]), 1, sizes=[1])[0, 0] == pytest.approx(2.5)
 
     def test_diagonal_sequence(self):
         c = 0.37
         window = np.where(np.arange(-5, 6) == 0, c, 0.0)
         for dim in (1, 2, 4, 6):
-            assert toeplitz_determinant(window, dim) == pytest.approx(c**dim, rel=1e-12)
+            assert toeplitz_determinant([window], dim, sizes=[dim])[0, 0] == \
+                pytest.approx(c**dim, rel=1e-12)
 
     def test_against_cofactor_oracle(self):
         rng = np.random.default_rng(7)
@@ -124,7 +125,8 @@ class TestToeplitzDeterminant:
         dim = 6
         matrix = np.array([[vals[i - j + 5] for j in range(dim)] for i in range(dim)])
         oracle = cofactor_determinant(matrix).real
-        assert toeplitz_determinant(vals, dim) == pytest.approx(oracle, rel=1e-10)
+        assert toeplitz_determinant([vals], dim, sizes=[dim])[0, 0] == \
+            pytest.approx(oracle, rel=1e-10)
 
     def test_row_shift(self):
         rng = np.random.default_rng(8)
@@ -134,7 +136,7 @@ class TestToeplitzDeterminant:
             matrix = np.array(
                 [[vals[i - j + shift + 4] for j in range(dim)] for i in range(dim)]
             )
-            assert toeplitz_determinant(vals, dim, shift) == pytest.approx(
+            assert toeplitz_determinant([vals], dim, shift, sizes=[dim])[0, 0] == pytest.approx(
                 cofactor_determinant(matrix).real, rel=1e-10
             )
 
@@ -147,23 +149,23 @@ class TestToeplitzDeterminant:
                 [[vals[i - j + dim - 1] for j in range(dim)] for i in range(dim)]
             )
             dense = np.linalg.det(matrix)
-            toep = toeplitz_determinant(vals, dim)
+            toep = toeplitz_determinant([vals], dim, sizes=[dim])[0, 0]
             assert toep == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
     def test_domain_errors(self):
-        window = np.array([0.5, 1.0, 0.5])
+        window = np.array([[0.5, 1.0, 0.5]])
         with pytest.raises(ValueError):
-            toeplitz_determinant(window, 0)
+            toeplitz_determinant(window, 0, sizes=[1])
         with pytest.raises(ValueError):
-            toeplitz_determinant(window, 3)  # needs indices +-2
+            toeplitz_determinant(window, 3, sizes=[3])  # needs indices +-2
         with pytest.raises(ValueError):
-            toeplitz_determinant(window, 2, row_shift=1)  # needs a_2
+            toeplitz_determinant(window, 2, row_shift=1, sizes=[2])  # needs a_2
         windows = np.random.default_rng(11).standard_normal((5, 33))
         # the window holds a_n for |n| <= 16: shifts -1 and 1 fit, 3 does not
         for shift in (-1, 1):
-            assert toeplitz_determinant(windows, 16, row_shift=shift).shape == (5,)
+            assert toeplitz_determinant(windows, 16, row_shift=shift, sizes=[16]).shape == (5, 1)
         with pytest.raises(ValueError, match=r"needs \[-12, 18\]"):
-            toeplitz_determinant(windows, 16, row_shift=3)
+            toeplitz_determinant(windows, 16, row_shift=3, sizes=[16])
         with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
             toeplitz_determinant(windows, 8, sizes=[0, 4])
         with pytest.raises(ValueError, match=r"sizes must lie in \[1, 8\]"):
@@ -172,7 +174,12 @@ class TestToeplitzDeterminant:
     def test_even_window_width(self):
         # a_n for |n| <= n_max takes 2 n_max + 1 entries; 4 cannot be read
         with pytest.raises(ValueError, match="window width 4 is not odd"):
-            toeplitz_determinant([1.0, 2.0, 3.0, 4.0], 2)
+            toeplitz_determinant([[1.0, 2.0, 3.0, 4.0]], 2, sizes=[2])
+
+    def test_lone_window_rejected(self):
+        # one window is a one-row stack; a 1-D array is not read as one
+        with pytest.raises(ValueError, match="windows must be a 2-D stack"):
+            toeplitz_determinant(np.array([0.5, 1.0, 0.5]), 1, sizes=[1])
 
     def test_no_sizes(self):
         with pytest.raises(ValueError, match="sizes must name at least one minor"):
@@ -186,8 +193,9 @@ class TestToeplitzDeterminants:
         r = 16
         windows = rng.standard_normal((7, 2 * r + 1))
         for dim in (1, r // 2, r):
-            stacked = toeplitz_determinant(windows, dim, row_shift=shift)
-            single = [toeplitz_determinant(row, dim, row_shift=shift) for row in windows]
+            stacked = toeplitz_determinant(windows, dim, row_shift=shift, sizes=[dim])[:, 0]
+            single = [toeplitz_determinant(row[None], dim, row_shift=shift, sizes=[dim])[0, 0]
+                      for row in windows]
             assert stacked.tolist() == single
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -195,14 +203,15 @@ class TestToeplitzDeterminants:
         windows = np.random.default_rng(12).standard_normal((6, 2 * 17 + 1))
         sizes = range(1, 17)
         stacked = toeplitz_determinant(windows, 16, row_shift=shift, sizes=sizes)
-        alone = toeplitz_determinant(windows[2], 16, row_shift=shift, sizes=sizes)
-        assert stacked.shape == (6, 16) and alone.shape == (16,)
-        assert alone.tolist() == stacked[2].tolist()
+        alone = toeplitz_determinant(windows[2:3], 16, row_shift=shift, sizes=sizes)
+        assert stacked.shape == (6, 16) and alone.shape == (1, 16)
+        assert alone[0].tolist() == stacked[2].tolist()
         for k in sizes:
             narrow = windows[:, 17 - (k + 1):17 + k + 2]  # a_n for |n| <= k + 1
-            assert toeplitz_determinant(narrow, k, row_shift=shift).tolist() == \
+            assert toeplitz_determinant(narrow, k, row_shift=shift, sizes=[k])[:, 0].tolist() == \
                 stacked[:, k - 1].tolist()
-            assert toeplitz_determinant(narrow[2], k, row_shift=shift) == alone[k - 1]
+            assert toeplitz_determinant(narrow[2:3], k, row_shift=shift, sizes=[k])[0, 0] == \
+                alone[0, k - 1]
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 102])
     def test_row_minors_do_not_depend_on_the_stack(self, rows):
@@ -296,7 +305,7 @@ class TestToeplitzDeterminants:
         calls, slogdet = [], np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
         sizes = [100, 300, 390, 400, 500, 800]
-        minors = toeplitz_determinant(window, 800, sizes=sizes)
+        minors = toeplitz_determinant([window], 800, sizes=sizes)[0]
         broken = [shape[-1] for shape in calls]
         monkeypatch.undo()
         assert 800 in broken and 100 not in broken
@@ -310,12 +319,12 @@ class TestToeplitzDeterminants:
     def test_too_narrow_window(self):
         windows = np.ones((2, 5))  # a_n for |n| <= 2
         with pytest.raises(ValueError, match=r"needs \[-3, 3\]"):
-            toeplitz_determinant(windows, 4)
+            toeplitz_determinant(windows, 4, sizes=[4])
         with pytest.raises(ValueError, match=r"needs \[-2, 4\]"):
-            toeplitz_determinant(windows, 4, row_shift=1)
+            toeplitz_determinant(windows, 4, row_shift=1, sizes=[4])
         with pytest.raises(ValueError, match="dim must be >= 1"):
-            toeplitz_determinant(windows, 0)
-        assert toeplitz_determinant(windows, 2, row_shift=1).shape == (2,)
+            toeplitz_determinant(windows, 0, sizes=[1])
+        assert toeplitz_determinant(windows, 2, row_shift=1, sizes=[2]).shape == (2, 1)
 
 
 def lu_minor(window, k, shift=0):
@@ -368,6 +377,6 @@ class TestLevinsonAgainstReferences:
             with mpmath.workdps(40):
                 exact = mpmath.det(mpmath.matrix(
                     [[window[i - j + shift + 64] for j in range(64)] for i in range(64)]))
-            value = toeplitz_determinant(window, 64, row_shift=shift)
+            value = toeplitz_determinant([window], 64, row_shift=shift, sizes=[64])[0, 0]
             assert abs(value - exact) <= 1e-12 * abs(exact)
 

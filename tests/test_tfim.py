@@ -22,7 +22,7 @@ from oracles import (
 
 def test_product_ground_state_entropies_are_positive_zero():
     # at lambda = 0 every spin is polarized along the field: a pure product
-    s_i, s_ij, mi = tfim.entropies(0.0, 0.0, 1000, range(1, 51))
+    s_i, s_ij, mi = tfim.entropies([0.0], 0.0, 1000, range(1, 51))
     for values in (s_i, s_ij, mi):
         assert np.all(values == 0.0) and not np.any(np.signbit(values))
 
@@ -294,7 +294,7 @@ class TestTwoSiteState:
             for site in (0, 1):
                 marg = density.partial_trace(rho_ij, {site})
                 assert np.max(np.abs(marg.matrix - rho_i.matrix)) < 1e-10
-            (s_i,), (s_ij,), (mi,) = tfim.entropies(lam, temperature, 12, [4], sector)
+            s_i, s_ij, mi = (v[0, 0] for v in tfim.entropies([lam], temperature, 12, [4], sector))
             assert s_i == pytest.approx(density.von_neumann_entropy(rho_i), abs=1e-10)
             assert s_ij == pytest.approx(density.von_neumann_entropy(rho_ij), abs=1e-10)
             assert mi == pytest.approx(density.mutual_information(rho_ij), abs=1e-10)
@@ -327,7 +327,7 @@ class TestSuzukiEquivalence:
         # <sx_0 sx_r> equals <s_{0,0} s_{r,r}> at T = 2/asinh(sqrt(lambda))
         temperature = 2.0 / math.asinh(math.sqrt(coupling))
         separations = (1, 5, 10)
-        planes = ising2d.diagonal_correlations(temperature, separations)
+        planes = ising2d.diagonal_correlations([temperature], separations)[0]
         for r, plane in zip(separations, planes):
             ring = tfim.correlations(params(coupling, 0.0, 4000, r))[1]
             assert abs(ring - plane) < 1e-13, r
@@ -504,6 +504,17 @@ class TestMiOverCouplings:
         ):
             with pytest.raises(ValueError, match=message):
                 self.mi_over_couplings(*args)
+
+    @pytest.mark.parametrize("sector", ["even", "gibbs"])
+    def test_empty_axes_are_named(self, sector, monkeypatch):
+        # rejected before any coefficient window is built
+        monkeypatch.setattr(tfim, "_window_values", None)
+        with pytest.raises(ValueError, match="couplings must not be empty"):
+            tfim.entropies([], 0.5, 100, [1], sector)
+        with pytest.raises(ValueError, match="separations must not be empty"):
+            tfim.entropies([1.0], 0.5, 100, [], sector)
+        with pytest.raises(ValueError, match="separations must not be empty"):
+            tfim.correlations_and_mi(1.0, 0.5, 100, [], sector)
 
 
 class TestGibbsSector:
