@@ -258,18 +258,18 @@ def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
     }
 
 
-def _tfim_derivatives(couplings, sites: int, separation: int, step: float) -> np.ndarray:
+def _tfim_derivatives(couplings, sites: int, separation: int) -> np.ndarray:
     """Central differences of the T = 0 MI(0, r) at each coupling: the
-    whole stencil lambda +- step is one batch."""
+    whole stencil lambda +- SCALING_STEP is one batch."""
     return _central_differences(
         lambda lams: tfim.entropies(lams, 0.0, sites, [separation])[2][:, 0],
-        couplings, step,
+        couplings, SCALING_STEP,
     )
 
 
-def tfim_nn_scaling(sites_list=NN_SCALING_SITES, step: float = SCALING_STEP) -> dict:
+def tfim_nn_scaling(sites_list=NN_SCALING_SITES) -> dict:
     """dMI(0,1)/dlambda at lambda = 1 against ln N (log-linear fit)."""
-    derivs = [float(_tfim_derivatives([1.0], n, 1, step)[0]) for n in sites_list]
+    derivs = [float(_tfim_derivatives([1.0], n, 1)[0]) for n in sites_list]
     fit = log_poly_fit(np.array(sites_list, dtype=float), derivs, degree=1)
     return {
         "sites": list(sites_list),
@@ -279,24 +279,24 @@ def tfim_nn_scaling(sites_list=NN_SCALING_SITES, step: float = SCALING_STEP) -> 
     }
 
 
-def tfim_peak_far_derivative(sites: int, step: float = SCALING_STEP) -> tuple[float, float]:
+def tfim_peak_far_derivative(sites: int) -> tuple[float, float]:
     """Max over lambda of dMI(0, N/2)/dlambda: coarse 0.005 grid on
     [0.9, 1.15], then one refinement by a factor of 5 around the peak."""
     coarse = np.arange(0.9, 1.15 + 1e-12, 0.005)
-    best = int(np.argmax(_tfim_derivatives(coarse, sites, sites // 2, step)))
+    best = int(np.argmax(_tfim_derivatives(coarse, sites, sites // 2)))
     fine = coarse[best] + np.arange(-4, 5) * 0.001
-    fvals = _tfim_derivatives(fine, sites, sites // 2, step)
+    fvals = _tfim_derivatives(fine, sites, sites // 2)
     fbest = int(np.argmax(fvals))
     return float(fine[fbest]), float(fvals[fbest])
 
 
-def tfim_far_scaling(sites_list=FAR_SCALING_SITES, step: float = SCALING_STEP) -> dict:
+def tfim_far_scaling(sites_list=FAR_SCALING_SITES) -> dict:
     """Peak of dMI(0, N/2)/dlambda against ln^3 N, with the ln N fit as a
     comparison model."""
     peaks = []
     locations = []
     for n in sites_list:
-        lam, val = tfim_peak_far_derivative(n, step)
+        lam, val = tfim_peak_far_derivative(n)
         locations.append(lam)
         peaks.append(val)
     xs = np.array(sites_list, dtype=float)

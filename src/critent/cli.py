@@ -183,13 +183,15 @@ def _cmd_oracle(args) -> int:
     lam = getattr(args, "lambda")
     seps = [args.r] if args.r is not None else list(range(1, args.n // 2 + 1))
     # both sides' parameter checks before the diagonalization: exact's ring
-    # range first, then the free-fermion side's (an even ring, N >= 4)
+    # range first, then the free-fermion grid's (an even ring, N >= 4)
     exact.check_ring(args.n, lam)
-    tfim.TfimParams(lam, args.t, args.n, seps[0])
-    *oracle, ground_energy = exact.reports(args.n, lam, args.t, seps)
-    # (separations, quantities) arrays, columns in ORACLE_QUANTITIES order
+    mz, gxx, gyy, gzz, czz = tfim.correlations([lam], args.t, args.n, seps)
+    mi = density.two_site_entropies(mz[:, None], gxx, gyy, gzz, czz)[2]
+    *oracle, ground_energy = exact.observables(args.n, lam, args.t, seps)
+    # (separations, quantities) arrays, columns in ORACLE_QUANTITIES order;
+    # the free side is the one row of its grid
     free, ed = (np.column_stack(np.broadcast_arrays(*values)) for values in
-                (tfim.correlations_and_mi(lam, args.t, args.n, seps), oracle))
+                ((mz[0], gxx[0], gyy[0], gzz[0], mi[0]), oracle))
     table = list(zip(seps, free.tolist(), ed.tolist(), np.abs(free - ed).tolist()))
     worst = max(0.0, *(max(d) for *_, d in table))
     if args.format == "json":

@@ -10,7 +10,6 @@ class ValidationError(ValueError):
 
     def __init__(self, invariant, message):
         super().__init__(f"{invariant}: {message}")
-        self.invariant = invariant
 
 
 class ConvergenceError(RuntimeError):

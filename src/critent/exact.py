@@ -21,7 +21,9 @@ between counts twice.  A block's columns come from a representative ->
 column array filled for the block, its phases from a table of e^{ikl} for
 l < N, and its diagonal and spin means from sums taken once per ring.  At
 N = 12 and T > 0 the 14 blocks take about 0.11 s on one BLAS thread, 0.085 s
-of it in eigh, with a tracemalloc peak near 10 MB.
+of it in eigh, with a tracemalloc peak near 10 MB.  observables runs them
+with numpy's bundled OpenBLAS pinned to one thread and restores the count
+after, so its floats do not depend on the BLAS thread count.
 
 At T = 0 the state is the lowest level of the even blocks (their levels by
 eigvalsh, then eigh of the ground block only); at T > 0 it is exp(-H/T)/Z
@@ -35,6 +37,10 @@ from the free-fermion code.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -80,6 +86,34 @@ def _orbits(sites: int):
     rep = np.take_along_axis(images, first[None], axis=0)[0]
     period = sites // (images == images[0]).sum(axis=0)
     return rep, (-first) % sites, period
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then give
+    it back its thread count: the last digits of a block eigh move with the
+    thread count (the printed gyy of N = 12, T = 0.5 at r = 5, say).  Where
+    numpy bundles no libscipy_openblas (another BLAS, a source build), it
+    does nothing."""
+    # os.listdir, not glob: a first glob call compiles its pattern, 0.18 ms
+    # against 0.01 ms for listdir on a 2-core x86-64 VM
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    found = [name for name in (os.listdir(libs) if os.path.isdir(libs) else ())
+             if name.startswith("libscipy_openblas")]
+    lib = ctypes.CDLL(os.path.join(libs, found[0])) if found else None
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 def _translation_averages(sites: int, coupling: float, temperature: float):
@@ -153,25 +187,20 @@ def _translation_averages(sites: int, coupling: float, temperature: float):
     return float(mz), gxx, gyy, gzz, float(energy)
 
 
-def reports(sites: int, coupling: float, temperature: float, separations):
+def observables(sites: int, coupling: float, temperature: float, separations):
     """(mz, gxx, gyy, gzz, MI, ground_energy) for spins (0, r), with gxx,
-    gyy, gzz and MI as arrays over the separations (the layout of
-    tfim.correlations_and_mi), all from one diagonalization of the symmetry
-    blocks and one two_site_entropies call."""
+    gyy, gzz and MI as arrays over the separations, all from one
+    diagonalization of the symmetry blocks, on one BLAS thread, and one
+    two_site_entropies call."""
     separations = [int(r) for r in separations]
     if not all(1 <= r <= sites // 2 for r in separations):
         raise ValueError("separation must be in [1, sites/2]")
     if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
     check_ring(sites, coupling)
-    mz, gxx, gyy, gzz, energy = _translation_averages(sites, coupling, temperature)
+    with _one_blas_thread():
+        mz, gxx, gyy, gzz, energy = _translation_averages(sites, coupling, temperature)
     rows = np.array(separations, dtype=np.intp) - 1
     xx, yy, zz = gxx[rows], gyy[rows], gzz[rows]
     mi = two_site_entropies(mz, xx, yy, zz, zz - mz * mz)[2]
     return mz, xx, yy, zz, mi, energy
-
-
-def observables(sites: int, coupling: float, temperature: float, separation: int):
-    """reports() for the single separation, as floats."""
-    mz, *values, energy = reports(sites, coupling, temperature, [separation])
-    return (mz, *(float(v[0]) for v in values), energy)

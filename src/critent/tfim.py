@@ -31,18 +31,18 @@ where a_n are the Wick-contraction coefficients below and <sz> = -a_0.
 The two-site reduced state is block diagonal in the parity of the pair.
 
 The r x r matrices of every separation are leading minors of the
-largest one, so entropies evaluates a whole (couplings, separations) grid
-at fixed (T, N, sector) with one coefficient_window call for all its
+largest one, so correlations evaluates a whole (couplings, separations)
+grid at fixed (T, N, sector) with one coefficient_window call for all its
 couplings (one inverse FFT along the momentum axis of a (couplings, N)
 array; the Gibbs state: one per momentum grid, over a (2, couplings, N)
 stack of plain and twisted factors) and one toeplitz_determinant call per
 shift (a Levinson recursion over the stacked windows; the Gibbs state's
-bordered matrices take one slogdet per separation instead), then
-density.two_site_entropies for the whole grid.  correlations_and_mi and
-magnetization_z are its one-coupling and one-separation cases, and
-correlations and correlation_mi its one-point grid, so every route gives
-the same floats; the scaling drivers' coupling stencils are entropies at
-one separation.
+bordered matrices take one slogdet per separation instead).  entropies
+adds one density.two_site_entropies call for the whole grid.  These two
+are the only routes: the sweeps and the scaling drivers' coupling
+stencils call entropies, the ED oracle's comparison calls correlations,
+and magnetization_z and correlation_mi are one-point views of the grids,
+so every route gives the same floats.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def magnetization_z(coupling: float, temperature: float, sites: int,
                     sector: str = "even") -> float:
     """<sz> = (1/N) sum_phi (1 - lambda cos phi) tanh(omega/T)/omega = -a_0
     (for sector "gibbs", the Gibbs average of the four traces), from the
-    one-coupling grid path."""
-    return float(_correlation_arrays([coupling], temperature, sites, [1], sector)[0][0])
+    one-point grid."""
+    return float(correlations([coupling], temperature, sites, [1], sector)[0][0])
 
 
 def coefficient_window(
@@ -277,7 +277,7 @@ def _gibbs_arrays(couplings, temperature, sites, separations):
     return mz, gxx, gyy, gzz, gzz - (mz * mz)[:, None]
 
 
-def _correlation_arrays(couplings, temperature, sites, separations, sector):
+def correlations(couplings, temperature, sites, separations, sector="even"):
     """mz over the couplings, then gxx, gyy, gzz and the connected
     czz = gzz - mz^2 over (couplings, separations).
 
@@ -290,7 +290,7 @@ def _correlation_arrays(couplings, temperature, sites, separations, sector):
     messages; an empty axis raises ValueError naming it, before any
     window is built.
     """
-    couplings = np.asarray(couplings, dtype=float)
+    couplings, separations = np.asarray(couplings, dtype=float), list(separations)
     for name, axis in (("couplings", couplings), ("separations", separations)):
         if not len(axis):
             raise ValueError(f"{name} must not be empty")
@@ -312,44 +312,15 @@ def _correlation_arrays(couplings, temperature, sites, separations, sector):
     return mz, gxx, gyy, (mz * mz)[:, None] + czz, czz
 
 
-def correlations(params: TfimParams):
-    """(mz, gxx, gyy, gzz) at one parameter point: the one-point case of
-    correlations_and_mi, with its range and positivity check."""
-    mz, *values, _ = correlations_and_mi(
-        params.coupling, params.temperature, params.sites, [params.separation], params.sector
-    )
-    return (mz, *(float(v[0]) for v in values))
-
-
 def entropies(couplings, temperature, sites, separations, sector="even"):
     """(S_i, S_ij, MI) in bits, each over (couplings, separations): the
-    grid path of _correlation_arrays, then one two_site_entropies call for
-    the whole grid."""
-    return _entropy_grid(couplings, temperature, sites, separations, sector)[-1]
-
-
-def correlations_and_mi(coupling, temperature, sites, separations, sector="even"):
-    """(mz, gxx, gyy, gzz, MI) with gxx, gyy, gzz and MI as arrays over the
-    separations: the one-coupling case of the grid path, the floats
-    correlations and correlation_mi give one separation at a time."""
-    mz, gxx, gyy, gzz, (_, _, mi) = _entropy_grid(
-        [coupling], temperature, sites, separations, sector
-    )
-    return float(mz[0]), gxx[0], gyy[0], gzz[0], mi[0]
-
-
-def _entropy_grid(couplings, temperature, sites, separations, sector):
-    """mz over the couplings; gxx, gyy, gzz and (S_i, S_ij, MI) over
-    (couplings, separations)."""
-    couplings, separations = np.asarray(couplings, dtype=float), list(separations)
-    mz, gxx, gyy, gzz, czz = _correlation_arrays(
-        couplings, temperature, sites, separations, sector
-    )
-    return mz, gxx, gyy, gzz, two_site_entropies(mz[:, None], gxx, gyy, gzz, czz)
+    correlations grid, then one two_site_entropies call for the whole
+    grid."""
+    mz, *rest = correlations(couplings, temperature, sites, separations, sector)
+    return two_site_entropies(mz[:, None], *rest)
 
 
 def correlation_mi(params: TfimParams) -> float:
     """Two-site mutual information, in bits: the one-point grid."""
-    return float(_entropy_grid(
-        [params.coupling], params.temperature, params.sites, [params.separation], params.sector
-    )[-1][2][0, 0])
+    return float(entropies([params.coupling], params.temperature, params.sites,
+                           [params.separation], params.sector)[2][0, 0])

@@ -169,11 +169,11 @@ def _oracle_gap(sites, coupling, temperature):
     sector = "gibbs" if temperature > 0 else "even"
     worst = 0.0
     seps = range(1, sites // 2 + 1)
-    mz, *arrays, _ = exact.reports(sites, coupling, temperature, seps)
-    for sep, *ed in zip(seps, *arrays):
-        params = tfim.TfimParams(coupling=coupling, temperature=temperature,
-                                 sites=sites, separation=sep, sector=sector)
-        free = (*tfim.correlations(params), tfim.correlation_mi(params))
+    mz, *arrays, _ = exact.observables(sites, coupling, temperature, seps)
+    free_mz, *correlations, _ = tfim.correlations([coupling], temperature, sites, seps, sector)
+    free_mi = tfim.entropies([coupling], temperature, sites, seps, sector)[2]
+    for k, (sep, *ed) in enumerate(zip(seps, *arrays)):
+        free = (free_mz[0], *(v[0, k] for v in correlations), free_mi[0, k])
         worst = max(worst, *(abs(f - e) for f, e in zip(free, (mz, *ed), strict=True)))
     return worst
 

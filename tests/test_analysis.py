@@ -567,10 +567,6 @@ class TestScalingDrivers:
     def test_drivers_keep_validation_messages(self):
         with pytest.raises(ValueError, match="sites must be even and >= 4"):
             analysis.tfim_peak_far_derivative(33)
-        with pytest.raises(ValueError, match="coupling must be >= 0"):
-            analysis.tfim_peak_far_derivative(32, step=1.0)
-        with pytest.raises(ValueError, match="coupling must be >= 0"):
-            analysis.tfim_nn_scaling(sites_list=(64, 128, 256, 512), step=2.0)
 
     def test_derivative_exponent_is_one_batch(self, monkeypatch):
         kernel = count_calls(monkeypatch, density, "x_state_entropies")

@@ -7,8 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from critent import analysis, cli, exact, ising2d, tfim
+from critent import analysis, cli, density, exact, ising2d, tfim
 from critent.analysis import FitResult
+from test_analysis import count_calls
 
 try:
     from importlib import resources
@@ -128,6 +129,17 @@ class TestOracleCompare:
         # levels of every even block, eigenvectors of the ground block only
         assert len(calls["eigvalsh"]) == 10 // 2 + 1
         assert len(calls["eigh"]) == 1
+
+    def test_each_side_is_one_grid_call(self, capsys, monkeypatch):
+        # the free-fermion side is one tfim.correlations grid and the ED side
+        # one exact.observables call, whatever the number of separations
+        free = count_calls(monkeypatch, tfim, "correlations")
+        ed = count_calls(monkeypatch, exact, "observables")
+        code, out, _ = run_cli(["oracle", "compare", "--n", "8", "--t", "0"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1].startswith("max,all,,,")
+        assert len(free) == 1 and len(ed) == 1
+        assert free[0][3] == ed[0][3] == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("sites", [3, 9, 11])
     def test_odd_ring_fails_before_the_diagonalization(self, sites, capsys, monkeypatch):
@@ -449,10 +461,15 @@ class TestReportBytes:
     def canned_oracle(self, monkeypatch):
         # one mz for the ring, arrays over r, then the ground energy
         mz, *columns = zip(*self.EXACT)
-        canned(monkeypatch, exact, "reports",
+        canned(monkeypatch, exact, "observables",
                (mz[0], *(np.array(c) for c in columns), -10.25))
-        canned(monkeypatch, tfim, "correlations_and_mi",
-               (self.FREE[0], *(np.array(v) for v in self.FREE[1:])))
+        # the free side's one-coupling grid: mz over the couplings, then
+        # gxx, gyy, gzz and czz over (couplings, separations); its MI is
+        # the kernel's third array
+        free_mz, gxx, gyy, gzz, mi = self.FREE
+        canned(monkeypatch, tfim, "correlations",
+               (np.array([free_mz]), *(np.array([v]) for v in (gxx, gyy, gzz, gzz))))
+        canned(monkeypatch, density, "two_site_entropies", (None, None, np.array([mi])))
 
     def test_oracle_csv(self, capsys, monkeypatch):
         self.canned_oracle(monkeypatch)

@@ -306,8 +306,7 @@ class TestXStateKernel:
         # the entropy difference returned 0.0, 4.4e-16 and 0 at these points
         if case.startswith("tfim"):
             lam, temperature = {"tfim-0.5-1": (0.5, 1.0), "tfim-1-5": (1.0, 5.0)}[case]
-            mz, gxx, gyy, _, czz = tfim._correlation_arrays(
-                [lam], temperature, 1000, [300], "even")
+            mz, gxx, gyy, _, czz = tfim.correlations([lam], temperature, 1000, [300])
             inputs = (mz[0], gxx[0, 0], gyy[0, 0], czz[0, 0])
         else:
             inputs = (0.0, 0.0, 0.0, ising2d.diagonal_correlations([3.0], [30])[0, 0])
@@ -464,8 +463,7 @@ class TestMutualInformationLowerBound:
     def test_tfim_grid(self, temperature):
         # measured MI / bound >= 1.10
         couplings, separations = np.linspace(0.0, 2.0, 41), range(1, 51)
-        mz, gxx, gyy, _, czz = tfim._correlation_arrays(
-            couplings, temperature, 1000, separations, "even")
+        mz, gxx, gyy, _, czz = tfim.correlations(couplings, temperature, 1000, separations)
         mi = tfim.entropies(couplings, temperature, 1000, separations)[2]
         self.assert_bounded(mi, [gxx, gyy, czz])
 

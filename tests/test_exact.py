@@ -1,4 +1,9 @@
+import ctypes
+import glob
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -10,6 +15,13 @@ from critent.density import DensityMatrix, make_density_matrix
 from oracles import (ed_translation_averages, free_fermion_ground_energy, mpmath_mi,
                      parity_diagonal, x_state)
 from test_analysis import count_calls
+
+
+def observables_at(sites, coupling, temperature, separation):
+    """(mz, gxx, gyy, gzz, MI, ground_energy) at one separation, as floats:
+    the one-separation case of exact.observables."""
+    mz, *values, energy = exact.observables(sites, coupling, temperature, [separation])
+    return (mz, *(float(v[0]) for v in values), energy)
 
 
 class TestBuildHamiltonian:
@@ -44,24 +56,24 @@ class TestBuildHamiltonian:
 class TestObservables:
     def test_nan_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature must be >= 0"):
-            exact.reports(6, 1.0, float("nan"), [1])
+            exact.observables(6, 1.0, float("nan"), [1])
 
     def test_infinite_temperature_is_uncorrelated(self):
-        _, gxx, _, _, mi, _ = exact.reports(6, 1.0, float("inf"), [1, 2, 3])
+        _, gxx, _, _, mi, _ = exact.observables(6, 1.0, float("inf"), [1, 2, 3])
         for xx, m in zip(gxx, mi):
             assert m == pytest.approx(0.0, abs=1e-12)
             assert xx == pytest.approx(0.0, abs=1e-12)
 
     def test_free_spin_point(self):
         for sep in (1, 2):
-            mz, gxx, _, gzz, mi, _ = exact.observables(4, 0.0, 0.0, sep)
+            mz, gxx, _, gzz, mi, _ = observables_at(4, 0.0, 0.0, sep)
             assert mz == pytest.approx(1.0, abs=1e-12)
             assert gzz == pytest.approx(1.0, abs=1e-12)
             assert abs(gxx) < 1e-12
             assert mi == pytest.approx(0.0, abs=1e-12)
 
     def test_ordered_side_plateau_with_regression_values(self):
-        mz, gxx, _, _, mi, ground_energy = exact.observables(10, 2.0, 0.0, 5)
+        mz, gxx, _, _, mi, ground_energy = observables_at(10, 2.0, 0.0, 5)
         assert 0.8 <= gxx <= 1.0
         assert 0.8 <= mi <= 1.0
         # frozen regression fixtures from this implementation
@@ -71,8 +83,8 @@ class TestObservables:
         assert ground_energy == pytest.approx(-21.271208818695936, abs=1e-9)
 
     def test_deterministic_reports(self):
-        first = exact.observables(8, 1.0, 0.5, 2)
-        second = exact.observables(8, 1.0, 0.5, 2)
+        first = observables_at(8, 1.0, 0.5, 2)
+        second = observables_at(8, 1.0, 0.5, 2)
         assert first == second  # bit-identical floats
 
     def test_ground_parity_even_across_grid(self):
@@ -89,14 +101,14 @@ class TestObservables:
     def test_degenerate_pair_resolved_to_even(self):
         # at very strong coupling the ground doublet splits below 1e-10;
         # its even member is the cat state, one bit across the ring
-        mi = exact.observables(8, 1e4, 0.0, 4)[4]
+        mi = observables_at(8, 1e4, 0.0, 4)[4]
         assert mi == pytest.approx(1.0, abs=1e-3)
 
     def test_batch_equals_single_separations(self):
         for temperature in (0.0, 0.7):
-            mz, *arrays, energy = exact.reports(8, 1.3, temperature, [4, 1, 3, 2])
+            mz, *arrays, energy = exact.observables(8, 1.3, temperature, [4, 1, 3, 2])
             batch = [(mz, *row, energy) for row in zip(*(v.tolist() for v in arrays))]
-            singles = [exact.observables(8, 1.3, temperature, r) for r in (4, 1, 3, 2)]
+            singles = [observables_at(8, 1.3, temperature, r) for r in (4, 1, 3, 2)]
             assert batch == singles  # bit-identical floats
 
     def test_ring_is_one_kernel_call(self, monkeypatch):
@@ -104,7 +116,7 @@ class TestObservables:
         kernel = count_calls(monkeypatch, density, "x_state_entropies")
         matrices = count_calls(monkeypatch, density, "make_density_matrix")
         general = count_calls(monkeypatch, density, "mutual_information")
-        assert len(exact.reports(8, 1.3, 0.5, [4, 1, 3, 2])[4]) == 4
+        assert len(exact.observables(8, 1.3, 0.5, [4, 1, 3, 2])[4]) == 4
         assert len(entropies) == 1 and len(kernel) == 1
         assert len(matrices) == 0 and len(general) == 0
 
@@ -116,7 +128,7 @@ class TestObservables:
             (0.0, 0.3, 1.0, 1.7, 1e4), (0.0, 0.5, 2.0, float("inf"))
         ):
             seps = range(1, sites // 2 + 1)
-            mz, *arrays, _ = exact.reports(sites, coupling, temperature, seps)
+            mz, *arrays, _ = exact.observables(sites, coupling, temperature, seps)
             for sep, gxx, gyy, gzz, mi in zip(seps, *arrays):
                 expected = density.mutual_information(x_state(mz, gxx, gyy, gzz))
                 where = (sites, coupling, temperature, sep)
@@ -128,7 +140,7 @@ class TestObservables:
     def test_weak_pairs_keep_relative_precision(self, sites, temperature, separations):
         # MI of 1.4e-10 .. 4e-6 here, where a difference of order-1
         # entropies keeps only about 1e-10 of it in absolute terms
-        mz, *arrays, _ = exact.reports(sites, 0.3, temperature, separations)
+        mz, *arrays, _ = exact.observables(sites, 0.3, temperature, separations)
         for sep, gxx, gyy, gzz, mi in zip(separations, *(v.tolist() for v in arrays)):
             with mpmath.workdps(40):
                 # exact: 40 digits hold gzz - mz^2 of two doubles
@@ -139,12 +151,12 @@ class TestObservables:
     def test_mi_nonnegative(self):
         for coupling in (0.25, 1.0, 2.0):
             for temperature in (0.0, 0.5):
-                mi = exact.observables(6, coupling, temperature, 3)[4]
+                mi = observables_at(6, coupling, temperature, 3)[4]
                 assert mi >= -1e-9
 
     def test_separation_validation(self):
         with pytest.raises(ValueError):
-            exact.observables(8, 1.0, 0.0, 5)
+            exact.observables(8, 1.0, 0.0, [5])
 
     @pytest.mark.parametrize("sites,coupling,temperature", [
         *itertools.product((4, 6, 8, 10), (0.3, 1.0, 1.7), (0.0, 0.5, 2.0)),
@@ -157,6 +169,60 @@ class TestObservables:
         reference = ed_translation_averages(sites, coupling, temperature)
         for value, expected in zip(ours, reference, strict=True):
             assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
+def bundled_openblas():
+    """numpy's bundled OpenBLAS, whose thread count the ED pins; the test
+    is skipped where numpy bundles none."""
+    found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                   "numpy.libs", "libscipy_openblas*"))
+    lib = ctypes.CDLL(found[0]) if found else None
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy bundles no scipy-openblas")
+    return lib
+
+
+class TestBlasThreads:
+    """The block eigh's last digits move with the BLAS thread count, so the
+    ED runs on one thread and gives the count back afterwards."""
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_blocks_run_on_one_thread_and_the_count_is_restored(self, monkeypatch, fails):
+        lib = bundled_openblas()
+        threads, eigh = [], np.linalg.eigh
+
+        def counted(a):
+            threads.append(lib.scipy_openblas_get_num_threads64_())
+            if fails:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            if fails:
+                with pytest.raises(np.linalg.LinAlgError):
+                    exact.observables(6, 1.0, 0.5, [1, 2, 3])
+            else:
+                exact.observables(6, 1.0, 0.5, [1, 2, 3])
+            after = lib.scipy_openblas_get_num_threads64_()
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+        assert threads and set(threads) == {1}
+        assert after == 2
+
+    def test_oracle_bytes_do_not_depend_on_the_thread_count(self):
+        # unpinned, the r = 5 gyy difference printed ...65 at 2 threads
+        # against ...649 at 1
+        bundled_openblas()
+        runs = [subprocess.run(
+            [sys.executable, "-m", "critent.cli", "oracle", "compare", "--n", "12",
+             "--lambda", "1.0", "--t", "0.5"],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        ) for threads in ("1", "2")]
+        assert [run.returncode for run in runs] == [3, 3]
+        assert runs[1].stdout == runs[0].stdout
 
 
 class TestGibbsState:
@@ -186,10 +252,10 @@ class TestGibbsState:
 
     def test_memory_stays_within_the_blocks(self):
         # the full 4096^2 Hamiltonian alone takes 128 MB, the blocks about 15
-        exact.reports(4, 1.0, 0.5, [1])  # lazy numpy and LAPACK set-up
+        exact.observables(4, 1.0, 0.5, [1])  # lazy numpy and LAPACK set-up
         tracemalloc.start()
         try:
-            exact.reports(12, 1.0, 0.5, range(1, 7))
+            exact.observables(12, 1.0, 0.5, range(1, 7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -206,9 +272,9 @@ def _expectation(rho, op_a, op_b):
 
 
 def _check_against_dense(sites, coupling, temperature, seps):
-    """Every correlation and MI of exact.reports within 1e-12 of the dense
+    """Every correlation and MI of exact.observables within 1e-12 of the dense
     full-space reduction."""
-    mz, *arrays, _ = exact.reports(sites, coupling, temperature, seps)
+    mz, *arrays, _ = exact.observables(sites, coupling, temperature, seps)
     for sep, gxx, gyy, gzz, mi in zip(seps, *arrays):
         rho = _dense_pair_state(sites, coupling, temperature, sep)
         where = (sites, coupling, temperature, sep)

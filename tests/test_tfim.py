@@ -37,6 +37,22 @@ def params(coupling, temperature, sites, separation, sector="even"):
     )
 
 
+def correlations_at(p):
+    """(mz, gxx, gyy, gzz) at one parameter point, as floats: the one-point
+    grid of tfim.correlations."""
+    mz, *values, _ = tfim.correlations(
+        [p.coupling], p.temperature, p.sites, [p.separation], p.sector)
+    return (float(mz[0]), *(float(v[0, 0]) for v in values))
+
+
+def coupling_row(coupling, temperature, sites, separations, sector="even"):
+    """mz, then gxx, gyy, gzz and MI over the separations: one coupling's
+    row of the correlations grid and of its one two_site_entropies call."""
+    mz, gxx, gyy, gzz, czz = tfim.correlations([coupling], temperature, sites, separations, sector)
+    mi = density.two_site_entropies(mz[:, None], gxx, gyy, gzz, czz)[2]
+    return float(mz[0]), gxx[0], gyy[0], gzz[0], mi[0]
+
+
 class TestMomenta:
     def test_even_sector_n4(self):
         phis = tfim.momenta(4, "even")
@@ -221,28 +237,28 @@ class TestCoefficients:
 
 class TestCorrelations:
     def test_free_spin_values(self):
-        mz, gxx, _, gzz = tfim.correlations(params(0.0, 0.0, 10, 3))
+        mz, gxx, _, gzz = correlations_at(params(0.0, 0.0, 10, 3))
         assert mz == pytest.approx(1.0, abs=1e-12)
         assert abs(gxx) < 1e-12
         assert gzz == pytest.approx(1.0, abs=1e-12)
 
     def test_strong_coupling_values(self):
-        _, gxx, gyy, _ = tfim.correlations(params(1e4, 0.0, 12, 3))
+        _, gxx, gyy, _ = correlations_at(params(1e4, 0.0, 12, 3))
         assert gxx == pytest.approx(1.0, abs=1e-3)
         assert abs(gyy) < 1e-3
 
     def test_matches_oracle_on_sample_grid(self):
         for lam in (0.5, 1.0, 2.0):
-            for sep in (1, 3, 5):
-                free = tfim.correlations(params(lam, 0.0, 10, sep))
-                ed = exact.observables(10, lam, 0.0, sep)[:4]
-                for value, expected in zip(free, ed, strict=True):
-                    assert value == pytest.approx(expected, abs=1e-8)
+            seps = (1, 3, 5)
+            free = coupling_row(lam, 0.0, 10, seps)[:4]
+            ed = exact.observables(10, lam, 0.0, seps)[:4]
+            for value, expected in zip(free, ed, strict=True):
+                assert value == pytest.approx(expected, abs=1e-8)
 
 
 def pair_state(p):
     """Dense two-site state built from the kernel's inputs."""
-    return x_state(*tfim.correlations(p))
+    return x_state(*correlations_at(p))
 
 
 class TestTwoSiteState:
@@ -262,7 +278,7 @@ class TestTwoSiteState:
         p = params(1e4, 0.0, 12, 6)
         mi = tfim.correlation_mi(p)
         assert mi == pytest.approx(1.0, abs=1e-3)
-        assert mi == pytest.approx(exact.observables(12, 1e4, 0.0, 6)[4], abs=1e-8)
+        assert mi == pytest.approx(exact.observables(12, 1e4, 0.0, [6])[4][0], abs=1e-8)
 
     def test_state_matches_oracle_entrywise(self):
         # independent reduction straight from the ground-state vector
@@ -276,7 +292,7 @@ class TestTwoSiteState:
         oracle_rho = front @ front.conj().T
         rho = pair_state(params(1.0, 0.0, sites, sep))
         assert np.max(np.abs(rho.matrix - oracle_rho)) < 1e-8
-        ed_mi = exact.observables(sites, 1.0, 0.0, sep)[4]
+        (ed_mi,) = exact.observables(sites, 1.0, 0.0, [sep])[4]
         assert tfim.correlation_mi(params(1.0, 0.0, sites, sep)) == pytest.approx(
             ed_mi, abs=1e-8
         )
@@ -329,7 +345,7 @@ class TestSuzukiEquivalence:
         separations = (1, 5, 10)
         planes = ising2d.diagonal_correlations([temperature], separations)[0]
         for r, plane in zip(separations, planes):
-            ring = tfim.correlations(params(coupling, 0.0, 4000, r))[1]
+            ring = correlations_at(params(coupling, 0.0, 4000, r))[1]
             assert abs(ring - plane) < 1e-13, r
 
 
@@ -342,7 +358,7 @@ class TestCriticalAmplitude:
     SITES, SEPARATIONS = 1000, (100, 200, 400)
 
     def critical_point(self):
-        mz, gxx, _, _, mi = tfim.correlations_and_mi(1.0, 0.0, self.SITES, self.SEPARATIONS)
+        mz, gxx, _, _, mi = coupling_row(1.0, 0.0, self.SITES, self.SEPARATIONS)
         return mz, gxx, mi
 
     def test_gxx_carries_the_ising_amplitude(self):
@@ -369,9 +385,8 @@ class TestOrderedFarPair:
     SITES, SEPARATIONS = 2000, (100, 1000)
 
     @pytest.mark.parametrize("coupling", [1.2, 1.5, 2.0])
-    def test_correlations_and_mi_reach_the_closed_forms(self, coupling):
-        mz, gxx, gyy, gzz, mi = tfim.correlations_and_mi(
-            coupling, 0.0, self.SITES, self.SEPARATIONS)
+    def test_correlations_and_the_mi_reach_the_closed_forms(self, coupling):
+        mz, gxx, gyy, gzz, mi = coupling_row(coupling, 0.0, self.SITES, self.SEPARATIONS)
         mz_inf, mx2 = tfim_ordered_limits(coupling)
         mi_inf = density.x_state_entropies(mz_inf, mx2, 0.0, 0.0)[2][0]
         # measured within 3.8e-13 (gxx), 5.6e-17 (mz) and 1.3e-12 (MI), the
@@ -441,12 +456,10 @@ class TestCorrelationMi:
     def test_batch_over_separations_equals_single_points(self, sector):
         for lam, temperature, sites in ((0.5, 0.0, 10), (1.0, 0.5, 12), (1.7, 1.0, 30)):
             seps = range(1, sites // 2 + 1)
-            mz, gxx, gyy, gzz, mi = tfim.correlations_and_mi(
-                lam, temperature, sites, seps, sector
-            )
+            mz, gxx, gyy, gzz, mi = coupling_row(lam, temperature, sites, seps, sector)
             for i, r in enumerate(seps):
                 p = params(lam, temperature, sites, r, sector)
-                assert tfim.correlations(p) == (mz, gxx[i], gyy[i], gzz[i])
+                assert correlations_at(p) == (mz, gxx[i], gyy[i], gzz[i])
                 assert tfim.correlation_mi(p) == mi[i]
 
 
@@ -514,14 +527,14 @@ class TestMiOverCouplings:
         with pytest.raises(ValueError, match="separations must not be empty"):
             tfim.entropies([1.0], 0.5, 100, [], sector)
         with pytest.raises(ValueError, match="separations must not be empty"):
-            tfim.correlations_and_mi(1.0, 0.5, 100, [], sector)
+            tfim.correlations([1.0], 0.5, 100, [], sector)
 
 
 class TestGibbsSector:
     def test_zero_temperature_is_even_sector(self):
         for lam in (0.5, 1.0, 2.0):
-            gibbs = tfim.correlations(params(lam, 0.0, 12, 4, "gibbs"))
-            even = tfim.correlations(params(lam, 0.0, 12, 4, "even"))
+            gibbs = correlations_at(params(lam, 0.0, 12, 4, "gibbs"))
+            even = correlations_at(params(lam, 0.0, 12, 4, "even"))
             assert gibbs == even
             assert tfim.magnetization_z(lam, 0.0, 12, "gibbs") == even[0]
 
@@ -543,7 +556,7 @@ class TestGibbsSector:
         # the bordered determinants up to r = 100 against the four traces
         # summed directly, with the zero mode inside dense determinants
         separations = [20, 60, 80, 100]
-        mz, gxx, gyy, gzz, _ = tfim.correlations_and_mi(coupling, 0.5, 200, separations, "gibbs")
+        mz, gxx, gyy, gzz, _ = coupling_row(coupling, 0.5, 200, separations, "gibbs")
         for k, r in enumerate(separations):
             reference = tfim_gibbs_reference(coupling, 0.5, 200, r)
             for value, expected in zip((mz, gxx[k], gyy[k], gzz[k]), reference):
@@ -553,9 +566,9 @@ class TestGibbsSector:
         # the R-sector phi = 0 mode has zero energy at lambda = 1, where
         # Z~_R = 0 and coth(omega_0/T)/omega_0 diverges; their product is finite
         for temperature, sites in ((0.5, 10), (1.0, 10), (0.2, 200)):
-            at = tfim.correlations(params(1.0, temperature, sites, sites // 4, "gibbs"))
+            at = correlations_at(params(1.0, temperature, sites, sites // 4, "gibbs"))
             for lam in (1.0 - 1e-6, 1.0 + 1e-6):
-                near = tfim.correlations(
+                near = correlations_at(
                     params(lam, temperature, sites, sites // 4, "gibbs")
                 )
                 for value, expected in zip(near, at, strict=True):
