@@ -218,6 +218,14 @@ def _central_differences(mi_at, xs, steps) -> np.ndarray:
     return (plus - minus) / (2.0 * steps)
 
 
+#: side -> (offsets from T_c, sign of T - T_c, fit of the derivatives ys
+#: against the offsets xs)
+_EXPONENT_SIDES = {
+    "below": (BELOW_TC_OFFSETS, -1.0, lambda xs, ys: power_law_fit(xs, np.abs(ys))),
+    "above": (ABOVE_TC_OFFSETS, +1.0, lambda xs, ys: log_poly_fit(xs, ys, degree=1)),
+}
+
+
 def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
     """dMI/dT critical laws at fixed separation (symmetric ensemble).
 
@@ -228,29 +236,19 @@ def ising2d_derivative_exponent(side: str, separation: int = 30) -> dict:
     offsets it gives -0.31 at N = 30 (finite-size crossover) and -0.48 at
     N = 800, against -0.487 for the N -> inf closed form.
     side="above": linear fit of dMI/dT against ln(T - T_c).
-    Returns the FitResult plus the grids used.
+    Returns the FitResult, its relative residual and the grids used.
     """
-    tc = ising2d.critical_temperature()
-    if side == "below":
-        offsets = np.array(BELOW_TC_OFFSETS)
-        sign = -1.0
-    elif side == "above":
-        offsets = np.array(ABOVE_TC_OFFSETS)
-        sign = +1.0
-    else:
+    if side not in _EXPONENT_SIDES:
         raise ValueError("side must be 'below' or 'above'")
+    offsets, sign, fit_law = _EXPONENT_SIDES[side]
+    offsets = np.array(offsets)
     derivs = _central_differences(
         lambda ts: ising2d.entropies(ts, [separation])[2][:, 0],
-        tc + sign * offsets,
+        ising2d.critical_temperature() + sign * offsets,
         np.minimum(1e-3, offsets / 10.0),  # clear of the singularity at T_c
     )
-    if side == "below":
-        fit = power_law_fit(offsets, np.abs(derivs))
-    else:
-        fit = log_poly_fit(offsets, derivs, degree=1)
+    fit = fit_law(offsets, derivs)
     return {
-        "side": side,
-        "separation": separation,
         "offsets": offsets.tolist(),
         "derivatives": derivs.tolist(),
         "fit": fit,

@@ -51,10 +51,10 @@ def _emit_json(payload: dict, path: str | None) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
-def _json_only(args) -> None:
-    """Actions whose result is one JSON object refuse an explicit --format csv."""
-    if args.format == "csv":
-        raise ValueError(f"{args.command} {args.action} writes JSON only")
+def _one_format(args, only: str) -> None:
+    """Actions that write one format refuse an explicit --format of the other."""
+    if args.format not in (None, only):
+        raise ValueError(f"{args.command} {args.action} writes {only.upper()} only")
 
 
 def _grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -117,8 +117,7 @@ def _cmd_dimer(args) -> int:
 
 def _cmd_ising2d(args) -> int:
     if args.action == "corr":
-        if args.format == "json":
-            raise ValueError("ising2d corr writes CSV only")
+        _one_format(args, "csv")
         seps = range(args.n_min, args.n_max + 1)
         values = ising2d.diagonal_correlations([args.t], seps)[0].tolist() if seps else []
         _emit(analysis.csv_text(["# T in units of Ising coupling", "model,T,N,correlation"],
@@ -132,7 +131,7 @@ def _cmd_ising2d(args) -> int:
             "N": _separations(args.n_min, args.n_max, 1 if one_t else args.n_step, "--n-step"),
         }, ensemble=args.ensemble)
     # exponents
-    _json_only(args)
+    _one_format(args, "json")
     result = analysis.ising2d_derivative_exponent(args.side, args.n)
     fit, residual = result["fit"], result["relative_residual"]
     if args.side == "below":
@@ -156,7 +155,7 @@ def _cmd_tfim(args) -> int:
             "r": _separations(args.r_min, args.r_max, args.r_step, "--r-step"),
         }, T=args.t, N=args.n, sector=args.sector)
     # scaling
-    _json_only(args)
+    _one_format(args, "json")
     if args.kind == "nn":
         result = analysis.tfim_nn_scaling()
         keys = ("sites", "derivatives", "relative_residual")
@@ -249,47 +248,29 @@ def _cmd_fit(args) -> int:
 
 def _cmd_props(args) -> int:
     rng = np.random.default_rng(args.seed)
-    trials = args.trials
-    if trials < 1:
+    if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    failures = []
-
-    def check(name, ok, detail=""):
-        line = f"{'PASS' if ok else 'FAIL'} {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-        if not ok:
-            failures.append(name)
-
-    worst_klein = math.inf
-    for _ in range(trials):
-        rho = density.random_density_matrix((4,), rng)
-        sigma = density.random_density_matrix((4,), rng)
-        worst_klein = min(worst_klein, density.relative_entropy(rho, sigma))
-    check("klein-inequality", worst_klein >= -1e-9, f"min = {worst_klein:.3e}")
-
-    worst_mi, worst_gap = math.inf, 0.0
-    for dims in ((2, 2), (2, 3)):
-        for _ in range(trials):
-            rho = density.random_density_matrix(dims, rng)
-            mi = density.mutual_information(rho)
-            worst_mi = min(worst_mi, mi)
-            product = density.tensor_product(
-                density.partial_trace(rho, {0}), density.partial_trace(rho, {1})
-            )
-            worst_gap = max(worst_gap, abs(density.relative_entropy(rho, product) - mi))
-    check("mi-nonnegative", worst_mi >= -1e-9, f"min = {worst_mi:.3e}")
-    check("mi-equals-relative-entropy", worst_gap <= 1e-9, f"max gap = {worst_gap:.3e}")
-
-    worst_prod = 0.0
-    for _ in range(trials):
-        rho = density.tensor_product(
-            density.random_density_matrix((2,), rng), density.random_density_matrix((2,), rng)
-        )
-        worst_prod = max(worst_prod, density.mutual_information(rho))
-    check("product-state-mi-zero", worst_prod < 1e-9, f"max = {worst_prod:.3e}")
-
+    trials, draw = range(args.trials), density.random_density_matrix
+    # the draws in suite order: rho then sigma per Klein trial, the MI
+    # trials at (2, 2) then (2, 3), two one-site states per product trial
+    klein = [density.relative_entropy(draw((4,), rng), draw((4,), rng)) for _ in trials]
+    states = [draw(dims, rng) for dims in ((2, 2), (2, 3)) for _ in trials]
+    mis = [density.mutual_information(rho) for rho in states]
+    gaps = [abs(density.relative_entropy(rho, density.tensor_product(
+        density.partial_trace(rho, {0}), density.partial_trace(rho, {1}))) - mi)
+        for rho, mi in zip(states, mis)]
+    products = [density.mutual_information(density.tensor_product(draw((2,), rng), draw((2,), rng)))
+                for _ in trials]
+    # the worst value of each suite; a NaN never replaces the start value
+    klein, mi, gap, product = (min(math.inf, *klein), min(math.inf, *mis),
+                               max(0.0, *gaps), max(0.0, *products))
+    suites = (("klein-inequality", klein >= -1e-9, f"min = {klein:.3e}"),
+              ("mi-nonnegative", mi >= -1e-9, f"min = {mi:.3e}"),
+              ("mi-equals-relative-entropy", gap <= 1e-9, f"max gap = {gap:.3e}"),
+              ("product-state-mi-zero", product < 1e-9, f"max = {product:.3e}"))
+    for name, passed, detail in suites:
+        print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
+    failures = [name for name, passed, _ in suites if not passed]
     if failures:
         raise CheckFailure(f"property suites failed: {', '.join(failures)}")
     return EXIT_OK
@@ -325,7 +306,7 @@ def _dimer_options(p):
 
 def _ising2d_options(p):
     p.add_argument("action", choices=("corr", "mi", "sweep", "exponents"))
-    p.add_argument("--t", type=float, default=None,
+    p.add_argument("--t", type=float, default=ising2d.critical_temperature(),
                    help="temperature (default: critical)")
     p.add_argument("--t-min", type=float, default=1.5)
     p.add_argument("--t-max", type=float, default=3.5)
@@ -477,8 +458,6 @@ def main(argv=None) -> int:
     gc.freeze()
     try:
         args = _apply_config(parser, args, argv)
-        if args.command == "ising2d" and args.t is None:
-            args.t = ising2d.critical_temperature()
         return args.func(args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -14,14 +14,7 @@ class ValidationError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A closed-form coefficient window failed its health check, or the
-    tests' reference quadrature (numerics.fourier_window) did not converge.
-
-    May carry the last two grid estimates so the caller can inspect them.
-    """
-
-    def __init__(self, message, estimates=None):
-        super().__init__(message)
-        self.estimates = estimates
+    tests' reference quadrature (numerics.fourier_window) did not converge."""
 
 
 class ModelConsistencyError(ValueError):

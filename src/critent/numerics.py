@@ -72,9 +72,7 @@ def fourier_window(
     bad = ns[~done]
     raise ConvergenceError(
         f"coefficients {bad.tolist()} did not converge below {tol} "
-        f"within {max_points} grid points",
-        estimates=(prev[~done], None),
-    )
+        f"within {max_points} grid points")
 
 
 def toeplitz_determinant(windows, dim: int, row_shift: int = 0, *, sizes):

@@ -1,5 +1,7 @@
 import argparse
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -346,6 +348,42 @@ class TestChecks:
         assert code == 0
         assert "PASS klein-inequality" in out
 
+    PROPS_SUITES = ["klein-inequality", "mi-nonnegative", "mi-equals-relative-entropy",
+                    "product-state-mi-zero"]
+
+    @staticmethod
+    def props_lines(out):
+        """(verdict, suite, label) of each line `props` prints."""
+        return [re.fullmatch(r"(PASS|FAIL) (\S+) \((min|max gap|max) = \S+\)", line).groups()
+                for line in out.splitlines()]
+
+    def test_props_prints_four_suites_in_order(self, capsys):
+        code, out, err = run_cli(["props", "--trials", "20", "--seed", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert self.props_lines(out) == list(zip(
+            ["PASS"] * 4, self.PROPS_SUITES, ["min", "min", "max gap", "max"]))
+
+    def test_props_failures_are_named_and_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(density, "relative_entropy", lambda rho, sigma: -1.0)
+        code, out, err = run_cli(["props", "--trials", "5"], capsys)
+        assert [line[:2] for line in self.props_lines(out)] == list(zip(
+            ["FAIL", "PASS", "FAIL", "PASS"], self.PROPS_SUITES))
+        assert (code, err) == (3, "check failed: property suites failed: "
+                                  "klein-inequality, mi-equals-relative-entropy\n")
+
+    def test_props_nan_is_never_the_worst(self, capsys, monkeypatch):
+        real, calls = density.mutual_information, []
+
+        def first_is_nan(rho):
+            calls.append(rho)
+            return math.nan if len(calls) == 1 else real(rho)
+
+        monkeypatch.setattr(density, "mutual_information", first_is_nan)
+        code, out, _ = run_cli(["props", "--trials", "5", "--seed", "3"], capsys)
+        assert code == 0
+        assert "nan" not in out
+        assert [line[0] for line in self.props_lines(out)] == ["PASS"] * 4
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_props_without_trials_exits_one(self, capsys, trials):
         # no trial would leave every suite vacuously passing
@@ -512,6 +550,16 @@ class TestReportBytes:
 
 
 class TestConfigAndErrors:
+    def test_ising2d_temperature_defaults_to_critical(self, tmp_path, capsys):
+        critical = run_cli(["ising2d", "mi"], capsys)
+        assert critical[0] == 0
+        assert critical == run_cli(["ising2d", "mi", "--t", "2.269185314213022"], capsys)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t": 2.5}))
+        configured = run_cli(["ising2d", "mi", "--config", str(config)], capsys)
+        assert configured == run_cli(["ising2d", "mi", "--t", "2.5"], capsys)
+        assert configured != critical
+
     def test_config_supplies_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"t_count": 7, "t_min": 0.5}))

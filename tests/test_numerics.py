@@ -68,9 +68,8 @@ class TestFourierCoefficient:
         # just off criticality the symbol varies on a scale the capped grid
         # cannot resolve
         symbol = ising_symbol(ising2d.critical_temperature() + 1e-7)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError):
             fourier_window(symbol, 40, max_points=1 << 16)
-        assert err.value.estimates is not None
 
     def test_accepted_value_stable_under_doubling(self):
         # doubling past the accepted resolution moves a_n by < 1e-10

@@ -397,6 +397,27 @@ class TestOrderedFarPair:
         assert np.all(np.abs(gzz - mz * mz) <= 1e-12)
         assert np.all(np.abs(mi - mi_inf) <= 5e-12)
 
+    # a long-range correlation that does not vanish forces an MI that does
+    # not vanish: MI >= gxx^2/(2 ln 2) (Wolf, Verstraete, Hastings and
+    # Cirac, PRL 100, 070502 (2008)), up to 4 ulps of the bound.  MI over
+    # the bound measured 1.386-1.505 on the plateau, tending to 2 ln 2 as
+    # lambda grows, and 1.43-1.49 on the ring
+    @staticmethod
+    def assert_far_pair_bound(mi, gxx):
+        bound = gxx * gxx / (2.0 * math.log(2.0))
+        assert mi >= bound - 4 * np.spacing(bound)
+
+    @pytest.mark.parametrize("coupling", [1.0001, 1.001, 1.01, 1.1, 1.5, 2.0, 5.0, 50.0])
+    def test_plateau_obeys_the_far_pair_bound(self, coupling):
+        """MI_inf >= m_x^4/(2 ln 2), the bound at gxx = m_x^2."""
+        mz_inf, mx2 = tfim_ordered_limits(coupling)
+        self.assert_far_pair_bound(density.x_state_entropies(mz_inf, mx2, 0.0, 0.0)[2][0], mx2)
+
+    @pytest.mark.parametrize("coupling", [1.2, 1.5, 2.0])
+    def test_ring_far_pair_obeys_the_bound(self, coupling):
+        _, gxx, _, _, mi = coupling_row(coupling, 0.0, self.SITES, [self.SITES // 2])
+        self.assert_far_pair_bound(mi[0], gxx[0])
+
     @pytest.mark.parametrize("distance", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     def test_plateau_slope_diverges_as_inverse_square_root(self, distance):
         """Near lambda = 1+ the plateau is a weak gxx = m_x^2 pair, so
