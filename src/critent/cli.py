@@ -182,11 +182,14 @@ def _cmd_oracle(args) -> int:
     lam = getattr(args, "lambda")
     seps = [args.r] if args.r is not None else list(range(1, args.n // 2 + 1))
     # both sides' parameter checks before the diagonalization: exact's ring
-    # range first, then the free-fermion grid's (an even ring, N >= 4)
+    # range first, then tfim.check_grid (an even ring, N >= 4); the free
+    # grid runs after it, so what it loads (numpy.fft, the windows) is not
+    # resident under the block eigh peak
     exact.check_ring(args.n, lam)
+    tfim.check_grid([lam], args.t, args.n, seps)
+    *oracle, ground_energy = exact.observables(args.n, lam, args.t, seps)
     mz, gxx, gyy, gzz, czz = tfim.correlations([lam], args.t, args.n, seps)
     mi = density.two_site_entropies(mz[:, None], gxx, gyy, gzz, czz)[2]
-    *oracle, ground_energy = exact.observables(args.n, lam, args.t, seps)
     # (separations, quantities) arrays, columns in ORACLE_QUANTITIES order;
     # the free side is the one row of its grid
     free, ed = (np.column_stack(np.broadcast_arrays(*values)) for values in

@@ -61,7 +61,8 @@ _GIBBS_BATCH_ENTRIES = 2**20
 
 @dataclass(frozen=True)
 class TfimParams:
-    """One parameter point: coupling, temperature, ring size, separation."""
+    """One parameter point: coupling, temperature, ring size, separation,
+    validated by check_grid as the one-point grid."""
 
     coupling: float
     temperature: float
@@ -70,16 +71,31 @@ class TfimParams:
     sector: str = "even"
 
     def __post_init__(self):
-        if not self.coupling >= 0:
-            raise ValueError("coupling must be >= 0")
-        if not self.temperature >= 0:
-            raise ValueError("temperature must be >= 0")
-        if self.sites < 4 or self.sites % 2:
-            raise ValueError("sites must be even and >= 4")
-        if not 1 <= self.separation <= self.sites // 2:
-            raise ValueError("separation must be in [1, sites/2]")
-        if self.sector not in SECTORS:
-            raise ValueError(f"sector must be one of {SECTORS}")
+        check_grid([self.coupling], self.temperature, self.sites, [self.separation], self.sector)
+
+
+def check_grid(couplings, temperature, sites, separations, sector="even") -> None:
+    """The free-fermion side's one parameter rule, raising ValueError at
+    the first failure in this order: an empty axis (couplings, then
+    separations); the smallest coupling (NaN propagates to it), the
+    temperature, the ring size; the smallest separation, the sector, then
+    the largest separation."""
+    for name, axis in (("couplings", couplings), ("separations", separations)):
+        if not len(axis):
+            raise ValueError(f"{name} must not be empty")
+    if not np.min(couplings) >= 0:
+        raise ValueError("coupling must be >= 0")
+    if not temperature >= 0:
+        raise ValueError("temperature must be >= 0")
+    if sites < 4 or sites % 2:
+        raise ValueError("sites must be even and >= 4")
+    low, high = min(separations), max(separations)
+    if not 1 <= low <= sites // 2:
+        raise ValueError("separation must be in [1, sites/2]")
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}")
+    if not 1 <= high <= sites // 2:
+        raise ValueError("separation must be in [1, sites/2]")
 
 
 def momenta(sites: int, sector: str = "even") -> np.ndarray:
@@ -286,16 +302,11 @@ def correlations(couplings, temperature, sites, separations, sector="even"):
     FFTs), sized for the largest separation; one determinant call per shift
     gives every separation's minor for every window (Gibbs: one bordered
     slogdet per separation for both); mz and czz by indexing (Gibbs: one
-    call each).  Validates the parameters as TfimParams does, with its
-    messages; an empty axis raises ValueError naming it, before any
-    window is built.
+    call each).  check_grid validates the parameters, before any window
+    is built.
     """
     couplings, separations = np.asarray(couplings, dtype=float), list(separations)
-    for name, axis in (("couplings", couplings), ("separations", separations)):
-        if not len(axis):
-            raise ValueError(f"{name} must not be empty")
-    for r in (min(separations), max(separations)):
-        TfimParams(float(couplings.min()), temperature, sites, r, sector)
+    check_grid(couplings, temperature, sites, separations, sector)
     if sector == "gibbs" and temperature > 0:
         return _gibbs_arrays(couplings, temperature, sites, separations)
     n_max = max(separations)

@@ -143,18 +143,76 @@ class TestOracleCompare:
         assert len(free) == 1 and len(ed) == 1
         assert free[0][3] == ed[0][3] == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("sites", [3, 9, 11])
-    def test_odd_ring_fails_before_the_diagonalization(self, sites, capsys, monkeypatch):
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--n", str(sites)], "sites must be even and >= 4", id=str(sites))
+        for sites in (3, 5, 9, 11)
+    ] + [
+        pytest.param(["--r", "0"], "separation must be in [1, sites/2]", id="r0"),
+        pytest.param(["--r", "4", "--n", "6"], "separation must be in [1, sites/2]", id="r4-n6"),
+        pytest.param(["--t", "-1"], "temperature must be >= 0", id="t-1"),
+        pytest.param(["--t", "nan"], "temperature must be >= 0", id="tnan"),
+    ])
+    def test_odd_ring_fails_before_the_diagonalization(self, args, message, capsys, monkeypatch):
+        # every input that exact.check_ring passes and tfim.check_grid
+        # rejects: exit 1 with the free side's message, no block diagonalized
         def block_eigh(*args, **kwargs):
             raise AssertionError("the oracle diagonalized a block")
 
         monkeypatch.setattr(np.linalg, "eigh", block_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", block_eigh)
-        code, _, err = run_cli(
-            ["oracle", "compare", "--n", str(sites), "--t", "0.5"], capsys
-        )
-        assert code == 1
-        assert "sites must be even and >= 4" in err
+        argv = ["oracle", "compare", "--t", "0.5", *args]
+        assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+    def test_checks_then_diagonalization_then_free_grid(self, capsys, monkeypatch):
+        calls = []
+
+        def recorded(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        for owner, name in ((exact, "check_ring"), (tfim, "check_grid"),
+                            (exact, "observables"), (tfim, "correlations")):
+            recorded(owner, name)
+        code, _, _ = run_cli(["oracle", "compare", "--n", "6", "--t", "0.5"], capsys)
+        assert code == 3
+        # first calls only: observables checks the ring again, and
+        # correlations the grid
+        assert list(dict.fromkeys(calls)) == ["check_ring", "check_grid", "observables",
+                                              "correlations"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_real_numbers_equal_the_library_table(self, fmt, capsys):
+        # the library calls with the free side first: the report's bytes do
+        # not depend on which side runs first
+        sites, lam, temperature, seps = 8, 1.3, 0.5, [1, 2, 3, 4]
+        mz, gxx, gyy, gzz, czz = tfim.correlations([lam], temperature, sites, seps)
+        mi = density.two_site_entropies(mz[:, None], gxx, gyy, gzz, czz)[2]
+        *oracle, energy = exact.observables(sites, lam, temperature, seps)
+        free = [(float(mz[0]), *(float(v[0, k]) for v in (gxx, gyy, gzz)), float(mi[0, k]))
+                for k in range(len(seps))]
+        ed = [(float(oracle[0]), *(float(v[k]) for v in oracle[1:])) for k in range(len(seps))]
+        diffs = [[abs(f - e) for f, e in zip(*pair)] for pair in zip(free, ed)]
+        worst = max(max(d) for d in diffs)
+        names = cli.ORACLE_QUANTITIES
+        if fmt == "json":
+            expected = dumped({
+                "N": sites, "lambda": lam, "T": temperature, "ground_energy": energy,
+                "rows": [{"r": r, "free_fermion": dict(zip(names, f)), "exact": dict(zip(names, e)),
+                          "abs_diff": dict(zip(names, d)), "max_abs_diff": max(d)}
+                         for r, f, e, d in zip(seps, free, ed, diffs)],
+                "max_abs_diff": worst, "threshold": 1e-8, "passed": False})
+        else:
+            rows = [(r, name, *cells) for r, *values in zip(seps, free, ed, diffs)
+                    for name, *cells in zip(names, *values)]
+            expected = analysis.csv_text(["r,quantity,free_fermion,exact,abs_diff"],
+                                         [*rows, ("max", "all", None, None, worst)])
+        assert run_cli(["oracle", "compare", "--n", "8", "--lambda", "1.3", "--t", "0.5",
+                        "--format", fmt], capsys) == (
+            3, expected, f"check failed: oracle divergence {worst:.3e} exceeds 1.000e-08\n")
 
     @pytest.mark.parametrize("sites", [2, 13, 14])
     def test_ring_outside_the_oracle_range(self, sites, capsys):

@@ -256,6 +256,72 @@ class TestCorrelations:
                 assert value == pytest.approx(expected, abs=1e-8)
 
 
+NAN = math.nan
+COUPLING, TEMPERATURE = "coupling must be >= 0", "temperature must be >= 0"
+SITES, SEPARATION = "sites must be even and >= 4", "separation must be in [1, sites/2]"
+SECTOR = "sector must be one of ('even', 'odd', 'gibbs')"
+
+
+class TestCheckGrid:
+    """One rule for the free-fermion side: check_grid, TfimParams and
+    correlations reject the same inputs with the same first message."""
+
+    # (couplings, temperature, sites, separations, sector, message)
+    BAD = [
+        # one bad field
+        ([NAN], 0.5, 8, [2], "even", COUPLING),
+        ([-0.5], 0.5, 8, [2], "even", COUPLING),
+        ([1.0], -0.1, 8, [2], "even", TEMPERATURE),
+        ([1.0], NAN, 8, [2], "even", TEMPERATURE),
+        ([1.0], 0.5, 2, [1], "even", SITES),
+        ([1.0], 0.5, 5, [2], "even", SITES),
+        ([1.0], 0.5, 7, [2], "even", SITES),
+        ([1.0], 0.5, 8, [0], "even", SEPARATION),
+        ([1.0], 0.5, 8, [5], "even", SEPARATION),
+        ([1.0], 0.5, 8, [2], "mixed", SECTOR),
+        ([], 0.5, 8, [2], "even", "couplings must not be empty"),
+        ([1.0], 0.5, 8, [], "even", "separations must not be empty"),
+        # two bad fields: the first in the rule's order wins
+        ([NAN], -1.0, 8, [2], "even", COUPLING),
+        ([-0.5], 0.5, 8, [5], "even", COUPLING),
+        ([1.0], NAN, 7, [2], "even", TEMPERATURE),
+        ([1.0], -0.1, 8, [0], "even", TEMPERATURE),
+        ([1.0], 0.5, 5, [0], "even", SITES),
+        ([1.0], 0.5, 2, [1], "mixed", SITES),
+        ([1.0], 0.5, 8, [0], "mixed", SEPARATION),
+        ([1.0], 0.5, 8, [5], "mixed", SEPARATION),
+        ([], 0.5, 8, [], "even", "couplings must not be empty"),
+        ([-0.5], 0.5, 8, [], "even", "separations must not be empty"),
+        # grids: the smallest coupling (NaN anywhere), the smallest
+        # separation, the sector, then the largest separation
+        ([1.0, NAN], 0.5, 8, [2], "even", COUPLING),
+        ([1.0, -1e-4], 0.5, 8, [2], "even", COUPLING),
+        ([1.0], 0.5, 8, [4, 0], "mixed", SEPARATION),
+        ([1.0], 0.5, 8, [1, 5], "mixed", SECTOR),
+        ([1.0], 0.5, 8, [1, 5], "gibbs", SEPARATION),
+    ]
+
+    @pytest.mark.parametrize("couplings, temperature, sites, separations, sector, message", BAD,
+                             ids=map(str, range(len(BAD))))
+    def test_every_route_raises_the_same_message(
+            self, couplings, temperature, sites, separations, sector, message, monkeypatch):
+        def ifft(*args, **kwargs):
+            raise AssertionError("a window was built before the parameters were checked")
+
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+        routes = [tfim.check_grid, tfim.correlations]
+        if len(couplings) == len(separations) == 1:
+            routes.append(lambda c, t, n, r, s: params(c[0], t, n, r[0], s))
+        for route in routes:
+            with pytest.raises(ValueError) as err:
+                route(couplings, temperature, sites, separations, sector)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("sector", tfim.SECTORS)
+    def test_good_grid_passes(self, sector):
+        assert tfim.check_grid(np.array([0.0, 2.0]), 0.0, 4, range(1, 3), sector) is None
+
+
 def pair_state(p):
     """Dense two-site state built from the kernel's inputs."""
     return x_state(*correlations_at(p))
@@ -314,22 +380,6 @@ class TestTwoSiteState:
             assert s_i == pytest.approx(density.von_neumann_entropy(rho_i), abs=1e-10)
             assert s_ij == pytest.approx(density.von_neumann_entropy(rho_ij), abs=1e-10)
             assert mi == pytest.approx(density.mutual_information(rho_ij), abs=1e-10)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            params(1.0, 0.0, 7, 2)  # odd ring
-        with pytest.raises(ValueError):
-            params(1.0, 0.0, 8, 5)  # separation beyond half ring
-        with pytest.raises(ValueError):
-            params(-0.5, 0.0, 8, 2)
-        with pytest.raises(ValueError):
-            params(1.0, -0.1, 8, 2)
-        with pytest.raises(ValueError):
-            params(1.0, 0.0, 8, 2, sector="mixed")
-        with pytest.raises(ValueError, match="coupling must be >= 0"):
-            params(math.nan, 0.0, 8, 2)
-        with pytest.raises(ValueError, match="temperature must be >= 0"):
-            params(1.0, math.nan, 8, 2)
 
     def test_infinite_temperature_is_uncorrelated(self):
         assert tfim.correlation_mi(params(1.0, math.inf, 12, 3)) == 0.0
@@ -527,17 +577,6 @@ class TestMiOverCouplings:
                 tfim.correlation_mi(params(lam, temperature, 12, 3, sector))
                 for lam in couplings
             ]
-
-    def test_validates_as_params_do(self):
-        for args, message in (
-            (([0.5, 1.0], 0.0, 33, 16), "sites must be even and >= 4"),
-            (([1.0, -1e-4], 0.0, 32, 16), "coupling must be >= 0"),
-            (([1.0], -0.1, 32, 16), "temperature must be >= 0"),
-            (([1.0], 0.0, 32, 17), r"separation must be in \[1, sites/2\]"),
-            (([1.0], 0.0, 32, 16, "mixed"), "sector must be one of"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                self.mi_over_couplings(*args)
 
     @pytest.mark.parametrize("sector", ["even", "gibbs"])
     def test_empty_axes_are_named(self, sector, monkeypatch):
