@@ -52,6 +52,8 @@ def check_ring(sites: int, coupling: float) -> None:
         raise ValueError("sites must be in [3, 12]")
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
+    if not coupling < np.inf:
+        raise ValueError("coupling must be finite")
 
 
 def build_hamiltonian(sites: int, coupling: float) -> np.ndarray:

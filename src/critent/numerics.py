@@ -1,10 +1,11 @@
 """Scalar/matrix numerical kernels.
 
 Toeplitz determinants in sign/log-magnitude form (toeplitz_determinant,
-the one determinant function: a stack of windows at one shift, with every
-requested leading minor from one Levinson recursion), and trapezoidal
-quadrature for the Fourier coefficients of a symbol, which no model calls:
-the tests' reference for closed forms.
+the one determinant function: every leading minor of a stack of windows
+at one shift from one Levinson recursion, its two vectors in one buffer
+and each step one einsum and one update), and trapezoidal quadrature for
+the Fourier coefficients of a symbol, which no model calls: the tests'
+reference for closed forms.
 Everything here is a pure function of its inputs; identical inputs give
 bit-identical outputs within one build.
 
@@ -127,27 +128,31 @@ def _leading_minors(stack, lags, centre, dim, sizes):
     With M_k x = (p_k, 0, ..., 0), x_0 = 1, and M_k w = (0, ..., 0, p_k),
     w_{k-1} = 1, the pivot p_k = det M_k / det M_{k-1}, and bordering both
     gives p_{k+1} = p_k - e_x e_w / p_k with e_x = sum_j t_{k-j} x_j and
-    e_w = sum_j t_{-1-j} w_j; x is stored from the top of its buffer and
-    w from the bottom, so neither update reads a vector backwards.  Each
-    dot product is one einsum pass over its (k, columns) slices, with no
-    product temporary, summing term by term as (a * b).sum(axis=0) does.
+    e_w = sum_j t_{-1-j} w_j.  w ends at row dim of a (2 dim, columns)
+    buffer z and x starts there; each step is one einsum of z[dim-k:dim+k]
+    as (2, k, columns) against a view of lags with t_{-1-j} and t_{k-j} in
+    its planes (summing term by term as (a * b).sum(axis=0) does), one
+    divide and one update of z[dim-1-k:dim+1+k] by its swapped planes.
     """
     width, columns = lags.shape
     mid = width - 1 - centre
+    row, col = lags.strides
     pivots = np.empty((dim, columns))
     pivots[0] = lags[mid]
-    x, w = np.zeros((2, dim, columns))
-    x[0] = w[-1] = 1.0
+    z = np.zeros((2 * dim, columns))
+    z[dim - 1] = z[dim] = 1.0
+    e = np.empty((2, 1, columns))  # (e_w, e_x), shaped to scale the planes of z
+    dots, e_x = e[:, 0], e[1, 0]
     with np.errstate(all="ignore"):  # a breakdown shows as a non-finite pivot
         for k in range(1, dim):
-            e_x = np.einsum("ij,ij->j", lags[mid - k:mid], x[:k])
-            e_w = np.einsum("ij,ij->j", lags[mid + 1:mid + 1 + k], w[dim - k:])
-            ratio_x, ratio_w = e_x / pivots[k - 1], e_w / pivots[k - 1]
-            pivots[k] = pivots[k - 1] - e_x * ratio_w
+            # ndarray(shape, dtype, buffer, offset, strides) by position: half the cost
+            t = np.ndarray((2, k, columns), float, lags, (mid + 1) * row, (-(k + 1) * row, row, col))
+            np.einsum("pij,pij->pj", t, z[dim - k:dim + k].reshape(2, k, columns), out=dots)
+            ratio = e / pivots[k - 1]
+            pivots[k] = pivots[k - 1] - e_x * ratio[0, 0]
             if k + 1 < dim:
-                step = ratio_w * x[:k + 1]
-                x[:k + 1] -= ratio_x * w[dim - 1 - k:]
-                w[dim - 1 - k:] -= step
+                v = z[dim - 1 - k:dim + 1 + k].reshape(2, k + 1, columns)
+                v -= ratio * v[::-1]
         pivots = pivots[:, :len(stack)].T
         at = np.asarray(sizes) - 1
         logabs = np.cumsum(np.log(np.abs(pivots)), axis=1)[:, at]

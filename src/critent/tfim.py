@@ -78,13 +78,15 @@ def check_grid(couplings, temperature, sites, separations, sector="even") -> Non
     """The free-fermion side's one parameter rule, raising ValueError at
     the first failure in this order: an empty axis (couplings, then
     separations); the smallest coupling (NaN propagates to it), the
-    temperature, the ring size; the smallest separation, the sector, then
-    the largest separation."""
+    largest coupling, the temperature, the ring size; the smallest
+    separation, the sector, then the largest separation."""
     for name, axis in (("couplings", couplings), ("separations", separations)):
         if not len(axis):
             raise ValueError(f"{name} must not be empty")
     if not np.min(couplings) >= 0:
         raise ValueError("coupling must be >= 0")
+    if not np.max(couplings) < np.inf:
+        raise ValueError("coupling must be finite")
     if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
     if sites < 4 or sites % 2:

@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 
-from critent import exact, tfim
+from critent import analysis, exact, tfim
 from critent.analysis import CSV_HEADER, UNITS_COMMENTS
 from critent.density import (LN2, DensityMatrix, _plogp, _reject_negative, _weighted_g,
                              make_density_matrix, two_site_entropies)
@@ -251,6 +251,17 @@ def levinson_minors(windows, shift: int, dim: int) -> np.ndarray:
     pivots = np.array(pivots).T
     assert np.all(np.isfinite(pivots)) and np.all(pivots != 0.0)
     return np.cumprod(np.sign(pivots), axis=1) * np.exp(np.cumsum(np.log(np.abs(pivots)), axis=1))
+
+
+def far_grids(sites):
+    """(coarse, derivatives, best, fine): the far-pair peak search's coarse
+    coupling grid, its derivatives of MI(0, N/2), the index of the largest
+    and the fine grid around coarse[best], built as
+    analysis.tfim_peak_far_derivative builds them."""
+    coarse = np.arange(0.9, 1.15 + 1e-12, 0.005)
+    derivatives = analysis._tfim_derivatives(coarse, sites, sites // 2)
+    best = int(np.argmax(derivatives))
+    return coarse, derivatives, best, coarse[best] + np.arange(-4, 5) * 0.001
 
 
 def tfim_mi_reference(couplings, sites, separation) -> np.ndarray:

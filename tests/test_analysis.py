@@ -13,7 +13,7 @@ from critent.analysis import (
     sweep,
 )
 from critent.errors import ConvergenceError
-from oracles import derivative_at, records_csv
+from oracles import derivative_at, far_grids, records_csv
 
 
 def count_calls(monkeypatch, owner, name):
@@ -552,6 +552,15 @@ class TestScalingDrivers:
             return float(fine[fbest]), float(fvals[fbest])
 
         assert analysis.tfim_peak_far_derivative(32) == reference(32)
+
+    @pytest.mark.parametrize("sites", analysis.FAR_SCALING_SITES)
+    def test_far_derivative_does_not_depend_on_its_batch(self, sites):
+        # the fine grid's centre is coarse[best]: the same coupling in an
+        # 18-row stencil as in the 102-row one gives the same float,
+        # through the windows, both recursions and the X-state kernel
+        coarse, derivatives, best, fine = far_grids(sites)
+        assert fine[4] == coarse[best]
+        assert analysis._tfim_derivatives(fine, sites, sites // 2)[4] == derivatives[best]
 
     def test_nn_derivative_equals_per_point_reference(self):
         step = analysis.SCALING_STEP

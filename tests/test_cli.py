@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -162,6 +163,19 @@ class TestOracleCompare:
         monkeypatch.setattr(np.linalg, "eigvalsh", block_eigh)
         argv = ["oracle", "compare", "--t", "0.5", *args]
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+    def test_infinite_coupling_fails_before_the_diagonalization(self, capsys, monkeypatch):
+        # the ring's own check names the coupling; no block is built or
+        # diagonalized, so no RuntimeWarning from inf * 0 either
+        def block_eigh(*args, **kwargs):
+            raise AssertionError("the oracle diagonalized a block")
+
+        monkeypatch.setattr(np.linalg, "eigh", block_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", block_eigh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_cli(["oracle", "compare", "--n", "6", "--lambda", "inf"], capsys)
+        assert result == (1, "", "error: coupling must be finite\n")
 
     def test_checks_then_diagonalization_then_free_grid(self, capsys, monkeypatch):
         calls = []
@@ -726,6 +740,14 @@ class TestConfigAndErrors:
         assert code == 1
         assert out == ""
         assert "temperature must be finite" in err
+
+    def test_infinite_tfim_coupling_is_an_error_row(self, capsys):
+        # rejected by name instead of surfacing as mz = nan
+        code, out, _ = run_cli(["tfim", "mi", "--lambda", "inf", "--r-max", "2"], capsys)
+        assert code == 0
+        rows = [l for l in out.splitlines() if l.startswith("tfim,")]
+        assert rows == [f"tfim,0,inf,1000,{r},,,,,error: coupling must be finite"
+                        for r in (1, 2)]
 
     def test_nan_dimer_temperature_is_an_error_row(self, capsys):
         code, out, _ = run_cli(["dimer", "--t-min", "nan", "--t-count", "1"], capsys)

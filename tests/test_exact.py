@@ -47,6 +47,16 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError, match="coupling must be >= 0"):
             exact.build_hamiltonian(4, float("nan"))
 
+    @pytest.mark.parametrize("coupling, message", [
+        (float("inf"), "coupling must be finite"),
+        (float("-inf"), "coupling must be >= 0"),
+    ])
+    def test_infinite_coupling_rejected(self, coupling, message):
+        with pytest.raises(ValueError, match=message):
+            exact.check_ring(6, coupling)
+        with pytest.raises(ValueError, match=message):
+            exact.observables(6, coupling, 0.5, [1])
+
     def test_ground_energy_matches_free_fermions(self):
         ham = exact.build_hamiltonian(4, 1.0)
         ground = np.linalg.eigvalsh(ham)[0]

@@ -4,13 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from critent import ising2d, tfim
+from critent import analysis, ising2d, tfim
 from critent.errors import ConvergenceError
 from critent.numerics import (
     fourier_window,
     toeplitz_determinant,
 )
-from oracles import ising_symbol, levinson_minors
+from oracles import far_grids, ising_symbol, levinson_minors
 
 
 def cofactor_determinant(matrix):
@@ -230,6 +230,41 @@ class TestToeplitzDeterminants:
             if rows == 102:
                 # the multiply-then-sum recursion gives the same floats
                 assert whole.tolist() == levinson_minors(windows, shift, dim).tolist()
+
+    @pytest.mark.parametrize("grid, value", [
+        ("ising2d-sweep", None), ("tfim-sweep", 0.0), ("tfim-sweep", 0.5),
+        *(("far-fine", n) for n in analysis.FAR_SCALING_SITES), ("graded", None),
+    ])
+    def test_benchmark_grids_equal_the_multiply_then_sum_recursion(self, grid, value):
+        # every stack the benchmark's workloads hand the recursion (the TFIM
+        # sweep at temperature `value`, the far-pair peak search's fine
+        # stencil at N = `value`), and one whose lags span 1e-150 to 1e150,
+        # give the reference's floats
+        if grid == "ising2d-sweep":
+            windows = np.array([ising2d.coefficient_window(t, 49)
+                                for t in np.linspace(1.5, 3.5, 21)])
+            cases = [(windows, 0, 50)]
+        elif grid == "tfim-sweep":
+            # lambda = 0 dropped: its pivots vanish and the reference
+            # takes none
+            couplings = np.linspace(0.0, 2.0, 11)[1:]
+            windows = tfim.coefficient_window(couplings, value, 1000, 50)
+            cases = [(windows, shift, 50) for shift in (-1, 1)]
+        elif grid == "far-fine":
+            fine = far_grids(value)[3]
+            stencil = np.concatenate([fine + analysis.SCALING_STEP, fine - analysis.SCALING_STEP])
+            windows = tfim.coefficient_window(stencil, 0.0, value, value // 2)
+            cases = [(windows, shift, value // 2) for shift in (-1, 1)]
+        else:
+            # t_n scaled by g^n, g^17 = 1e150: M becomes g^shift D M D^-1
+            # with D = diag(g^i), so a k x k minor only gains g^(k shift)
+            # while the recursion's vectors and dot products span the range
+            n = np.arange(-17, 18)
+            windows = np.random.default_rng(21).standard_normal((5, 35)) * 10.0 ** (150 * n / 17)
+            cases = [(windows, shift, 16) for shift in (-1, 0, 1)]
+        for windows, shift, dim in cases:
+            minors = toeplitz_determinant(windows, dim, row_shift=shift, sizes=range(1, dim + 1))
+            assert minors.tolist() == levinson_minors(windows, shift, dim).tolist()
 
     def test_no_dense_stack_is_built(self, monkeypatch):
         rows, dim = 4, 512

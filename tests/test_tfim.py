@@ -256,8 +256,9 @@ class TestCorrelations:
                 assert value == pytest.approx(expected, abs=1e-8)
 
 
-NAN = math.nan
+NAN, INF = math.nan, math.inf
 COUPLING, TEMPERATURE = "coupling must be >= 0", "temperature must be >= 0"
+FINITE = "coupling must be finite"
 SITES, SEPARATION = "sites must be even and >= 4", "separation must be in [1, sites/2]"
 SECTOR = "sector must be one of ('even', 'odd', 'gibbs')"
 
@@ -271,6 +272,7 @@ class TestCheckGrid:
         # one bad field
         ([NAN], 0.5, 8, [2], "even", COUPLING),
         ([-0.5], 0.5, 8, [2], "even", COUPLING),
+        ([INF], 0.5, 8, [2], "even", FINITE),
         ([1.0], -0.1, 8, [2], "even", TEMPERATURE),
         ([1.0], NAN, 8, [2], "even", TEMPERATURE),
         ([1.0], 0.5, 2, [1], "even", SITES),
@@ -284,6 +286,8 @@ class TestCheckGrid:
         # two bad fields: the first in the rule's order wins
         ([NAN], -1.0, 8, [2], "even", COUPLING),
         ([-0.5], 0.5, 8, [5], "even", COUPLING),
+        ([INF], -1.0, 8, [2], "even", FINITE),
+        ([INF], 0.5, 7, [5], "mixed", FINITE),
         ([1.0], NAN, 7, [2], "even", TEMPERATURE),
         ([1.0], -0.1, 8, [0], "even", TEMPERATURE),
         ([1.0], 0.5, 5, [0], "even", SITES),
@@ -292,10 +296,14 @@ class TestCheckGrid:
         ([1.0], 0.5, 8, [5], "mixed", SEPARATION),
         ([], 0.5, 8, [], "even", "couplings must not be empty"),
         ([-0.5], 0.5, 8, [], "even", "separations must not be empty"),
-        # grids: the smallest coupling (NaN anywhere), the smallest
-        # separation, the sector, then the largest separation
+        # grids: the smallest coupling (NaN anywhere), the largest
+        # coupling, the smallest separation, the sector, then the largest
+        # separation
         ([1.0, NAN], 0.5, 8, [2], "even", COUPLING),
         ([1.0, -1e-4], 0.5, 8, [2], "even", COUPLING),
+        ([1.0, INF], 0.5, 8, [2], "even", FINITE),
+        ([INF, NAN], 0.5, 8, [2], "even", COUPLING),
+        ([INF, -1e-4], 0.5, 8, [2], "even", COUPLING),
         ([1.0], 0.5, 8, [4, 0], "mixed", SEPARATION),
         ([1.0], 0.5, 8, [1, 5], "mixed", SECTOR),
         ([1.0], 0.5, 8, [1, 5], "gibbs", SEPARATION),
