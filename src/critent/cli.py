@@ -57,10 +57,17 @@ def _one_format(args, only: str) -> None:
         raise ValueError(f"{args.command} {args.action} writes {only.upper()} only")
 
 
-def _grid(lo: float, hi: float, count: int) -> np.ndarray:
+def _grid(lo: float, hi: float, count: int, flag: str) -> np.ndarray:
+    """count points from lo to hi, the options {flag}-min and {flag}-max;
+    one point is lo as given, even inf, NaN or -0.0."""
     if count < 1:
         raise ValueError("grid count must be >= 1")
-    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+    if count == 1:
+        return np.array([lo])
+    # linspace turns a finite endpoint into NaN when the other is not finite
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{flag}-min and {flag}-max must be finite when {flag}-count > 1")
+    return np.linspace(lo, hi, count)
 
 
 def _separations(lo: int, hi: int, step: int, flag: str) -> list:
@@ -112,7 +119,7 @@ def _fit_report(args, label: str, fit: FitResult, ok: bool, **extra) -> int:
 
 def _cmd_dimer(args) -> int:
     _finite_temperatures(args.t_min, args.t_max)
-    return _sweep(args, "dimer", {"T": _grid(args.t_min, args.t_max, args.t_count)})
+    return _sweep(args, "dimer", {"T": _grid(args.t_min, args.t_max, args.t_count, "--t")})
 
 
 def _cmd_ising2d(args) -> int:
@@ -127,7 +134,7 @@ def _cmd_ising2d(args) -> int:
         # mi is the one-temperature grid, every N from --n-min to --n-max
         one_t = args.action == "mi"
         return _sweep(args, "ising2d", {
-            "T": [args.t] if one_t else _grid(args.t_min, args.t_max, args.t_count),
+            "T": [args.t] if one_t else _grid(args.t_min, args.t_max, args.t_count, "--t"),
             "N": _separations(args.n_min, args.n_max, 1 if one_t else args.n_step, "--n-step"),
         }, ensemble=args.ensemble)
     # exponents
@@ -150,8 +157,8 @@ def _cmd_tfim(args) -> int:
     if args.action in ("mi", "sweep"):
         # mi is the one-coupling grid
         return _sweep(args, "tfim", {
-            "lam": ([getattr(args, "lambda")] if args.action == "mi"
-                    else _grid(args.lambda_min, args.lambda_max, args.lambda_count)),
+            "lam": ([getattr(args, "lambda")] if args.action == "mi" else
+                    _grid(args.lambda_min, args.lambda_max, args.lambda_count, "--lambda")),
             "r": _separations(args.r_min, args.r_max, args.r_step, "--r-step"),
         }, T=args.t, N=args.n, sector=args.sector)
     # scaling

@@ -11,9 +11,12 @@ the correlations <sz>, <sx sx>, <sy sy> and <sz sz>.  x_state_entropies
 evaluates a batch of such states in closed form, without building
 matrices, as three elementwise passes over stacked rows (the two blocks,
 the entropy terms, the relative-entropy terms), so its numpy call count
-does not grow with the batch.  two_site_entropies is the models' one way
-in: it checks the correlations, makes that kernel call and turns a
-non-positive state into ModelConsistencyError.
+does not grow with the batch.  Its elementwise leaves _plogp, _g and
+_weighted_g work in place, with the operations of the one-expression forms
+that tests/oracles.py keeps, so fewer arrays are live and no float moves.
+two_site_entropies is the models' one way in: it checks the correlations,
+makes that kernel call and turns a non-positive state into
+ModelConsistencyError.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ def _plogp(p):
     """p ln p elementwise, with 0 ln 0 = 0."""
     p = np.asarray(p, dtype=float)
     positive = p > 0
-    return np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0)
+    out = np.where(positive, p, 1.0)
+    np.log(out, out=out)
+    out *= p
+    np.copyto(out, 0.0, where=~positive)
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,16 +162,27 @@ def _g(eps):
     floor = eps <= -1.0
     poly = np.zeros_like(eps)
     for c in reversed(_G_SERIES):
-        poly = poly * eps + c
+        poly *= eps
+        poly += c
     safe = np.where(small | floor, 0.0, eps)
-    direct = (1.0 + safe) * np.log1p(safe) - safe
-    return np.where(small, eps * eps * poly, np.where(floor, 1.0, direct))
+    direct = np.log1p(safe, out=np.empty_like(safe))  # an array even for 0-d eps
+    direct *= 1.0 + safe
+    direct -= safe
+    np.copyto(direct, 1.0, where=floor)
+    poly *= np.multiply(eps, eps, out=safe)
+    np.copyto(direct, poly, where=small)
+    return direct
 
 
 def _weighted_g(q, d):
-    """q g(d / q), and 0 where q <= 0."""
+    """q g(d / q), and 0 where q <= 0; q and d of one shape."""
     positive = q > 0
-    return np.where(positive, q * _g(d / np.where(positive, q, 1.0)), 0.0)
+    eps = np.where(positive, q, 1.0)
+    out = _g(np.divide(d, eps, out=eps))
+    out *= q
+    # not ~positive: for a float q, q > 0 is a Python bool, and ~True is -2
+    np.copyto(out, 0.0, where=np.logical_not(positive))
+    return out
 
 
 def _block(hi, lo, delta, c):
@@ -252,6 +270,7 @@ def x_state_entropies(mz, gxx, gyy, czz):
     # 0 - sum, not -sum: a pure state's entropy is +0, never -0
     s_i = (0.0 - (plogp[0] + plogp[1])) / LN2
     s_ij = (0.0 - (plogp[2] + plogp[4] + plogp[3] + plogp[5])) / LN2
+    del plogp  # the g pass reuses its memory: a lower peak RSS, measured
     g = _weighted_g(np.concatenate((hi, lo, q)), np.concatenate((e, -e, shift)))
     coherence = g[0:2] + g[2:4] + cross
     diagonal = g[4] + g[5] + 2.0 * g[6]

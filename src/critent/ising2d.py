@@ -148,7 +148,8 @@ def coefficient_window(temperature: float, n_max: int) -> np.ndarray:
         values = np.concatenate((neg[n_max:0:-1], pos[: n_max + 1]))
     else:
         values = -np.concatenate((pos[n_max + 1:0:-1], neg[:n_max]))
-    total = float(values @ values)
+    # a reduction, not values @ values: a first BLAS call maps ~0.15 MB
+    total = float((values * values).sum())
     if not total <= 1.0 + 1e-12:
         raise ConvergenceError(f"coefficient window |n| <= {n_max} at T={temperature!r} "
                                f"breaks Parseval's bound: sum of a_n^2 = {total!r}")

@@ -12,8 +12,8 @@ import numpy as np
 
 from critent import analysis, exact, tfim
 from critent.analysis import CSV_HEADER, UNITS_COMMENTS
-from critent.density import (LN2, DensityMatrix, _plogp, _reject_negative, _weighted_g,
-                             make_density_matrix, two_site_entropies)
+from critent.density import (_G_SERIES, _G_SERIES_RADIUS, LN2, DensityMatrix,
+                             _reject_negative, make_density_matrix, two_site_entropies)
 
 
 def x_state(mz, gxx, gyy, gzz) -> DensityMatrix:
@@ -58,9 +58,42 @@ def mpmath_mi(mz, gxx, gyy, czz):
         magnitude += 40
 
 
+# density's elementwise leaves as they were before they worked in place,
+# one expression each: the bit-for-bit reference for the in-place forms.
+
+def _plogp(p):
+    """p ln p elementwise, with 0 ln 0 = 0."""
+    p = np.asarray(p, dtype=float)
+    positive = p > 0
+    return np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0)
+
+
+def _g(eps):
+    """(1 + eps) ln(1 + eps) - eps >= 0, the share of one diagonal entry in
+    a relative entropy.  The series avoids cancellation for small eps;
+    g(-1) = 1 is the 0 ln 0 limit, also taken below -1, which eigenvalue
+    dust can reach."""
+    eps = np.asarray(eps, dtype=float)
+    small = np.abs(eps) < _G_SERIES_RADIUS
+    floor = eps <= -1.0
+    poly = np.zeros_like(eps)
+    for c in reversed(_G_SERIES):
+        poly = poly * eps + c
+    safe = np.where(small | floor, 0.0, eps)
+    direct = (1.0 + safe) * np.log1p(safe) - safe
+    return np.where(small, eps * eps * poly, np.where(floor, 1.0, direct))
+
+
+def _weighted_g(q, d):
+    """q g(d / q), and 0 where q <= 0."""
+    positive = q > 0
+    return np.where(positive, q * _g(d / np.where(positive, q, 1.0)), 0.0)
+
+
 # x_state_entropies as it was before its stacked pass, one numpy call per
 # block, entropy term and weighted g: the bit-for-bit reference the stacked
-# kernel is held to.  It shares only the elementwise leaves with the library.
+# kernel is held to.  It shares no arithmetic with the library: its leaves
+# are the one-expression forms above.
 
 def _block(hi, lo, delta, c):
     """Eigenvalues and coherence (nats) of the 2x2 block [[hi, c], [c, lo]].

@@ -732,6 +732,8 @@ class TestConfigAndErrors:
         ["dimer", "--t-max", "inf", "--t-count", "3"],
         ["tfim", "mi", "--t", "inf"],
         ["tfim", "sweep", "--t", "inf", "--lambda-count", "2"],
+        # named before a non-finite coupling grid
+        ["tfim", "sweep", "--t", "inf", "--lambda-max", "inf", "--lambda-count", "2"],
         ["oracle", "compare", "--n", "6", "--t", "inf"],
     ])
     def test_infinite_temperature_exits_one(self, capsys, args, fmt):
@@ -740,6 +742,36 @@ class TestConfigAndErrors:
         assert code == 1
         assert out == ""
         assert "temperature must be finite" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args, flag", [
+        (["tfim", "sweep", "--lambda-min", "1", "--lambda-max", "inf", "--lambda-count", "2"],
+         "--lambda"),
+        (["tfim", "sweep", "--lambda-min=-inf", "--lambda-count", "3"], "--lambda"),
+        (["ising2d", "sweep", "--t-max", "inf", "--t-count", "2"], "--t"),
+        (["ising2d", "sweep", "--t-min", "nan", "--t-count", "2"], "--t"),
+        (["dimer", "--t-max", "nan", "--t-count", "3"], "--t"),
+    ])
+    def test_non_finite_grid_endpoint_exits_one(self, capsys, args, flag, fmt):
+        # linspace would give NaN for the finite endpoint, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_cli(args + ["--format", fmt], capsys)
+        assert result == (
+            1, "", f"error: {flag}-min and {flag}-max must be finite when {flag}-count > 1\n")
+
+    @pytest.mark.parametrize("args, row", [
+        (["ising2d", "sweep", "--t-min", "inf", "--t-max", "2", "--t-count", "1",
+          "--n-max", "1"], "ising2d,inf,,1,,,,,,error: temperature must be finite and > 0"),
+        (["tfim", "sweep", "--lambda-min", "nan", "--lambda-count", "1", "--r-max", "1"],
+         "tfim,0,nan,1000,1,,,,,error: coupling must be >= 0"),
+    ])
+    def test_one_point_grid_keeps_its_endpoint(self, capsys, args, row):
+        # the point is --*-min as given: an error row, not a usage error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(args, capsys)
+        assert (code, out.splitlines()[2:]) == (0, [row])
 
     def test_infinite_tfim_coupling_is_an_error_row(self, capsys):
         # rejected by name instead of surfacing as mz = nan

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from critent.density import (
     x_state_entropies,
 )
 from critent.errors import ModelConsistencyError, ValidationError
-from oracles import (dimer_thermal_state, mpmath_mi, reference_x_state_entropies,
-                     weak_pair_factor)
+from oracles import (_g, _plogp, _weighted_g, dimer_thermal_state, mpmath_mi,
+                     reference_x_state_entropies, weak_pair_factor)
 
 
 def singlet():
@@ -443,6 +444,83 @@ class TestStackedKernelMatchesReference:
         for inputs, stacked in calls:
             reference = reference_x_state_entropies(*inputs)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, reference))
+
+
+def leaf_edges():
+    """Floats at and around every branch of the elementwise leaves: signed
+    zeros and subnormals, NaN and infinities, the floor at -1, the series
+    radius 0.05 and their neighbours, and the extremes of the range."""
+    sub = np.finfo(float).smallest_subnormal
+    edges = [0.0, -0.0, sub, -sub, 2.5e-310, -2.5e-310, math.nan, math.inf, -math.inf,
+             -1.5, -1e300, 1e-300, -1e-300, 1e300, 0.3, -0.7, 2.0]
+    for x in (0.05, -0.05, -1.0):
+        edges += [x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)]
+    return np.array(edges)
+
+
+def random_leaf_inputs(rng, shape):
+    """Seeded (q, d) with eps = d/q inside the series radius, in the direct
+    branch and at or below the floor, and q of either sign or 0."""
+    q = rng.uniform(-0.1, 1.0, shape) * rng.choice([1.0, 1e-9, 1e-300, 0.0], shape)
+    eps = rng.uniform(-2.0, 2.0, shape) * rng.choice([1.0, 0.05, 1e-3, 1e-9], shape)
+    return q, eps * np.where(q == 0.0, 1.0, q)
+
+
+class TestInPlaceLeavesMatchTheirExpressions:
+    """density's _g, _weighted_g and _plogp work in place; tests/oracles.py
+    keeps their one-expression forms.  Both give the same floats, with the
+    same signs of zero and NaN in the same places, for arrays, 0-d arrays
+    and Python floats."""
+
+    @staticmethod
+    def assert_same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype == float
+        nan = np.isnan(a)
+        assert np.array_equal(nan, np.isnan(b))
+        assert np.array_equal(a[~nan], b[~nan])
+        assert np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan]))
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        # inf * 0 and the like warn in both forms alike
+        with np.errstate(all="ignore"):
+            yield
+
+    def test_edges(self):
+        x = leaf_edges()
+        q, d = (v.ravel() for v in np.meshgrid(x, x))
+        self.assert_same(density._g(x), _g(x))
+        self.assert_same(density._plogp(x), _plogp(x))
+        self.assert_same(density._weighted_g(q, d), _weighted_g(q, d))
+
+    def test_scalars(self):
+        x = leaf_edges().tolist()
+        for a in x:
+            for leaf, reference in ((density._g, _g), (density._plogp, _plogp)):
+                self.assert_same(leaf(a), reference(a))
+                self.assert_same(leaf(np.float64(a)), reference(np.float64(a)))
+            for b in x:
+                self.assert_same(density._weighted_g(a, b), _weighted_g(a, b))
+
+    def test_random_stack(self):
+        q, d = random_leaf_inputs(np.random.default_rng(35), (7, 1050))
+        self.assert_same(density._weighted_g(q, d), _weighted_g(q, d))
+        self.assert_same(density._g(d), _g(d))
+        self.assert_same(density._plogp(q), _plogp(q))
+
+    def test_weighted_g_peak_memory(self):
+        # the kernel's 7-row pass over the 1,050-point Ising sweep: 57.4 KiB
+        # a row stack; the one-expression form peaked at 426 KiB
+        q, d = random_leaf_inputs(np.random.default_rng(36), (7, 1050))
+        density._weighted_g(q, d)
+        tracemalloc.start()
+        try:
+            density._weighted_g(q, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 360 * 1024
 
 
 class TestMutualInformationLowerBound:
